@@ -74,7 +74,6 @@ from .progressions import (
 )
 from .symbols import (
     Place,
-    QpClass,
     hilbert_product_check,
     hilbert_symbol,
     is_square_in_qv,

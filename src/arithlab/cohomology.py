@@ -2,11 +2,15 @@
 
 Groups are explicit multiplication tables (order <= 48); a lattice is a
 rank-d free module with one integral action matrix per group element.
-H^1 is computed from the definition: the group of 1-cocycles is the
-integer kernel of the stacked linear conditions f(gh) = f(g) + g.f(h)
-over all pairs (g, h), coboundaries are the image of a |-> (g.a - a),
-and the quotient's invariants come out of Smith normal form.  No
-generators or relators are ever chosen.
+H^1 is computed from the definition.  With N = (s-1)d unknowns f(g),
+g != 1, the cocycles Z^1 are the kernel of the matrix R stacking the
+linear conditions f(gh) = f(g) + g.f(h) over all pairs (g, h), and the
+coboundaries B^1 are the image of the matrix C of a |-> (g.a - a).
+Z^1 is a kernel, hence saturated in Z^N, so Z^N/Z^1 is free and the
+sequence 0 -> Z^1/B^1 -> Z^N/B^1 -> Z^N/Z^1 -> 0 splits:
+Z^N/B^1 = H^1 + Z^N/Z^1.  The torsion of H^1 is therefore the torsion
+of coker C, and its free rank is (N - rank R) - rank C; both come out
+of Smith normal form.  No generators or relators are ever chosen.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import (
-    IntegerMatrix,
-    determinant,
-    factor,
-    integer_kernel,
-    smith_normal_form,
-)
+from .core import IntegerMatrix, determinant, factor, smith_normal_form
 
 __all__ = [
     "FiniteGroup",
@@ -288,43 +286,23 @@ def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows)
 
 
-def _quotient_invariants(basis: IntegerMatrix, gens: IntegerMatrix) -> AbelianGroupInvariants:
-    """Invariants of (lattice with given basis columns) / (column span of gens).
-
-    The basis must be saturated in the ambient space: its SNF diagonal
-    is then all ones, which lets the generator columns be rewritten in
-    basis coordinates by exact unimodular bookkeeping.
-    """
-    z = basis.cols
-    if z == 0:
-        return AbelianGroupInvariants((), 0)
-    snf = smith_normal_form(basis)
-    if any(d != 1 for d in snf.diagonal):
-        raise RuntimeError("basis is not saturated")
-    c = snf.left_transform.mul(gens)
-    for i in range(z, c.rows):
-        for j in range(c.cols):
-            if c[i, j] != 0:
-                raise RuntimeError("generators are not inside the basis span")
-    top = IntegerMatrix.from_rows([[c[i, j] for j in range(c.cols)] for i in range(z)])
-    x = snf.right_transform.mul(top)
-    diag = smith_normal_form(x).diagonal
-    nonzero = [d for d in diag if d != 0]
-    return AbelianGroupInvariants(
-        tuple(d for d in nonzero if d > 1), z - len(nonzero)
-    )
-
-
 def h1(lattice: GLattice) -> AbelianGroupInvariants:
     """Invariants of H^1(G, A) = Z^1 / B^1 for the given lattice.
 
+    Z^1 = ker R is saturated, so Z^N/B^1 = H^1 + Z^N/Z^1 with the second
+    summand free of rank rank R: the elementary divisors of H^1 are those
+    of coker C above 1, and its free rank is (N - rank R) - rank C.
     Finiteness of the result (free rank 0) is a theorem; the computed
     free rank is returned so that tests can confirm it.
     """
     relations = _cocycle_relation_matrix(lattice)
-    cocycle_basis = integer_kernel(relations)
     coboundaries = _coboundary_matrix(lattice)
-    return _quotient_invariants(cocycle_basis, coboundaries)
+    rank_r = sum(1 for x in smith_normal_form(relations).diagonal if x)
+    diag = smith_normal_form(coboundaries).diagonal
+    rank_c = sum(1 for x in diag if x)
+    return AbelianGroupInvariants(
+        tuple(x for x in diag if x > 1), relations.cols - rank_r - rank_c
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Everything here is exact -- Python ints throughout, no floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,6 +16,7 @@ __all__ = [
     "SnfResult",
     "Factorization",
     "is_prime",
+    "jacobi",
     "factor",
     "crt_solve",
     "next_prime_in_progression",
@@ -60,7 +62,7 @@ def _lucas_strong_probable_prime(n: int) -> bool:
     # First D in 5, -7, 9, -11, ... with jacobi(D, n) == -1.
     d = 5
     while True:
-        j = _jacobi_int(d, n)
+        j = jacobi(d, n)
         if j == -1:
             break
         if j == 0 and abs(d) != n:
@@ -104,9 +106,10 @@ def _is_square_int(n: int) -> bool:
     return r * r == n
 
 
-def _jacobi_int(a: int, n: int) -> int:
-    # Plain Jacobi symbol on ints; n odd positive. Kept private so the
-    # public symbols module can own validation and error reporting.
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"jacobi requires odd n >= 1, got {n}")
     a %= n
     result = 1
     while a:
@@ -312,12 +315,18 @@ class IntegerMatrix:
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out) if out else IntegerMatrix.zero(0, other.cols)
+        n, c = self.cols, other.cols
+        a = self.entries
+        columns = [other.entries[j::c] for j in range(c)]
+        return IntegerMatrix(
+            self.rows,
+            c,
+            tuple(
+                sum(map(operator.mul, a[i * n : (i + 1) * n], col))
+                for i in range(self.rows)
+                for col in columns
+            ),
+        )
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
@@ -404,21 +413,18 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     a = m.to_rows()
     left = IntegerMatrix.identity(nrows).to_rows()
     right = IntegerMatrix.identity(ncols).to_rows()
-    t = 0
-    while True:
-        pos = _pivot_search(a, t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            left[t], left[i] = left[i], left[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in right:
-                row[t], row[j] = row[j], row[t]
-        while True:
+    for t in range(min(nrows, ncols)):
+        while (pos := _pivot_search(a, t)) is not None:
+            # Move the smallest entry of the trailing submatrix to (t, t).
+            i, j = pos
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                left[t], left[i] = left[i], left[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+                for row in right:
+                    row[t], row[j] = row[j], row[t]
             # Clear column t with the current pivot.
             for i in range(nrows):
                 if i != t and a[i][t]:
@@ -456,25 +462,14 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
                     a[t][k] += a[offender][k]
                 for k in range(nrows):
                     left[t][k] += left[offender][k]
-            # Re-pick the smallest pivot in row/column t.
-            pos = _pivot_search(a, t)
-            i, j = pos
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                left[t], left[i] = left[i], left[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                for row in right:
-                    row[t], row[j] = row[j], row[t]
+        else:
+            # The trailing submatrix is zero: the rest of the diagonal is too.
+            break
         if a[t][t] < 0:
             for k in range(ncols):
                 a[t][k] = -a[t][k]
             for k in range(nrows):
                 left[t][k] = -left[t][k]
-        t += 1
-        if t >= min(nrows, ncols):
-            break
     diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
     return SnfResult(
         diag,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .core import crt_solve, is_prime, next_prime_in_progression
 from .progressions import primes_up_to
-from .symbols import Place, hilbert_symbol, is_square_in_qv, legendre
+from .symbols import Place, hilbert_symbol, is_square_in_qv, jacobi
 
 __all__ = [
     "BiasedPrimePair",
@@ -43,9 +43,10 @@ class BiasedPrimePair:
         for x in self.p_list + self.q_list:
             if x % 4 != 1 or not is_prime(x):
                 raise ValueError(f"{x} is not a prime congruent to 1 mod 4")
+        # Every q is now a checked prime, so jacobi is the Legendre symbol.
         for p in self.p_list:
             for q in self.q_list:
-                if legendre(p, q) != 1:
+                if jacobi(p, q) != 1:
                     raise ValueError(f"symbol ({p}/{q}) is not 1")
 
 
@@ -161,9 +162,10 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
         raise ValueError(f"q must be a prime congruent to 1 mod 4, got {q}")
     checked = tuple(p for p in primes_up_to(sample_bound) if p % q == 1)
     failures = []
+    # q and the sieved p are prime, so jacobi gives the Legendre symbols.
     for p in checked:
         square = is_square_in_qv(q, Place.finite(p))
-        reciprocity = legendre(p % q, q) == 1 and legendre(q, p) == 1
+        reciprocity = jacobi(p % q, q) == 1 and jacobi(q, p) == 1
         if not (square and reciprocity):
             failures.append(p)
     sampled = []
@@ -207,14 +209,6 @@ GAUSSIAN_UNITS = (
 )
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _odd_prime_factors(n: int) -> list[int]:
     out = []
     d = 3
@@ -236,8 +230,9 @@ def norm_one_constrained_units(height_bound: int) -> list[GaussianInteger]:
     Sweeps y = u + v i with |u|, |v| <= height_bound and keeps
     x = conj(y)/y only when, at every prime p = 1 (mod 4) dividing the
     norm of y, the two valuations of y above p agree -- equivalently
-    v_p(norm) = 2 v_p(gcd(u, v)).  Everywhere else x is automatically a
-    unit, so survivors are honest units of the Gaussian integers; the
+    v_p(norm) = 2 v_p(gcd(u, v)), that is, p does not divide the integer
+    norm / gcd(u, v)^2.  Everywhere else x is automatically a unit, so
+    survivors are honest units of the Gaussian integers; the
     finiteness claim being tested is that exactly the four units appear.
     """
     if height_bound < 1:
@@ -248,25 +243,22 @@ def norm_one_constrained_units(height_bound: int) -> list[GaussianInteger]:
             if u == 0 and v == 0:
                 continue
             norm = u * u + v * v
-            odd_part = norm >> _padic_valuation(norm, 2)
-            content = math.gcd(u, v)
-            ok = True
+            odd_part = norm
+            while odd_part % 2 == 0:
+                odd_part //= 2
+            reduced = norm // math.gcd(u, v) ** 2
             for p in _odd_prime_factors(odd_part):
-                if p % 4 != 1:
-                    continue
-                if _padic_valuation(norm, p) != 2 * _padic_valuation(content, p):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # x = conj(y)/y = ((u^2 - v^2) - 2uv i) / (u^2 + v^2)
-            re = Fraction(u * u - v * v, norm)
-            im = Fraction(-2 * u * v, norm)
-            if re.denominator != 1 or im.denominator != 1:
-                raise AssertionError(
-                    f"survivor {u}+{v}i produced a non-integral quotient"
-                )
-            survivors.add(GaussianInteger(int(re), int(im)))
+                if p % 4 == 1 and reduced % p == 0:
+                    break  # the two valuations above p differ
+            else:
+                # x = conj(y)/y = ((u^2 - v^2) - 2uv i) / (u^2 + v^2)
+                re = Fraction(u * u - v * v, norm)
+                im = Fraction(-2 * u * v, norm)
+                if re.denominator != 1 or im.denominator != 1:
+                    raise AssertionError(
+                        f"survivor {u}+{v}i produced a non-integral quotient"
+                    )
+                survivors.add(GaussianInteger(int(re), int(im)))
     return sorted(survivors, key=lambda z: (z.a, z.b))
 
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Factorization, factor, is_prime
+from .core import factor, is_prime, jacobi
 
 __all__ = [
     "Place",
-    "QpClass",
     "HilbertProductReport",
     "legendre",
     "jacobi",
@@ -54,24 +53,6 @@ class Place:
         return "inf" if self.prime is None else str(self.prime)
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"jacobi requires odd n >= 1, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p.
 
@@ -106,42 +87,6 @@ def _valuation(f: Fraction, p: int) -> tuple[int, int, int]:
 
 def _unit_residue(num: int, den: int, modulus: int) -> int:
     return num * pow(den, -1, modulus) % modulus
-
-
-@dataclass(frozen=True)
-class QpClass:
-    """A nonzero element of Q_v^x in factored canonical form.
-
-    Stores the sign and the prime factorizations of numerator and
-    denominator of the lowest-terms rational; enough to read off the
-    valuation and unit residue at the place, hence the square class.
-    """
-
-    place: Place
-    sign: int
-    numerator_factors: Factorization
-    denominator_factors: Factorization
-
-    @classmethod
-    def at(cls, place: Place, value: Rational) -> "QpClass":
-        f = _as_fraction(value)
-        sign = 1 if f > 0 else -1
-        return cls(place, sign, factor(abs(f.numerator)), factor(f.denominator))
-
-    def value(self) -> Fraction:
-        return Fraction(
-            self.sign * self.numerator_factors.base, self.denominator_factors.base
-        )
-
-    def valuation(self) -> int:
-        if self.place.is_infinite:
-            raise ValueError("valuation undefined at the archimedean place")
-        p = self.place.prime
-        v = dict(self.numerator_factors.factors).get(p, 0)
-        return v - dict(self.denominator_factors.factors).get(p, 0)
-
-    def is_square(self) -> bool:
-        return is_square_in_qv(self.value(), self.place)
 
 
 def is_square_in_qv(a: Rational, v: Place) -> bool:

@@ -4,12 +4,17 @@ Each test prints a PASS line on success (visible with pytest -s; the
 per-test PASSED lines of pytest -v carry the same information).
 """
 
+import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import arithlab
 
 from arithlab.bounds import c_reductive, divides_power, gamma, lam, psi
 from arithlab.cohomology import h1, h1_bound_check, induced_lattice
@@ -204,6 +209,7 @@ def test_criterion_09_densities():
 
 DETERMINISM_COMMANDS = [
     ["constants", "gamma", "2"],
+    ["constants", "gamma", "3"],
     ["constants", "lambda", "2"],
     ["constants", "psi", "2"],
     ["constants", "ctilde", "1", "2"],
@@ -224,20 +230,54 @@ DETERMINISM_COMMANDS = [
     ["local-index", "13", "3"],
 ]
 
+# Lattice files for the h1 subcommand, passed by relative name so that
+# stdout (which echoes the path) does not depend on the directory.
+LATTICE_FILES = {
+    # C2 acting on Z by -1: H^1 = Z/2.
+    "sign.txt": "2\n0 1\n1 0\n1\n1\n-1\n",
+    # Norm-one lattice of C4, Z[C4] modulo the norm element: H^1 = Z/4.
+    "norm1-c4.txt": (
+        "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n3\n"
+        "1 0 0\n0 1 0\n0 0 1\n"
+        "0 0 -1\n1 0 -1\n0 1 -1\n"
+        "0 -1 1\n0 -1 0\n1 -1 0\n"
+        "-1 1 0\n-1 0 1\n-1 0 0\n"
+    ),
+}
+
+# sha256 of each command's stdout, keyed by the space-joined command.
+PINNED_STDOUT = Path(__file__).with_name("cli_stdout_sha256.json")
+
+
+def determinism_commands() -> list[list[str]]:
+    return DETERMINISM_COMMANDS + [["h1", name] for name in LATTICE_FILES]
+
+
+def run_cli(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    # cwd is not the repository root, so put arithlab's own tree on the path.
+    src = str(Path(arithlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "arithlab", *command],
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
 
 def test_criterion_10_cli_determinism(tmp_path):
-    lattice = tmp_path / "sign.txt"
-    lattice.write_text("2\n0 1\n1 0\n1\n1\n-1\n")
-    commands = DETERMINISM_COMMANDS + [["h1", str(lattice)]]
+    for name, text in LATTICE_FILES.items():
+        (tmp_path / name).write_text(text)
+    pinned = json.loads(PINNED_STDOUT.read_text())
+    commands = determinism_commands()
+    assert sorted(pinned) == sorted(" ".join(c) for c in commands)
     for command in commands:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "arithlab", *command],
-                capture_output=True,
-            )
-            for _ in range(2)
-        ]
+        runs = [run_cli(command, tmp_path) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0, command
         assert runs[0].stdout == runs[1].stdout, command
         json.loads(runs[0].stdout)
-    announce(10, f"{len(commands)} subcommands byte-identical across repeated runs")
+        digest = hashlib.sha256(runs[0].stdout).hexdigest()
+        assert digest == pinned[" ".join(command)], command
+    announce(
+        10, f"{len(commands)} subcommands byte-identical across runs and to pinned digests"
+    )

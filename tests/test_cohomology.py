@@ -13,6 +13,8 @@ from arithlab.cohomology import (
     induced_lattice,
     minkowski_check,
     norm_one_lattice,
+    _coboundary_matrix,
+    _cocycle_relation_matrix,
 )
 from arithlab.core import IntegerMatrix
 
@@ -225,6 +227,33 @@ def random_unimodular_pair(n, rng, steps=5):
     return IntegerMatrix.from_rows(m), IntegerMatrix.from_rows(inv)
 
 
+def random_conjugates():
+    """(base, conjugate) pairs: three random base changes of each base."""
+    rng = random.Random(2024)
+    bases = [SIGN, NEG2, norm_one_lattice(C3), S3_PERM, S3_SIGN,
+             induced_lattice(S3, [S3.identity]),
+             NEG2.direct_sum(SIGN.direct_sum(SIGN))]
+    pairs = []
+    for base in bases:
+        for _ in range(3):
+            u, u_inv = random_unimodular_pair(base.rank, rng)
+            pairs.append((base, base.conjugate(u, u_inv)))
+    return pairs
+
+
+class TestCocycleMatrices:
+    """h1 reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0."""
+
+    def test_coboundaries_are_cocycles(self):
+        lattices = [lat for _, lat, _ in CORPUS + MIXED]
+        lattices += [lat for _, lat in random_conjugates()]
+        for lat in lattices:
+            relations = _cocycle_relation_matrix(lat)
+            coboundaries = _coboundary_matrix(lat)
+            assert relations.cols == coboundaries.rows
+            assert not any(relations.mul(coboundaries).entries)
+
+
 class TestBoundChecks:
     def test_sign_bound(self):
         report = h1_bound_check(SIGN)
@@ -237,21 +266,10 @@ class TestBoundChecks:
         assert report.passed
 
     def test_random_conjugated_lattices(self):
-        rng = random.Random(2024)
-        bases = [SIGN, NEG2, norm_one_lattice(C3), S3_PERM, S3_SIGN,
-                 induced_lattice(S3, [S3.identity]),
-                 NEG2.direct_sum(SIGN.direct_sum(SIGN))]
-        for base in bases:
-            if base.rank > 4 and base.group.order > 6:
-                continue
-            for _ in range(3):
-                if base.rank == 0:
-                    continue
-                u, u_inv = random_unimodular_pair(base.rank, rng)
-                lat = base.conjugate(u, u_inv)
-                report = h1_bound_check(lat)
-                assert report.passed, base
-                assert h1(lat) == h1(base)
+        for base, lat in random_conjugates():
+            report = h1_bound_check(lat)
+            assert report.passed, base
+            assert h1(lat) == h1(base)
 
     def test_psi_divisibility_for_faithful_lattices(self):
         # Faithful actions of rank d have |H^1| dividing psi(d); for

@@ -187,6 +187,17 @@ class TestNextPrimeInProgression:
                     assert not trial_division_is_prime(x)
 
 
+class TestIntegerMatrixMul:
+    def test_inner_dimension_zero(self):
+        product = IntegerMatrix.zero(2, 0).mul(IntegerMatrix.zero(0, 3))
+        assert product == IntegerMatrix.zero(2, 3)
+
+    def test_outer_dimension_zero(self):
+        b = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        product = IntegerMatrix.zero(0, 2).mul(b)
+        assert product == IntegerMatrix.zero(0, 3)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

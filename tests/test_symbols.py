@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from arithlab.core import is_prime
 from arithlab.symbols import (
     Place,
-    QpClass,
     hilbert_product_check,
     hilbert_symbol,
     is_square_in_qv,
@@ -117,22 +116,6 @@ class TestIsSquare:
             for v in places:
                 if is_square_in_qv(a, v):
                     assert hilbert_symbol(a, b, v) == 1
-
-
-class TestQpClass:
-    def test_canonical_form(self):
-        c = QpClass.at(Place.finite(5), Fraction(-50, 4))
-        assert c.sign == -1
-        assert c.value() == Fraction(-25, 2)
-        assert c.valuation() == 2
-
-    def test_is_square_delegates(self):
-        assert QpClass.at(Place.finite(11), 5).is_square() is True
-        assert QpClass.at(INF, -2).is_square() is False
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            QpClass.at(INF, 0)
 
 
 # ---------------------------------------------------------------------------
