@@ -97,14 +97,20 @@ class PowerSize:
 def _exceeds_digits(base: int, exponent: int, cap: int) -> bool:
     """Would base**exponent have more than cap decimal digits?
 
-    Works even when the exponent is itself astronomically large: the
-    comparison then happens on logarithms of logarithms.
+    That is base**exponent >= 10**cap.  The floating-point logarithm
+    decides unless it lies within 1e-9 (relative, far above its rounding
+    error) of the cap; there the comparison is made exactly.  Works even
+    when the exponent is itself astronomically large: the comparison
+    then happens on logarithms of logarithms.
     """
     if base < 2 or exponent < 1:
         return False
     log_base = math.log10(base)
     if exponent <= 10**12:
-        return exponent * log_base + 1 > cap
+        log_value = exponent * log_base
+        if abs(log_value - cap) > 1e-9 * (log_value + 1):
+            return log_value > cap
+        return base**exponent >= 10**cap
     return math.log10(exponent) + math.log10(log_base) > math.log10(cap)
 
 

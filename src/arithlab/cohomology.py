@@ -2,14 +2,23 @@
 
 Groups are explicit multiplication tables (order <= 48); a lattice is a
 rank-d free module with one integral action matrix per group element.
-H^1 is computed from the definition.  With N = (s-1)d unknowns f(g),
-g != 1, the cocycles Z^1 are the kernel of the matrix R stacking the
-linear conditions f(gh) = f(g) + g.f(h) over all pairs (g, h), and the
-coboundaries B^1 are the image of the matrix C of a |-> (g.a - a).
+H^1 is computed from the definition, with N = (s-1)d unknowns f(g),
+g != 1 (f(1) = 0), and the matrix C of a |-> (g.a - a) whose image is
+the coboundaries B^1.
+
+The cocycles Z^1 are the kernel of the N x N matrix M = s I_N + C E,
+where E = [I_d ... I_d] sums the d-blocks, so (C E f)(g) = (g - 1) F
+with F = sum_h f(h).  Summing f(gh) = f(g) + g.f(h) over h gives
+F = s f(g) + g.F, so every cocycle lies in ker M.  Conversely, if
+s f(g) = F - g.F for every g, then s f is the coboundary of -F, hence a
+cocycle (this uses that the action is a homomorphism, which GLattice
+checks), and since Z^d is torsion-free f is a cocycle too.  So
+Z^1 = ker M over Z, and the group table is never read.
+
 Z^1 is a kernel, hence saturated in Z^N, so Z^N/Z^1 is free and the
 sequence 0 -> Z^1/B^1 -> Z^N/B^1 -> Z^N/Z^1 -> 0 splits:
 Z^N/B^1 = H^1 + Z^N/Z^1.  The torsion of H^1 is therefore the torsion
-of coker C, and its free rank is (N - rank R) - rank C; both come out
+of coker C, and its free rank is (N - rank M) - rank C; both come out
 of Smith normal form.  No generators or relators are ever chosen.
 """
 
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, determinant, factor, smith_normal_form
+from .core import IntegerMatrix, determinant, smith_normal_form
 
 __all__ = [
     "FiniteGroup",
@@ -235,41 +244,6 @@ class AbelianGroupInvariants:
         return not self.divisors and not self.free_rank
 
 
-def _cocycle_relation_matrix(lattice: GLattice) -> IntegerMatrix:
-    """Stacked conditions f(gh) - f(g) - g.f(h) = 0 over pairs g, h != 1.
-
-    Unknowns are the values f(g) for g != 1 (f(1) = 0 is forced), laid
-    out in blocks of d coordinates.  Blocks may coincide (e.g. the pair
-    (g, g)), so coefficients accumulate.
-    """
-    grp, d = lattice.group, lattice.rank
-    e = grp.identity
-    others = [g for g in grp.elements() if g != e]
-    col_of = {g: i for i, g in enumerate(others)}
-    ncols = len(others) * d
-    rows: list[list[int]] = []
-    for g in others:
-        act = lattice.action[g]
-        for h in others:
-            gh = grp.mul(g, h)
-            block = [[0] * ncols for _ in range(d)]
-            if gh != e:
-                base = col_of[gh] * d
-                for i in range(d):
-                    block[i][base + i] += 1
-            base = col_of[g] * d
-            for i in range(d):
-                block[i][base + i] -= 1
-            base = col_of[h] * d
-            for i in range(d):
-                for j in range(d):
-                    block[i][base + j] -= act[i, j]
-            rows.extend(block)
-    if not rows:
-        return IntegerMatrix.zero(0, ncols)
-    return IntegerMatrix.from_rows(rows)
-
-
 def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
     """The map a |-> (g.a - a for g != 1), one d-row block per g."""
     grp, d = lattice.group, lattice.rank
@@ -286,22 +260,41 @@ def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows)
 
 
+def _cocycle_matrix(coboundaries: IntegerMatrix, order: int) -> IntegerMatrix:
+    """M = s I_N + C E for the coboundary matrix C; Z^1 = ker M.
+
+    Entry (i, j) is C[i][j mod d] + s [i == j]; see the module docstring.
+    """
+    n, d = coboundaries.rows, coboundaries.cols
+    c = coboundaries.entries
+    return IntegerMatrix(
+        n,
+        n,
+        tuple(
+            c[i * d + j % d] + (order if i == j else 0)
+            for i in range(n)
+            for j in range(n)
+        ),
+    )
+
+
 def h1(lattice: GLattice) -> AbelianGroupInvariants:
     """Invariants of H^1(G, A) = Z^1 / B^1 for the given lattice.
 
-    Z^1 = ker R is saturated, so Z^N/B^1 = H^1 + Z^N/Z^1 with the second
-    summand free of rank rank R: the elementary divisors of H^1 are those
-    of coker C above 1, and its free rank is (N - rank R) - rank C.
-    Finiteness of the result (free rank 0) is a theorem; the computed
-    free rank is returned so that tests can confirm it.
+    Z^1 = ker M with M = s I_N + C E (module docstring), and Z^1 is
+    saturated, so Z^N/B^1 = H^1 + Z^N/Z^1 with the second summand free
+    of rank rank M: the elementary divisors of H^1 are those of coker C
+    above 1, and its free rank is (N - rank M) - rank C.  Finiteness of
+    the result (free rank 0) is a theorem; the computed free rank is
+    returned so that tests can confirm it.
     """
-    relations = _cocycle_relation_matrix(lattice)
     coboundaries = _coboundary_matrix(lattice)
-    rank_r = sum(1 for x in smith_normal_form(relations).diagonal if x)
+    cocycles = _cocycle_matrix(coboundaries, lattice.group.order)
+    rank_m = sum(1 for x in smith_normal_form(cocycles).diagonal if x)
     diag = smith_normal_form(coboundaries).diagonal
     rank_c = sum(1 for x in diag if x)
     return AbelianGroupInvariants(
-        tuple(x for x in diag if x > 1), relations.cols - rank_r - rank_c
+        tuple(x for x in diag if x > 1), cocycles.cols - rank_m - rank_c
     )
 
 
@@ -471,14 +464,13 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     g = gamma(d)
     if not _mat_pow(m, g).is_identity():
         raise ValueError(f"matrix has no finite order dividing gamma({d}) = {g}")
-    # Exact multiplicative order by divisor descent through gamma(d).
-    order = g
-    for p, e in factor(g).factors:
-        for _ in range(e):
-            if _mat_pow(m, order // p).is_identity():
-                order //= p
-            else:
-                break
+    # m has finite order, so its powers reach the identity.  That order is
+    # tiny next to gamma(d) (7 for a 7-cycle, against gamma(7) > 2^64), and
+    # walking to it needs no factorization of gamma(d).
+    order, power = 1, m
+    while not power.is_identity():
+        power = power.mul(m)
+        order += 1
     mod3_identity = all(
         m[i, j] % 3 == (1 if i == j else 0) % 3
         for i in range(d)

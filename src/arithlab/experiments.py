@@ -29,6 +29,8 @@ __all__ = [
     "section7_index_bound",
 ]
 
+MAX_BIASED_ELL = 7
+
 
 @dataclass(frozen=True)
 class BiasedPrimePair:
@@ -58,9 +60,17 @@ def build_biased_prime_sets(ell: int) -> BiasedPrimePair:
     is 1 mod 4 and 1 mod q_1...q_l, and q_(l+1) likewise with the p's
     swapped in.  Quadratic reciprocity then forces all cross symbols to
     1, which the returned value re-certifies by direct evaluation.
+
+    The primes grow about 2.6-fold in bit length per step (up to 1978
+    bits at ell = 7, which takes seconds), so ell above MAX_BIASED_ELL
+    is refused before any search starts.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
+    if ell > MAX_BIASED_ELL:
+        raise ValueError(
+            f"ell must be <= {MAX_BIASED_ELL}, got {ell}: the search would run for minutes"
+        )
     p_list = [5]
     q_list: list[int] = []
     while len(q_list) < ell:

@@ -37,15 +37,13 @@ class RamifiedPrimeError(ValueError):
 
 
 def _unit_group(m: int) -> frozenset[int]:
-    if m == 1:
-        return frozenset({0})
-    return frozenset(r for r in range(1, m) if math.gcd(r, m) == 1)
+    """(Z/mZ)^x as residues in 0..m-1; for m = 1 this is Z/1 = {0}."""
+    return frozenset(r for r in range(m) if math.gcd(r, m) == 1)
 
 
 def _reduction_kernel(m: int, div: int) -> frozenset[int]:
     """Kernel of (Z/mZ)^x -> (Z/div Z)^x for div | m."""
-    one = 0 if div == 1 else 1
-    return frozenset(r for r in _unit_group(m) if r % div == one % max(div, 1))
+    return frozenset(r for r in _unit_group(m) if r % div == 1 % div)
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,8 @@ class AbelianExtensionDescriptor:
     conductor: the smallest m' | m whose reduction kernel lies in the
     subgroup.  After that, a prime ramifies in the field exactly when it
     divides the conductor (this also subsumes replacing m = 2 mod 4 by
-    m/2).
+    m/2).  Conductor 1 is the rationals, with Z/1 = {0} as its residues,
+    so the general residue formulas below cover it.
     """
 
     conductor: int
@@ -88,10 +87,7 @@ class AbelianExtensionDescriptor:
             if div % 4 == 2:
                 continue
             if _reduction_kernel(m, div) <= h:
-                if div == 1:
-                    return 1, frozenset({0})
-                reduced = frozenset(x % div for x in h)
-                return div, reduced
+                return div, frozenset(x % div for x in h)
         return m, h
 
     @property
@@ -104,7 +100,7 @@ class AbelianExtensionDescriptor:
         seen: set[frozenset[int]] = set()
         out = []
         for r in sorted(_unit_group(m)):
-            c = frozenset(r * h % m for h in self.subgroup) if m > 1 else frozenset({0})
+            c = frozenset(r * h % m for h in self.subgroup)
             if c not in seen:
                 seen.add(c)
                 out.append(c)
@@ -139,10 +135,8 @@ class FrobeniusDatum:
 def frobenius(ext: AbelianExtensionDescriptor, p: int) -> FrobeniusDatum:
     """Frobenius class of p: the coset of p mod conductor."""
     m = ext.conductor
-    if m > 1 and math.gcd(p, m) > 1:
+    if math.gcd(p, m) > 1:
         raise RamifiedPrimeError(f"{p} divides the conductor {m}")
-    if m == 1:
-        return FrobeniusDatum(p, frozenset({0}))
     r = p % m
     return FrobeniusDatum(p, frozenset(r * h % m for h in ext.subgroup))
 
@@ -182,25 +176,23 @@ class ProgressionSpec:
             raise ValueError(f"residue {a} is not invertible mod {m}")
         ext = AbelianExtensionDescriptor.cyclotomic(m)
         a %= ext.conductor
-        return cls(ext, [a if ext.conductor > 1 else 0], excluded)
+        return cls(ext, [a], excluded)
 
 
 def in_progression(spec: ProgressionSpec, p: int) -> bool:
     """Does the prime p belong to the progression?"""
     if p in spec.excluded:
         return False
-    m = spec.extension.conductor
-    if m > 1 and math.gcd(p, m) > 1:
+    if math.gcd(p, spec.extension.conductor) > 1:
         return False
     return frobenius(spec.extension, p).coset == spec.coset
 
 
 def splits_completely(ext: AbelianExtensionDescriptor, p: int) -> bool:
     """True when p is unramified with trivial Frobenius class."""
-    m = ext.conductor
-    if m > 1 and math.gcd(p, m) > 1:
+    if math.gcd(p, ext.conductor) > 1:
         return False
-    return frobenius(ext, p).coset == (ext.subgroup if m > 1 else frozenset({0}))
+    return frobenius(ext, p).coset == ext.subgroup
 
 
 def chebotarev_density(spec: ProgressionSpec) -> Fraction:
@@ -236,30 +228,16 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     if x_bound < 1000:
         raise ValueError(f"x_bound must be >= 1000, got {x_bound}")
     primes = np.array(primes_up_to(x_bound), dtype=np.int64)
-    m = spec.extension.conductor
-    if m == 1:
-        mask = np.ones(len(primes), dtype=bool)
-    else:
-        residues = np.array(sorted(spec.coset), dtype=np.int64)
-        mask = np.isin(primes % m, residues)
+    residues = np.array(sorted(spec.coset), dtype=np.int64)
+    mask = np.isin(primes % spec.extension.conductor, residues)
     if spec.excluded:
         mask &= ~np.isin(primes, np.array(sorted(spec.excluded), dtype=np.int64))
     return float(np.count_nonzero(mask)) / float(len(primes))
 
 
-def _lifted_subgroup(ext: AbelianExtensionDescriptor, m: int) -> frozenset[int]:
-    """Preimage of ext.subgroup in (Z/mZ)^x, for ext.conductor | m."""
-    d = ext.conductor
-    if d == 1:
-        return _unit_group(m)
-    return frozenset(r for r in _unit_group(m) if r % d in ext.subgroup)
-
-
-def _lifted_coset(spec: ProgressionSpec, m: int) -> frozenset[int]:
-    d = spec.extension.conductor
-    if d == 1:
-        return _unit_group(m)
-    return frozenset(r for r in _unit_group(m) if r % d in spec.coset)
+def _lift(residues: frozenset[int], d: int, m: int) -> frozenset[int]:
+    """Preimage of a set of residues mod d in (Z/mZ)^x, for d | m."""
+    return frozenset(r for r in _unit_group(m) if r % d in residues)
 
 
 def intersection_density(
@@ -272,7 +250,8 @@ def intersection_density(
     """
     m = math.lcm(spec.extension.conductor, ext2.conductor)
     units = _unit_group(m)
-    good = _lifted_coset(spec, m) & _lifted_subgroup(ext2, m)
+    good = _lift(spec.coset, spec.extension.conductor, m)
+    good &= _lift(ext2.subgroup, ext2.conductor, m)
     return Fraction(len(good), len(units))
 
 
@@ -288,9 +267,8 @@ def tractable_condition(
     the condition is membership of the lifted class in it.
     """
     m = math.lcm(spec.extension.conductor, target_ext.conductor)
-    h_spec = _lifted_subgroup(spec.extension, m)
-    h_target = _lifted_subgroup(target_ext, m)
-    product = frozenset(a * b % m for a in h_spec for b in h_target) if m > 1 else frozenset({0})
-    lifted = _lifted_coset(spec, m)
-    rep = min(lifted)
-    return rep in product
+    d = spec.extension.conductor
+    h_spec = _lift(spec.extension.subgroup, d, m)
+    h_target = _lift(target_ext.subgroup, target_ext.conductor, m)
+    product = frozenset(a * b % m for a in h_spec for b in h_target)
+    return min(_lift(spec.coset, d, m)) in product

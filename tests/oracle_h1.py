@@ -1,10 +1,12 @@
 """Brute-force first-cohomology oracle, independent of the library path.
 
-The library computes H^1 by assembling one big relation matrix and
-running Smith normal form twice.  This oracle instead enumerates
-cocycles directly from the defining functional equation and reduces
-modulo coboundaries by explicit membership tests, so the two
-implementations share no linear algebra.
+The library computes H^1 from two Smith normal forms: one of the
+N x N cocycle matrix s I + C E and one of the coboundary matrix C.
+This oracle instead enumerates cocycles directly from the defining
+functional equation and reduces modulo coboundaries by explicit
+membership tests, so the two implementations share no linear algebra.
+For checking the library's cocycle matrix, cocycle_relation_matrix
+writes the defining equation out for every pair of group elements.
 
 Completeness of the enumeration: if s annihilates a cohomology class
 [f], then s f = (g |-> g w - w) for some lattice vector w, and
@@ -30,6 +32,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from arithlab.core import IntegerMatrix
+
 
 def _mat_rows(m):
     return m.to_rows()
@@ -49,6 +53,42 @@ def _vec_scale(k, a):
 
 def _mat_vec(rows, v):
     return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in rows)
+
+
+def cocycle_relation_matrix(lattice):
+    """Stacked conditions f(gh) - f(g) - g.f(h) = 0 over pairs g, h != 1.
+
+    Its kernel is Z^1 by definition.  Unknowns are the values f(g) for
+    g != 1 (f(1) = 0 is forced), laid out in blocks of d coordinates.
+    Blocks may coincide (e.g. the pair (g, g)), so coefficients
+    accumulate.
+    """
+    grp, d = lattice.group, lattice.rank
+    e = grp.identity
+    others = [g for g in grp.elements() if g != e]
+    col_of = {g: i for i, g in enumerate(others)}
+    ncols = len(others) * d
+    rows = []
+    for g in others:
+        act = lattice.action[g]
+        for h in others:
+            gh = grp.mul(g, h)
+            block = [[0] * ncols for _ in range(d)]
+            if gh != e:
+                base = col_of[gh] * d
+                for i in range(d):
+                    block[i][base + i] += 1
+            base = col_of[g] * d
+            for i in range(d):
+                block[i][base + i] -= 1
+            base = col_of[h] * d
+            for i in range(d):
+                for j in range(d):
+                    block[i][base + j] -= act[i, j]
+            rows.extend(block)
+    if not rows:
+        return IntegerMatrix.zero(0, ncols)
+    return IntegerMatrix.from_rows(rows)
 
 
 def generating_set(group):

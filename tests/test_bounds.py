@@ -20,6 +20,7 @@ from arithlab.bounds import (
     psi_size,
     spl0_index_bound,
     t1_density_bound,
+    _checked_power,
 )
 
 
@@ -110,6 +111,17 @@ class TestPsi:
         with pytest.raises(DigitCapExceeded):
             psi(2, cap=100)
         assert psi(2, cap=200) == 48**94
+
+    def test_cap_is_the_exact_digit_count(self):
+        # 48^94 has exactly 159 digits; 94 log10(48) + 1 = 159.04.
+        assert psi(2, cap=159) == 48**94
+        with pytest.raises(DigitCapExceeded):
+            psi(2, cap=158)
+        assert _checked_power("t", 2, 10, cap=4) == 1024
+        # log10 of 10^k sits on the cap, so the exact comparison decides.
+        assert _checked_power("t", 10, 3, cap=4) == 1000
+        with pytest.raises(DigitCapExceeded):
+            _checked_power("t", 10, 4, cap=4)
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("ASA_DIGIT_CAP", "100")

@@ -159,6 +159,13 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "digit cap exceeded" in result.stderr
 
+    def test_unbounded_example_refused(self):
+        result = run_cli(["example", "2.1", "--ell", "8"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: invalid input: ell must be <= 7")
+        assert "Traceback" not in result.stderr
+
     def test_invalid_input_value(self, capsys):
         code, _, err = run_in_process(["symbol", "legendre", "3", "4"], capsys)
         assert code == 2 and "invalid input" in err

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from arithlab.bounds import divides_power, gamma, lam, psi
 from arithlab.cohomology import (
@@ -14,12 +17,13 @@ from arithlab.cohomology import (
     minkowski_check,
     norm_one_lattice,
     _coboundary_matrix,
-    _cocycle_relation_matrix,
+    _cocycle_matrix,
 )
-from arithlab.core import IntegerMatrix
+from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
 
 from oracle_h1 import (
     brute_force_h1,
+    cocycle_relation_matrix,
     membership_direct_sum,
     membership_permutation,
     membership_rational,
@@ -241,17 +245,86 @@ def random_conjugates():
     return pairs
 
 
+def _rank(m):
+    return sum(1 for x in smith_normal_form(m).diagonal if x)
+
+
 class TestCocycleMatrices:
-    """h1 reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0."""
+    """h1 takes Z^1 = ker M, M = s I + C E, against the all-pairs R.
+
+    It reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0.
+    """
+
+    LATTICES = [lat for _, lat, _ in CORPUS + MIXED] + [
+        lat for _, lat in random_conjugates()
+    ]
 
     def test_coboundaries_are_cocycles(self):
-        lattices = [lat for _, lat, _ in CORPUS + MIXED]
-        lattices += [lat for _, lat in random_conjugates()]
-        for lat in lattices:
-            relations = _cocycle_relation_matrix(lat)
+        for lat in self.LATTICES:
+            relations = cocycle_relation_matrix(lat)
             coboundaries = _coboundary_matrix(lat)
             assert relations.cols == coboundaries.rows
             assert not any(relations.mul(coboundaries).entries)
+
+    def test_kernel_of_m_is_the_cocycles(self):
+        for lat in self.LATTICES:
+            relations = cocycle_relation_matrix(lat)
+            coboundaries = _coboundary_matrix(lat)
+            cocycles = _cocycle_matrix(coboundaries, lat.group.order)
+            n = (lat.group.order - 1) * lat.rank
+            assert (cocycles.rows, cocycles.cols) == (n, n)
+            assert _rank(cocycles) == _rank(relations)
+            kernel = integer_kernel(cocycles)
+            assert kernel.cols == n - _rank(cocycles)
+            assert not any(relations.mul(kernel).entries)
+            assert not any(cocycles.mul(coboundaries).entries)
+
+
+def _parity(perm):
+    return sum(1 for i, x in enumerate(perm) for y in perm[i + 1 :] if x > y) % 2
+
+
+S4 = FiniteGroup.symmetric(4)
+S4_PERMS = sorted(itertools.permutations(range(4)))
+S4_C2 = FiniteGroup.direct_product(S4, C2)
+
+
+class TestH1BeyondOrderSix:
+    """H^1 known from theory, with N = (s - 1) d up to 121.
+
+    The elementary divisors are also checked against sympy's invariant
+    factors of the coboundary matrix.
+    """
+
+    CASES = [
+        # H^1(C_n, norm-one lattice) = Z/n.
+        ("norm-one-C12", norm_one_lattice(FiniteGroup.cyclic(12)), (12,)),
+        # Permutation lattices have trivial H^1 (Shapiro's lemma).
+        (
+            "coset-perm-S4/S3",
+            induced_lattice(S4, [i for i, p in enumerate(S4_PERMS) if p[3] == 3]),
+            (),
+        ),
+        # A nontrivial sign character has H^1 = Z/2; here order 48.
+        (
+            "sign-S4xC2",
+            GLattice(
+                S4_C2,
+                1,
+                tuple(
+                    rows([(-1) ** _parity(S4_PERMS[g // 2])])
+                    for g in S4_C2.elements()
+                ),
+            ),
+            (2,),
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,lattice,divisors", CASES, ids=[c[0] for c in CASES])
+    def test_against_theory_and_sympy(self, name, lattice, divisors):
+        assert h1(lattice) == AbelianGroupInvariants(divisors, 0)
+        factors = invariant_factors(Matrix(_coboundary_matrix(lattice).to_rows()))
+        assert tuple(int(x) for x in factors if x > 1) == divisors
 
 
 class TestBoundChecks:
@@ -369,3 +442,10 @@ class TestMinkowskiCheck:
     def test_order_six(self):
         report = minkowski_check(rows([0, -1], [1, 1]), 2)
         assert report.order == 6 and report.passed
+
+    def test_cyclic_permutation_of_order_seven(self):
+        # gamma(7) > 2^64 is beyond factor, so the order must not need it factored.
+        cycle = rows(*([1 if i == (j + 1) % 7 else 0 for j in range(7)] for i in range(7)))
+        report = minkowski_check(cycle, 7)
+        assert report.gamma_bound == gamma(7) > 2**64
+        assert report.order == 7 and report.passed

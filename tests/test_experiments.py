@@ -7,6 +7,7 @@ import pytest
 from arithlab.core import is_prime
 from arithlab.experiments import (
     GAUSSIAN_UNITS,
+    MAX_BIASED_ELL,
     BiasedPrimePair,
     CongruenceTarget,
     GaussianInteger,
@@ -62,6 +63,12 @@ class TestBiasedPrimeSets:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_biased_prime_sets(0)
+
+    def test_work_bound(self):
+        assert MAX_BIASED_ELL == 7
+        assert len(build_biased_prime_sets(6).q_list) == 6
+        with pytest.raises(ValueError, match="ell must be <= 7"):
+            build_biased_prime_sets(MAX_BIASED_ELL + 1)
 
 
 class TestCongruenceTarget:

@@ -16,6 +16,8 @@ from arithlab.progressions import (
     primes_up_to,
     splits_completely,
     tractable_condition,
+    _reduction_kernel,
+    _unit_group,
 )
 
 GAUSSIAN = AbelianExtensionDescriptor.gaussian()
@@ -234,6 +236,61 @@ class TestTractableCondition:
                 cond = tractable_condition(spec, target)
                 dens = intersection_density(spec, target)
                 assert cond == (dens > 0), (spec, target)
+
+
+class TestConductorOne:
+    """Conductor 1 is Z/1 = {0}: the rationals, with the one class {0}."""
+
+    RATIONALS = AbelianExtensionDescriptor.rationals()
+    ALL_PRIMES = ProgressionSpec.residue_class(1, 2)
+
+    def test_reduction_kernel_to_the_trivial_group(self):
+        assert _unit_group(1) == frozenset({0})
+        for m in range(1, 13):
+            assert _reduction_kernel(m, 1) == _unit_group(m)
+
+    def test_descriptor(self):
+        assert AbelianExtensionDescriptor(1, [5]) == self.RATIONALS
+        assert self.RATIONALS.subgroup == frozenset({0})
+        assert self.RATIONALS.cosets() == [frozenset({0})]
+        assert self.RATIONALS.degree == 1
+
+    def test_frobenius(self):
+        for p in (2, 3, 7):
+            datum = frobenius(self.RATIONALS, p)
+            assert datum.coset == frozenset({0}) and datum.representative == 0
+
+    def test_residue_class(self):
+        for a, m in ((1, 2), (5, 1), (0, 1)):
+            spec = ProgressionSpec.residue_class(a, m)
+            assert spec.extension == self.RATIONALS
+            assert spec.coset == frozenset({0})
+
+    def test_in_progression(self):
+        assert all(in_progression(self.ALL_PRIMES, p) for p in (2, 3, 5, 101))
+        spec = ProgressionSpec.residue_class(1, 2, excluded=[2])
+        assert in_progression(spec, 2) is False
+        assert in_progression(spec, 3) is True
+
+    def test_splits_completely(self):
+        assert all(splits_completely(self.RATIONALS, p) for p in (2, 3, 5, 101))
+
+    def test_natural_density_estimate(self):
+        primes = primes_up_to(10**4)
+        assert natural_density_estimate(self.ALL_PRIMES, 10**4) == 1.0
+        spec = ProgressionSpec.residue_class(1, 2, excluded=[2])
+        estimate = natural_density_estimate(spec, 10**4)
+        assert estimate == (len(primes) - 1) / len(primes)
+
+    def test_intersection_density(self):
+        assert intersection_density(self.ALL_PRIMES, self.RATIONALS) == 1
+        assert intersection_density(self.ALL_PRIMES, GAUSSIAN) == Fraction(1, 2)
+        assert intersection_density(P34, self.RATIONALS) == Fraction(1, 2)
+
+    def test_tractable_condition(self):
+        assert tractable_condition(self.ALL_PRIMES, self.RATIONALS) is True
+        assert tractable_condition(self.ALL_PRIMES, GAUSSIAN) is True
+        assert tractable_condition(P34, self.RATIONALS) is True
 
 
 class TestPrimesUpTo:
