@@ -47,6 +47,7 @@ from .core import (
     is_prime,
     next_prime_in_progression,
     smith_normal_form,
+    snf_diagonal,
 )
 from .experiments import (
     BiasedPrimePair,

@@ -15,11 +15,19 @@ cocycle (this uses that the action is a homomorphism, which GLattice
 checks), and since Z^d is torsion-free f is a cocycle too.  So
 Z^1 = ker M over Z, and the group table is never read.
 
+M itself is never built: only its rank is needed, and that comes from
+the d x d norm matrix T = sum_g g.  Since E C = sum_{g != 1} (g - 1)
+= T - s I_d, the map f |-> E f sends ker M into ker T (E M = T E), and
+over Q it is an isomorphism with inverse u |-> -C u / s: for u in ker T,
+E(-C u / s) = u and M(-C u / s) = -C u + C u = 0, while E f = 0 and
+M f = 0 force s f = 0.  So rank M = N - d + rank T.
+
 Z^1 is a kernel, hence saturated in Z^N, so Z^N/Z^1 is free and the
 sequence 0 -> Z^1/B^1 -> Z^N/B^1 -> Z^N/Z^1 -> 0 splits:
 Z^N/B^1 = H^1 + Z^N/Z^1.  The torsion of H^1 is therefore the torsion
-of coker C, and its free rank is (N - rank M) - rank C; both come out
-of Smith normal form.  No generators or relators are ever chosen.
+of coker C, and its free rank is (N - rank M) - rank C
+= d - rank T - rank C; both come out of Smith diagonals, and no
+generators, relators or unimodular transforms are ever built.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, determinant, smith_normal_form
+from .core import IntegerMatrix, determinant, snf_diagonal
 
 __all__ = [
     "FiniteGroup",
@@ -247,33 +255,15 @@ class AbelianGroupInvariants:
 def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
     """The map a |-> (g.a - a for g != 1), one d-row block per g."""
     grp, d = lattice.group, lattice.rank
-    e = grp.identity
-    rows: list[list[int]] = []
-    for g in grp.elements():
-        if g == e:
-            continue
-        act = lattice.action[g]
-        for i in range(d):
-            rows.append([act[i, j] - (1 if i == j else 0) for j in range(d)])
-    if not rows:
-        return IntegerMatrix.zero(0, d)
-    return IntegerMatrix.from_rows(rows)
-
-
-def _cocycle_matrix(coboundaries: IntegerMatrix, order: int) -> IntegerMatrix:
-    """M = s I_N + C E for the coboundary matrix C; Z^1 = ker M.
-
-    Entry (i, j) is C[i][j mod d] + s [i == j]; see the module docstring.
-    """
-    n, d = coboundaries.rows, coboundaries.cols
-    c = coboundaries.entries
+    identity = IntegerMatrix.identity(d).entries
     return IntegerMatrix(
-        n,
-        n,
+        (grp.order - 1) * d,
+        d,
         tuple(
-            c[i * d + j % d] + (order if i == j else 0)
-            for i in range(n)
-            for j in range(n)
+            x - y
+            for g in grp.elements()
+            if g != grp.identity
+            for x, y in zip(lattice.action[g].entries, identity)
         ),
     )
 
@@ -281,21 +271,21 @@ def _cocycle_matrix(coboundaries: IntegerMatrix, order: int) -> IntegerMatrix:
 def h1(lattice: GLattice) -> AbelianGroupInvariants:
     """Invariants of H^1(G, A) = Z^1 / B^1 for the given lattice.
 
-    Z^1 = ker M with M = s I_N + C E (module docstring), and Z^1 is
-    saturated, so Z^N/B^1 = H^1 + Z^N/Z^1 with the second summand free
-    of rank rank M: the elementary divisors of H^1 are those of coker C
-    above 1, and its free rank is (N - rank M) - rank C.  Finiteness of
-    the result (free rank 0) is a theorem; the computed free rank is
+    Z^1 = ker M with M = s I + C E, and over Q ker M is isomorphic to
+    ker T for the norm matrix T = sum_g g (module docstring), so
+    rank M = N - d + rank T.  Z^1 is saturated, so Z^N/B^1 = H^1 +
+    Z^N/Z^1 with the second summand free of rank rank M: the elementary
+    divisors of H^1 are those of coker C above 1, and its free rank is
+    (N - rank M) - rank C = d - rank T - rank C.  Finiteness of the
+    result (free rank 0) is a theorem; the computed free rank is
     returned so that tests can confirm it.
     """
-    coboundaries = _coboundary_matrix(lattice)
-    cocycles = _cocycle_matrix(coboundaries, lattice.group.order)
-    rank_m = sum(1 for x in smith_normal_form(cocycles).diagonal if x)
-    diag = smith_normal_form(coboundaries).diagonal
+    d = lattice.rank
+    norm = IntegerMatrix(d, d, tuple(map(sum, zip(*(m.entries for m in lattice.action)))))
+    rank_t = sum(1 for x in snf_diagonal(norm) if x)
+    diag = snf_diagonal(_coboundary_matrix(lattice))
     rank_c = sum(1 for x in diag if x)
-    return AbelianGroupInvariants(
-        tuple(x for x in diag if x > 1), cocycles.cols - rank_m - rank_c
-    )
+    return AbelianGroupInvariants(tuple(x for x in diag if x > 1), d - rank_t - rank_c)
 
 
 @dataclass(frozen=True)

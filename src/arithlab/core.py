@@ -21,14 +21,22 @@ __all__ = [
     "crt_solve",
     "next_prime_in_progression",
     "smith_normal_form",
+    "snf_diagonal",
     "integer_kernel",
     "determinant",
 ]
 
 _TWO64 = 1 << 64
 
-# Deterministic Miller-Rabin witnesses covering all n < 2^64.
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness sets: (bound, bases) is exact for
+# every odd n < bound.  The smallest strong pseudoprimes to bases 2, 3 and
+# to 2, 3, 5, 7 are 1,373,653 and 3,215,031,751; the twelve primes up to
+# 37 cover all n < 2^64.
+_MR_TIERS = (
+    (1_373_653, (2, 3)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (_TWO64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -127,9 +135,10 @@ def jacobi(a: int, n: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n >= 1.
 
-    Uses the fixed Miller-Rabin witness set that is exact below 2^64 and
-    a Baillie-PSW test (Miller-Rabin base 2 plus a strong Lucas test)
-    above it.
+    Trial division by the primes up to 47 settles every n < 53^2.  Up
+    to 2^64 a Miller-Rabin witness set proven exact below the size of n
+    decides (two, four or twelve bases); above 2^64 a Baillie-PSW test
+    (Miller-Rabin base 2 plus a strong Lucas test) does.
     """
     if n < 1:
         raise ValueError(f"is_prime requires n >= 1, got {n}")
@@ -140,8 +149,11 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _TWO64:
-        return _miller_rabin(n, _MR_WITNESSES_64)
+    if n < 53 * 53:
+        return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return _miller_rabin(n, bases)
     return _miller_rabin(n, (2,)) and _lucas_strong_probable_prime(n)
 
 
@@ -391,91 +403,119 @@ def _pivot_search(a: list[list[int]], t: int) -> tuple[int, int] | None:
     best = None
     best_val = None
     for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            v = abs(row[j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
+        tail = a[i][t:]
+        if not any(tail):
+            continue
+        sizes = [abs(x) for x in tail]
+        v = min(filter(None, sizes))
+        if best_val is None or v < best_val:
+            best, best_val = (i, t + sizes.index(v)), v
+            if v == 1:
+                return best
     return best
 
 
-def smith_normal_form(m: IntegerMatrix) -> SnfResult:
-    """Smith normal form with unimodular transforms.
+def _eliminate(
+    a: list[list[int]],
+    left: list[list[int]] | None,
+    right: list[list[int]] | None,
+) -> tuple[int, ...]:
+    """Reduce the row lists a in place to Smith form; return its diagonal.
 
     Classical elimination: the pivot is always the entry of smallest
-    nonzero absolute value (ties broken row-major), which keeps the
-    transforms deterministic.  The returned diagonal d_1 | d_2 | ... is
-    the full divisor chain, padded with zeros up to min(rows, cols).
+    nonzero absolute value (ties broken row-major).  Every row operation
+    is repeated on left and every column operation on right, when they
+    are given, so left * M * right stays equal to a.  Zero entries take
+    part in no operation, so skipping them changes no result.
     """
-    nrows, ncols = m.rows, m.cols
-    a = m.to_rows()
-    left = IntegerMatrix.identity(nrows).to_rows()
-    right = IntegerMatrix.identity(ncols).to_rows()
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
     for t in range(min(nrows, ncols)):
         while (pos := _pivot_search(a, t)) is not None:
             # Move the smallest entry of the trailing submatrix to (t, t).
             i, j = pos
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                left[t], left[i] = left[i], left[t]
+                if left is not None:
+                    left[t], left[i] = left[i], left[t]
             if j != t:
                 for row in a:
                     row[t], row[j] = row[j], row[t]
-                for row in right:
-                    row[t], row[j] = row[j], row[t]
-            # Clear column t with the current pivot.
-            for i in range(nrows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
+                if right is not None:
+                    for row in right:
+                        row[t], row[j] = row[j], row[t]
+            top = a[t]
+            pivot = top[t]
+            # Clear column t, then row t, with the current pivot; a
+            # remainder left in either means another round.
+            remainder = False
+            for i, row in enumerate(a):
+                if row[t] and i != t:
+                    q = row[t] // pivot
                     if q:
-                        for k in range(ncols):
-                            a[i][k] -= q * a[t][k]
-                        for k in range(nrows):
-                            left[i][k] -= q * left[t][k]
-            # Clear row t.
+                        a[i] = [x - q * y for x, y in zip(row, top)]
+                        if left is not None:
+                            left[i] = [x - q * y for x, y in zip(left[i], left[t])]
+                    remainder = remainder or a[i][t] != 0
+            # Column t does not change here, so the rows that a column
+            # operation touches are known in advance.
+            touched = [row for row in a if row[t]]
+            moved = [row for row in right if row[t]] if right is not None else []
             for j in range(ncols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
+                if j != t and top[j]:
+                    q = top[j] // pivot
                     if q:
-                        for row in a:
+                        for row in touched:
                             row[j] -= q * row[t]
-                        for row in right:
+                        for row in moved:
                             row[j] -= q * row[t]
-            residue = [
-                (i, t) for i in range(nrows) if i != t and a[i][t]
-            ] + [(t, j) for j in range(ncols) if j != t and a[t][j]]
-            if not residue:
-                # Pivot must divide the rest of the submatrix.
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t]:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
+                    remainder = remainder or top[j] != 0
+            if not remainder:
+                # Pivot must divide the rest of the submatrix; a unit does.
+                rest = range(t + 1, nrows) if abs(pivot) != 1 else ()
+                offender = next(
+                    (i for i in rest if math.gcd(pivot, *a[i][t + 1 :]) != abs(pivot)), None
+                )
                 if offender is None:
                     break
-                for k in range(ncols):
-                    a[t][k] += a[offender][k]
-                for k in range(nrows):
-                    left[t][k] += left[offender][k]
+                a[t] = [x + y for x, y in zip(top, a[offender])]
+                if left is not None:
+                    left[t] = [x + y for x, y in zip(left[t], left[offender])]
         else:
             # The trailing submatrix is zero: the rest of the diagonal is too.
             break
         if a[t][t] < 0:
-            for k in range(ncols):
-                a[t][k] = -a[t][k]
-            for k in range(nrows):
-                left[t][k] = -left[t][k]
-    diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
+            a[t] = [-x for x in a[t]]
+            if left is not None:
+                left[t] = [-x for x in left[t]]
+    return tuple(a[i][i] for i in range(min(nrows, ncols)))
+
+
+def smith_normal_form(m: IntegerMatrix) -> SnfResult:
+    """Smith normal form with unimodular transforms.
+
+    The pivot is always the entry of smallest nonzero absolute value
+    (ties broken row-major), which keeps the transforms deterministic.
+    The returned diagonal d_1 | d_2 | ... is the full divisor chain,
+    padded with zeros up to min(rows, cols).
+    """
+    left = IntegerMatrix.identity(m.rows).to_rows()
+    right = IntegerMatrix.identity(m.cols).to_rows()
+    diag = _eliminate(m.to_rows(), left, right)
     return SnfResult(
         diag,
-        IntegerMatrix.from_rows(left) if nrows else IntegerMatrix.zero(0, 0),
-        IntegerMatrix.from_rows(right) if ncols else IntegerMatrix.zero(0, 0),
+        IntegerMatrix.from_rows(left) if m.rows else IntegerMatrix.zero(0, 0),
+        IntegerMatrix.from_rows(right) if m.cols else IntegerMatrix.zero(0, 0),
     )
+
+
+def snf_diagonal(m: IntegerMatrix) -> tuple[int, ...]:
+    """The diagonal of smith_normal_form(m), without the transforms.
+
+    Same elimination, same padded divisor chain; no transform is built,
+    so callers that read only ranks and divisors pay for neither.
+    """
+    return _eliminate(m.to_rows(), None, None)
 
 
 def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:

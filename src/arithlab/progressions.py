@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 __all__ = [
     "AbelianExtensionDescriptor",
     "FrobeniusDatum",
@@ -208,6 +206,8 @@ def chebotarev_density(spec: ProgressionSpec) -> Fraction:
 @lru_cache(maxsize=8)
 def primes_up_to(bound: int) -> tuple[int, ...]:
     """All primes <= bound via a vectorized sieve of Eratosthenes."""
+    import numpy as np  # only the sieve needs numpy; importing it costs most of a CLI start
+
     if bound < 2:
         return ()
     mask = np.ones(bound + 1, dtype=bool)
@@ -227,6 +227,8 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     """
     if x_bound < 1000:
         raise ValueError(f"x_bound must be >= 1000, got {x_bound}")
+    import numpy as np
+
     primes = np.array(primes_up_to(x_bound), dtype=np.int64)
     residues = np.array(sorted(spec.coset), dtype=np.int64)
     mask = np.isin(primes % spec.extension.conductor, residues)

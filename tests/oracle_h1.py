@@ -1,12 +1,14 @@
 """Brute-force first-cohomology oracle, independent of the library path.
 
-The library computes H^1 from two Smith normal forms: one of the
-N x N cocycle matrix s I + C E and one of the coboundary matrix C.
-This oracle instead enumerates cocycles directly from the defining
-functional equation and reduces modulo coboundaries by explicit
-membership tests, so the two implementations share no linear algebra.
-For checking the library's cocycle matrix, cocycle_relation_matrix
-writes the defining equation out for every pair of group elements.
+The library computes H^1 from two Smith diagonals: one of the d x d
+norm matrix T = sum_g g, which gives the rank of the N x N cocycle
+matrix M = s I + C E, and one of the coboundary matrix C.  This oracle
+instead enumerates cocycles directly from the defining functional
+equation and reduces modulo coboundaries by explicit membership tests,
+so the two implementations share no linear algebra.  For checking the
+library's reduction, cocycle_relation_matrix writes the defining
+equation out for every pair of group elements, cocycle_matrix builds M
+and norm_matrix builds T.
 
 Completeness of the enumeration: if s annihilates a cohomology class
 [f], then s f = (g |-> g w - w) for some lattice vector w, and
@@ -89,6 +91,35 @@ def cocycle_relation_matrix(lattice):
     if not rows:
         return IntegerMatrix.zero(0, ncols)
     return IntegerMatrix.from_rows(rows)
+
+
+def cocycle_matrix(coboundaries, order):
+    """M = s I_N + C E for the coboundary matrix C; Z^1 = ker M.
+
+    Entry (i, j) is C[i][j mod d] + s [i == j]: E = [I_d ... I_d] sums
+    the d-blocks of f, so (C E f)(g) = (g - 1) sum_h f(h).
+    """
+    n, d = coboundaries.rows, coboundaries.cols
+    return IntegerMatrix(
+        n,
+        n,
+        tuple(
+            coboundaries[i, j % d] + (order if i == j else 0)
+            for i in range(n)
+            for j in range(n)
+        ),
+    )
+
+
+def norm_matrix(lattice):
+    """T = sum over the group of the action matrices."""
+    d = lattice.rank
+    total = [[0] * d for _ in range(d)]
+    for act in lattice.action:
+        for i in range(d):
+            for j in range(d):
+                total[i][j] += act[i, j]
+    return IntegerMatrix(d, d, tuple(x for row in total for x in row))
 
 
 def generating_set(group):

@@ -204,3 +204,13 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.encode() == second.stdout.encode()
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_out(self):
+        # Only the sieve needs numpy, and importing it would cost every
+        # CLI call most of its start-up time.
+        probe = "import sys, arithlab.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

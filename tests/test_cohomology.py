@@ -17,16 +17,17 @@ from arithlab.cohomology import (
     minkowski_check,
     norm_one_lattice,
     _coboundary_matrix,
-    _cocycle_matrix,
 )
 from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
 
 from oracle_h1 import (
     brute_force_h1,
+    cocycle_matrix,
     cocycle_relation_matrix,
     membership_direct_sum,
     membership_permutation,
     membership_rational,
+    norm_matrix,
 )
 
 C2 = FiniteGroup.cyclic(2)
@@ -250,9 +251,11 @@ def _rank(m):
 
 
 class TestCocycleMatrices:
-    """h1 takes Z^1 = ker M, M = s I + C E, against the all-pairs R.
+    """Z^1 = ker M, M = s I + C E, against the all-pairs R.
 
-    It reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0.
+    h1 reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0.  It
+    never builds M, and takes rank M = N - d + rank T from the norm
+    matrix T.
     """
 
     LATTICES = [lat for _, lat, _ in CORPUS + MIXED] + [
@@ -270,7 +273,7 @@ class TestCocycleMatrices:
         for lat in self.LATTICES:
             relations = cocycle_relation_matrix(lat)
             coboundaries = _coboundary_matrix(lat)
-            cocycles = _cocycle_matrix(coboundaries, lat.group.order)
+            cocycles = cocycle_matrix(coboundaries, lat.group.order)
             n = (lat.group.order - 1) * lat.rank
             assert (cocycles.rows, cocycles.cols) == (n, n)
             assert _rank(cocycles) == _rank(relations)
@@ -278,6 +281,13 @@ class TestCocycleMatrices:
             assert kernel.cols == n - _rank(cocycles)
             assert not any(relations.mul(kernel).entries)
             assert not any(cocycles.mul(coboundaries).entries)
+
+    def test_rank_of_m_from_the_norm_matrix(self):
+        # The trivial group has N = 0 and T = I_d.
+        for lat in self.LATTICES + [GLattice.trivial(FiniteGroup.cyclic(1), 2)]:
+            n, d = (lat.group.order - 1) * lat.rank, lat.rank
+            cocycles = cocycle_matrix(_coboundary_matrix(lat), lat.group.order)
+            assert _rank(cocycles) == n - d + _rank(norm_matrix(lat))
 
 
 def _parity(perm):
@@ -289,26 +299,47 @@ S4_PERMS = sorted(itertools.permutations(range(4)))
 S4_C2 = FiniteGroup.direct_product(S4, C2)
 
 
+def augmentation_dual(group):
+    """J_G = Z[G] / Z.N_G on the images of the elements 0..s-2.
+
+    H^1(G, J_G) = H^2(G, Z), the dual of the abelianization of G.
+    """
+    d = group.order - 1
+    mats = []
+    for g in group.elements():
+        m = [[0] * d for _ in range(d)]
+        for j in range(d):
+            k = group.mul(g, j)
+            if k < d:
+                m[k][j] = 1
+            else:  # the image of element d is minus the sum of the others
+                for i in range(d):
+                    m[i][j] = -1
+        mats.append(IntegerMatrix.from_rows(m))
+    return GLattice(group, d, mats)
+
+
 class TestH1BeyondOrderSix:
-    """H^1 known from theory, with N = (s - 1) d up to 121.
+    """H^1 known from theory, with N = (s - 1) d up to 529.
 
     The elementary divisors are also checked against sympy's invariant
-    factors of the coboundary matrix.
+    factors of the coboundary matrix.  Lattices are built inside the
+    test, since J_G at order 24 takes about half a second.
     """
 
     CASES = [
         # H^1(C_n, norm-one lattice) = Z/n.
-        ("norm-one-C12", norm_one_lattice(FiniteGroup.cyclic(12)), (12,)),
+        ("norm-one-C12", lambda: norm_one_lattice(FiniteGroup.cyclic(12)), (12,)),
         # Permutation lattices have trivial H^1 (Shapiro's lemma).
         (
             "coset-perm-S4/S3",
-            induced_lattice(S4, [i for i, p in enumerate(S4_PERMS) if p[3] == 3]),
+            lambda: induced_lattice(S4, [i for i, p in enumerate(S4_PERMS) if p[3] == 3]),
             (),
         ),
         # A nontrivial sign character has H^1 = Z/2; here order 48.
         (
             "sign-S4xC2",
-            GLattice(
+            lambda: GLattice(
                 S4_C2,
                 1,
                 tuple(
@@ -318,10 +349,20 @@ class TestH1BeyondOrderSix:
             ),
             (2,),
         ),
+        # H^2(G, Z) is the dual of G^ab: C2 for S4, C12 x C2 for C12 x C2.
+        ("J-S4", lambda: augmentation_dual(S4), (2,)),
+        (
+            "J-C12xC2",
+            lambda: augmentation_dual(
+                FiniteGroup.direct_product(FiniteGroup.cyclic(12), C2)
+            ),
+            (2, 12),
+        ),
     ]
 
-    @pytest.mark.parametrize("name,lattice,divisors", CASES, ids=[c[0] for c in CASES])
-    def test_against_theory_and_sympy(self, name, lattice, divisors):
+    @pytest.mark.parametrize("name,build,divisors", CASES, ids=[c[0] for c in CASES])
+    def test_against_theory_and_sympy(self, name, build, divisors):
+        lattice = build()
         assert h1(lattice) == AbelianGroupInvariants(divisors, 0)
         factors = invariant_factors(Matrix(_coboundary_matrix(lattice).to_rows()))
         assert tuple(int(x) for x in factors if x > 1) == divisors

@@ -15,7 +15,9 @@ from arithlab.core import (
     is_prime,
     next_prime_in_progression,
     smith_normal_form,
+    snf_diagonal,
 )
+from arithlab.core import _miller_rabin
 
 
 def trial_division_is_prime(n):
@@ -27,6 +29,16 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
+
+
+def bytearray_sieve(bound):
+    """sieve[n] == 1 exactly when n < bound is prime."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return sieve
 
 
 class TestIsPrime:
@@ -64,6 +76,30 @@ class TestIsPrime:
         for k in (1, 3, 7, 9, 11):
             assert is_prime(10**25 + k) is False
             assert is_prime(2**64 + k) is False
+
+    def test_agrees_with_sieve_below_two_million(self):
+        # Covers trial division alone (n < 53^2) and the two-base tier.
+        bound = 2 * 10**6
+        sieve = bytearray_sieve(bound)
+        assert [n for n in range(1, bound) if is_prime(n) != sieve[n]] == []
+
+    def test_strong_pseudoprimes_of_the_small_tiers(self):
+        # Each passes Miller-Rabin for the bases named, so a tier that
+        # reached past it with too few bases would call it prime.
+        for n, bases in (
+            (1_373_653, (2, 3)),
+            (25_326_001, (2, 3, 5)),
+            (3_215_031_751, (2, 3, 5, 7)),
+        ):
+            assert _miller_rabin(n, bases)
+            assert is_prime(n) is False
+
+    def test_agrees_with_sympy_near_tier_edges(self):
+        from sympy import isprime
+
+        for edge in (53 * 53, 1_373_653, 3_215_031_751, 2**64):
+            for n in range(edge - 1000, edge + 1001):
+                assert is_prime(n) == isprime(n), n
 
     def test_big_prime_spot_witnesses(self):
         for n in (10**25 + 13, 2**64 + 13):
@@ -285,6 +321,37 @@ class TestSmithNormalForm:
     def test_determinism(self):
         m = IntegerMatrix.from_rows([[6, 4], [2, 8]])
         assert smith_normal_form(m) == smith_normal_form(m)
+
+
+class TestSnfDiagonal:
+    """snf_diagonal is the diagonal of smith_normal_form, transforms aside."""
+
+    def test_empty_shapes(self):
+        for r, c in ((0, 0), (0, 3), (3, 0)):
+            m = IntegerMatrix.zero(r, c)
+            assert snf_diagonal(m) == smith_normal_form(m).diagonal == (0,) * min(r, c)
+
+    def test_random_matrices(self):
+        rng = random.Random(1979)
+        for trial in range(300):
+            r, c = rng.randrange(1, 8), rng.randrange(1, 8)
+            spread = (1, 3, 50, 10**6)[trial % 4]
+            m = IntegerMatrix.from_rows(
+                [[rng.randrange(-spread, spread + 1) for _ in range(c)] for _ in range(r)]
+            )
+            assert snf_diagonal(m) == smith_normal_form(m).diagonal
+
+    def test_tall_sparse_matrices(self):
+        # The shape of a coboundary matrix: (s - 1) d rows, d columns.
+        rng = random.Random(1998)
+        for s, d in ((4, 3), (6, 2), (8, 5), (12, 4), (24, 3)):
+            m = IntegerMatrix.from_rows(
+                [
+                    [rng.choice((-2, -1, 0, 0, 0, 0, 1, 1)) for _ in range(d)]
+                    for _ in range((s - 1) * d)
+                ]
+            )
+            assert snf_diagonal(m) == smith_normal_form(m).diagonal
 
 
 class TestIntegerKernel:
