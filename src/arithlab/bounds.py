@@ -23,6 +23,7 @@ __all__ = [
     "BoundReport",
     "DigitCapExceeded",
     "PowerSize",
+    "ProductSize",
     "default_digit_cap",
     "gamma",
     "lam",
@@ -94,30 +95,50 @@ class PowerSize:
         )
 
 
+@dataclass(frozen=True)
+class ProductSize:
+    """Size report for a product left unmaterialized: its formula and an
+    approximate decimal digit count from floating-point logarithms."""
+
+    formula: str
+    digits10: str
+    approximate: bool = True
+
+    def describe(self) -> str:
+        return f"{self.formula} with about {self.digits10} decimal digits"
+
+
+def _beyond_cap(log_value: float, cap: int, exact) -> bool:
+    """Is a value with floating-point log10 log_value at least 10**cap?
+
+    The logarithm decides unless it lies within 1e-9 (relative, far
+    above its rounding error) of the cap; there exact() materializes the
+    value and the comparison is made exactly.
+    """
+    if abs(log_value - cap) > 1e-9 * (log_value + 1):
+        return log_value > cap
+    return exact() >= 10**cap
+
+
 def _exceeds_digits(base: int, exponent: int, cap: int) -> bool:
     """Would base**exponent have more than cap decimal digits?
 
-    That is base**exponent >= 10**cap.  The floating-point logarithm
-    decides unless it lies within 1e-9 (relative, far above its rounding
-    error) of the cap; there the comparison is made exactly.  Works even
-    when the exponent is itself astronomically large: the comparison
-    then happens on logarithms of logarithms.
+    Decided by _beyond_cap.  Works even when the exponent is itself
+    astronomically large: the comparison then happens on logarithms of
+    logarithms.
     """
     if base < 2 or exponent < 1:
         return False
     log_base = math.log10(base)
     if exponent <= 10**12:
-        log_value = exponent * log_base
-        if abs(log_value - cap) > 1e-9 * (log_value + 1):
-            return log_value > cap
-        return base**exponent >= 10**cap
+        return _beyond_cap(exponent * log_base, cap, lambda: base**exponent)
     return math.log10(exponent) + math.log10(log_base) > math.log10(cap)
 
 
 class DigitCapExceeded(ArithmeticError):
     """An exact value would exceed the digit cap; carries the size report."""
 
-    def __init__(self, name: str, size: PowerSize, cap: int):
+    def __init__(self, name: str, size: PowerSize | ProductSize, cap: int):
         self.name = name
         self.size = size
         self.cap = cap
@@ -136,19 +157,45 @@ class BoundReport:
     formula: str
 
 
-def gamma(d: int) -> int:
-    """Order of the d x d general linear group over the three-element field.
+def _gamma_log10(d: int) -> float:
+    """log10 gamma(d) in floating point, for d <= 10**7.
 
-    gamma(d) = prod_{i=0}^{d-1} (3^d - 3^i); every finite subgroup of
-    GL_d(Z) has order dividing it.
+    gamma(d) = 3^(d^2) * prod_{k=1}^{d} (1 - 3^-k); the product lies in
+    (0.56, 1), and its factors beyond k = 40 are 1 in floating point.
     """
-    if d < 1:
-        raise ValueError(f"gamma requires d >= 1, got {d}")
+    return d * d * math.log10(3) + sum(math.log10(1 - 3.0**-k) for k in range(1, min(d, 40) + 1))
+
+
+def _gamma_product(d: int) -> int:
     out = 1
     q = 3**d
     for i in range(d):
         out *= q - 3**i
     return out
+
+
+def gamma(d: int) -> int:
+    """Order of the d x d general linear group over the three-element field.
+
+    gamma(d) = prod_{i=0}^{d-1} (3^d - 3^i); every finite subgroup of
+    GL_d(Z) has order dividing it.  Raises DigitCapExceeded before
+    forming the product when it would exceed the digit cap (with the
+    default cap, from d = 1448 on).
+    """
+    if d < 1:
+        raise ValueError(f"gamma requires d >= 1, got {d}")
+    cap = default_digit_cap()
+    if d <= 10**7:
+        log_value = _gamma_log10(d)
+        exceeds = _beyond_cap(log_value, cap, lambda: _gamma_product(d))
+        digits = str(int(log_value) + 1)
+    else:  # compare logarithms of logarithms, as in _exceeds_digits
+        exceeds = 2 * math.log10(d) + math.log10(math.log10(3)) > math.log10(cap)
+        digits = PowerSize.of(3, d * d).digits10
+    if exceeds:
+        size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {_compact_int(d)}", digits)
+        raise DigitCapExceeded(f"gamma({_compact_int(d)})", size, cap)
+    return _gamma_product(d)
 
 
 def lam(d: int) -> int:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 __all__ = [
@@ -203,19 +204,34 @@ def chebotarev_density(spec: ProgressionSpec) -> Fraction:
     return Fraction(len(spec.extension.subgroup), len(_unit_group(m)))
 
 
-@lru_cache(maxsize=8)
-def primes_up_to(bound: int) -> tuple[int, ...]:
-    """All primes <= bound via a vectorized sieve of Eratosthenes."""
-    import numpy as np  # only the sieve needs numpy; importing it costs most of a CLI start
+# primes_up_to(3 * 10**8) peaks at 1.1 GB RSS on CPython 3.11 (x86-64): a 0.3 GB
+# mask and 16M ints.  10**9 would need about 3.8 GB.
+MAX_SIEVE_BOUND = 3 * 10**8
 
+
+@lru_cache(maxsize=1)
+def _prime_mask(bound: int) -> bytearray:
+    """The one sieve and its one cache: mask[n] == 1 iff n <= bound is prime (bound >= 2)."""
+    if bound > MAX_SIEVE_BOUND:
+        raise ValueError(f"sieve bound {bound} exceeds MAX_SIEVE_BOUND = {MAX_SIEVE_BOUND}")
+    mask = bytearray([0, 1]) * (bound // 2 + 1)
+    del mask[bound + 1 :]
+    mask[1:3] = b"\x00\x01"
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if mask[p]:
+            mask[p * p :: 2 * p] = bytes((bound - p * p) // (2 * p) + 1)
+    return mask
+
+
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, read off the cached sieve mask."""
     if bound < 2:
         return ()
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return tuple(int(p) for p in np.flatnonzero(mask))
+    return (2,) + tuple(compress(range(3, bound + 1, 2), _prime_mask(bound)[3::2]))
+
+
+primes_up_to.cache_clear = _prime_mask.cache_clear
+primes_up_to.cache_info = _prime_mask.cache_info
 
 
 def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
@@ -227,14 +243,12 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     """
     if x_bound < 1000:
         raise ValueError(f"x_bound must be >= 1000, got {x_bound}")
-    import numpy as np
-
-    primes = np.array(primes_up_to(x_bound), dtype=np.int64)
-    residues = np.array(sorted(spec.coset), dtype=np.int64)
-    mask = np.isin(primes % spec.extension.conductor, residues)
-    if spec.excluded:
-        mask &= ~np.isin(primes, np.array(sorted(spec.excluded), dtype=np.int64))
-    return float(np.count_nonzero(mask)) / float(len(primes))
+    mask = _prime_mask(x_bound)
+    m = spec.extension.conductor
+    count = sum(mask[r::m].count(1) for r in spec.coset)
+    # Excluded elements lower the count only as sieved primes in the coset.
+    count -= sum(mask[p] for p in spec.excluded if 0 <= p <= x_bound and p % m in spec.coset)
+    return count / mask.count(1)
 
 
 def _lift(residues: frozenset[int], d: int, m: int) -> frozenset[int]:

@@ -74,6 +74,24 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(0)
 
+    def test_refused_before_the_product(self):
+        with pytest.raises(DigitCapExceeded) as err:
+            gamma(1500)
+        assert err.value.name == "gamma(1500)"
+        assert err.value.size.digits10 == "1073523" and err.value.size.approximate
+        with pytest.raises(DigitCapExceeded):
+            lam(1500)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cap_is_the_exact_digit_count(self, d, monkeypatch):
+        digits = len(str(gamma(d)))
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(digits))
+        assert len(str(gamma(d))) == digits
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(digits - 1))
+        with pytest.raises(DigitCapExceeded) as err:
+            gamma(d)
+        assert err.value.size.digits10 == str(digits)
+
 
 class TestLambda:
     @pytest.mark.parametrize("d,expected", [(1, 1), (2, 94), (3, 33693)])

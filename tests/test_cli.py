@@ -166,6 +166,28 @@ class TestExitCodes:
         assert result.stderr.startswith("error: invalid input: ell must be <= 7")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["density", "estimate", "1(4)", "--bound", "100000000000"],
+            ["example", "2.4", "--q", "5", "--bound", "100000000000"],
+        ],
+    )
+    def test_oversized_sieve_refused(self, command, capsys):
+        code, out, err = run_in_process(command, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: sieve bound 100000000000 exceeds")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("constant", ["gamma", "lambda"])
+    def test_gamma_over_the_digit_cap_refused(self, constant, capsys):
+        # gamma(1500) has 1,073,523 digits; the product took 10 s before
+        # it was refused.
+        code, out, err = run_in_process(["constants", constant, "1500"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: digit cap exceeded: gamma(1500) = prod_")
+        assert "about 1073523 decimal digits" in err
+
     def test_invalid_input_value(self, capsys):
         code, _, err = run_in_process(["symbol", "legendre", "3", "4"], capsys)
         assert code == 2 and "invalid input" in err
@@ -207,10 +229,34 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_cli_import_leaves_numpy_out(self):
-        # Only the sieve needs numpy, and importing it would cost every
-        # CLI call most of its start-up time.
-        probe = "import sys, arithlab.cli; print('numpy' in sys.modules)"
+    def test_runs_without_numpy(self):
+        # numpy is not a dependency: with it made unimportable, the sieve,
+        # the estimate and both sieve-backed subcommands still work.
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from arithlab import cli, progressions as P\n"
+            "assert len(P.primes_up_to(10**5)) == 9592\n"
+            "assert P.natural_density_estimate(P.ProgressionSpec.residue_class(1, 8), 10**5) > 0\n"
+            "assert cli.run(['density', 'estimate', '1(8)', '--bound', '100000']) == 0\n"
+            "assert cli.run(['example', '2.4', '--q', '13', '--bound', '100000']) == 0\n"
+        )
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # psi(3) has 136,473 digits, more than a pipe buffer holds, so the
+        # write is still blocked when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arithlab", "constants", "psi", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from arithlab.core import is_prime
 from arithlab.progressions import (
@@ -181,6 +182,55 @@ class TestNaturalDensityEstimate:
                 spec = ProgressionSpec(ext, [a % ext.conductor])
                 exact = float(chebotarev_density(spec))
                 assert abs(natural_density_estimate(spec, 10**6) - exact) <= 0.02
+
+
+class TestSieveAgainstSympy:
+    """The bytearray sieve and the estimate against sympy.primerange."""
+
+    SUBGROUPS = [(1, [0]), (4, [1]), (8, [1]), (8, [1, 7]), (12, [1]), (12, [1, 11]),
+                 (21, [1]), (21, [1, 4, 16])]
+
+    @staticmethod
+    def excluded_for(coset, m, bound):
+        """Elements the mask cannot index or must ignore, and primes it counts."""
+        primes = list(sympy.primerange(2, bound + 1))
+        inside = [p for p in primes if p % m in coset]
+        outside = [p for p in primes if p % m not in coset]
+        above = [sympy.nextprime(bound), sympy.nextprime(sympy.nextprime(bound))]
+        # q - bound - 1 would index the prime q from the mask's end.
+        from_the_end = [q - bound - 1 for q in inside[-5:]]
+        return set(range(-40, 2)) | {9, 15, 25, 91, 1001} | set(above) | set(
+            outside[:3] + inside[:3] + inside[-2:] + from_the_end
+        )
+
+    @pytest.mark.parametrize("bound", [10**4, 10**5])
+    def test_estimate_is_bit_identical_to_the_oracle(self, bound):
+        primes = list(sympy.primerange(2, bound + 1))
+        for m, h in self.SUBGROUPS:
+            ext = AbelianExtensionDescriptor(m, h)
+            assert ext.conductor == m
+            for coset in ext.cosets():
+                excluded = self.excluded_for(coset, m, bound)
+                for ex in (set(), excluded):
+                    spec = ProgressionSpec(ext, coset, ex)
+                    count = sum(1 for p in primes if p % m in coset and p not in ex)
+                    expected = count / len(primes)
+                    assert natural_density_estimate(spec, bound).hex() == expected.hex(), (m, coset)
+
+    def test_primes_up_to(self):
+        for b in range(301):
+            assert primes_up_to(b) == tuple(sympy.primerange(2, b + 1)), b
+        assert primes_up_to(10**6) == tuple(sympy.primerange(2, 10**6 + 1))
+
+    def test_cache_clear_empties_the_one_mask_cache(self):
+        primes_up_to.cache_clear()
+        info = primes_up_to.cache_info()
+        assert info.currsize == 0
+        primes_up_to(5000)
+        after = primes_up_to.cache_info()
+        assert (after.misses, after.hits, after.currsize) == (info.misses + 1, info.hits, 1)
+        natural_density_estimate(P14, 5000)  # the same mask serves the estimate
+        assert primes_up_to.cache_info().hits == info.hits + 1
 
 
 class TestIntersectionDensity:
