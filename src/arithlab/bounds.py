@@ -48,7 +48,10 @@ def default_digit_cap() -> int:
     raw = os.environ.get(DIGIT_CAP_ENV)
     if raw is None:
         return DEFAULT_DIGIT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused just below, with the same message
     if cap < 1:
         raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
     return cap

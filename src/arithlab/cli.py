@@ -138,9 +138,7 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
         mats = []
         for _ in range(s):
             rows = [take(d, "action matrix") for _ in range(d)]
-            mats.append(
-                IntegerMatrix.from_rows(rows) if d else IntegerMatrix.zero(0, 0)
-            )
+            mats.append(IntegerMatrix.from_rows(rows))
         leftovers = list(it)
         if leftovers:
             raise UsageError(
@@ -515,17 +513,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Execute one subcommand; returns the process exit code."""
-    # Exact values may run to hundreds of thousands of digits; lift the
-    # interpreter's decimal-rendering guard up to the digit cap.
-    sys.set_int_max_str_digits(max(bounds.default_digit_cap() + 10, 20000))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Exact values may run to hundreds of thousands of digits; lift the
+        # interpreter's decimal-rendering guard up to the digit cap before
+        # argparse converts any integer argument.
+        sys.set_int_max_str_digits(max(bounds.default_digit_cap() + 10, 20000))
+        args = _build_parser().parse_args(argv)
+        start = time.monotonic()
+        report = args.handler(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    start = time.monotonic()
-    try:
-        report = args.handler(args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

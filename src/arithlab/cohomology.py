@@ -12,8 +12,8 @@ with F = sum_h f(h).  Summing f(gh) = f(g) + g.f(h) over h gives
 F = s f(g) + g.F, so every cocycle lies in ker M.  Conversely, if
 s f(g) = F - g.F for every g, then s f is the coboundary of -F, hence a
 cocycle (this uses that the action is a homomorphism, which GLattice
-checks), and since Z^d is torsion-free f is a cocycle too.  So
-Z^1 = ker M over Z, and the group table is never read.
+checks along a generating set), and since Z^d is torsion-free f is a
+cocycle too.  So Z^1 = ker M over Z, and the group table is never read.
 
 M itself is never built: only its rank is needed, and that comes from
 the d x d norm matrix T = sum_g g.  Since E C = sum_{g != 1} (g - 1)
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, determinant, snf_diagonal
+from .core import IntegerMatrix, snf_diagonal
 
 __all__ = [
     "FiniteGroup",
@@ -160,9 +160,15 @@ class FiniteGroup:
 class GLattice:
     """A rank-d lattice with a verified integral group action.
 
-    Invariants checked at construction: the identity acts as I, the
-    action respects the table (action(gh) = action(g) action(h)), and
-    every action matrix has determinant +-1.
+    The constructor checks that the identity acts as I and that
+    action(x h) = action(x) action(h) for all h and each x of a
+    generating set S, grown greedily in index order (x is skipped if the
+    elements checked so far span it): |S| s products instead of s^2.
+    That suffices: K = {x : action(x h) = action(x) action(h) for all h}
+    holds 1 and S, and for x, y in K, action(x y h) = action(x) action(y)
+    action(h) = action(x y) action(h), so K is closed under products,
+    hence a subgroup, hence G.  Then action(g) action(g^-1) = I, so
+    every action matrix is unimodular without a determinant.
     """
 
     group: FiniteGroup
@@ -175,17 +181,20 @@ class GLattice:
         mats = tuple(action)
         if len(mats) != group.order:
             raise ValueError("need one action matrix per group element")
-        for m in mats:
-            if m.rows != rank or m.cols != rank:
-                raise ValueError("action matrices must be rank x rank")
-            if abs(determinant(m)) != 1:
-                raise ValueError("action matrices must be unimodular")
+        if any(m.rows != rank or m.cols != rank for m in mats):
+            raise ValueError("action matrices must be rank x rank")
         if not mats[group.identity].is_identity():
             raise ValueError("identity element must act as the identity matrix")
-        for g in group.elements():
+        span = {group.identity}
+        for x in group.elements():
+            if x in span:
+                continue
             for h in group.elements():
-                if mats[group.mul(g, h)] != mats[g].mul(mats[h]):
+                if mats[group.mul(x, h)] != mats[x].mul(mats[h]):
                     raise ValueError("action does not respect the group table")
+            span.add(x)
+            while grown := {group.mul(a, b) for a in span for b in span} - span:
+                span |= grown
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "action", mats)
@@ -210,11 +219,7 @@ class GLattice:
             ] + [
                 [0] * d1 + [b[i, j] for j in range(d2)] for i in range(d2)
             ]
-            mats.append(
-                IntegerMatrix.from_rows(rows)
-                if rows
-                else IntegerMatrix.zero(0, 0)
-            )
+            mats.append(IntegerMatrix.from_rows(rows))
         return GLattice(self.group, d1 + d2, tuple(mats))
 
     @classmethod
@@ -320,28 +325,36 @@ def h1_bound_check(lattice: GLattice) -> H1BoundReport:
     )
 
 
+def _left_cosets(
+    group: FiniteGroup, sub: Iterable[int]
+) -> tuple[list[int], dict[int, int]]:
+    """Left cosets g H in order of least element.
+
+    Returns each coset's least element and a map from every element to
+    the index of its coset.
+    """
+    reps: list[int] = []
+    index: dict[int, int] = {}
+    for g in group.elements():
+        if g not in index:
+            for h in sub:
+                index[group.mul(g, h)] = len(reps)
+            reps.append(g)
+    return reps, index
+
+
 def induced_lattice(group: FiniteGroup, subgroup: Iterable[int]) -> GLattice:
     """Permutation lattice on the cosets G/H with G acting by left translation."""
     sub = sorted(set(subgroup))
     if not group.is_subgroup(sub):
         raise ValueError("subset is not closed under multiplication")
-    cosets: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        coset = frozenset(group.mul(g, h) for h in sub)
-        seen |= coset
-        cosets.append(coset)
-    index = {c: i for i, c in enumerate(cosets)}
-    rep = [min(c) for c in cosets]
-    n = len(cosets)
+    rep, index = _left_cosets(group, sub)
+    n = len(rep)
     mats = []
     for g in group.elements():
         m = [[0] * n for _ in range(n)]
         for j in range(n):
-            target = frozenset(group.mul(group.mul(g, rep[j]), h) for h in sub)
-            m[index[target]][j] = 1
+            m[index[group.mul(g, rep[j])]][j] = 1
         mats.append(IntegerMatrix.from_rows(m))
     return GLattice(group, n, tuple(mats))
 
@@ -358,8 +371,6 @@ def norm_one_lattice(group: FiniteGroup) -> GLattice:
         raise ValueError("norm-one lattice requires a cyclic group")
     s = group.order
     d = s - 1
-    if d == 0:
-        return GLattice(group, 0, (IntegerMatrix.zero(0, 0),))
     gen = next(g for g in group.elements() if group.element_order(g) == s)
     # Position of each element as a power of the generator.
     power_of = {}
@@ -393,26 +404,11 @@ def faithful_quotient(lattice: GLattice) -> tuple[FiniteGroup, GLattice]:
     kernel acts trivially on a torsion-free module).
     """
     grp = lattice.group
-    kernel = frozenset(
-        g for g in grp.elements() if lattice.action[g].is_identity()
-    )
-    cosets: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for g in grp.elements():
-        if g in seen:
-            continue
-        coset = frozenset(grp.mul(g, k) for k in kernel)
-        seen |= coset
-        cosets.append(coset)
-    index: dict[int, int] = {}
-    for i, c in enumerate(cosets):
-        for g in c:
-            index[g] = i
-    rep = [min(c) for c in cosets]
-    n = len(cosets)
-    table = [[index[grp.mul(rep[i], rep[j])] for j in range(n)] for i in range(n)]
+    kernel = [g for g in grp.elements() if lattice.action[g].is_identity()]
+    rep, index = _left_cosets(grp, kernel)
+    table = [[index[grp.mul(a, b)] for b in rep] for a in rep]
     quotient = FiniteGroup(table)
-    mats = tuple(lattice.action[rep[i]] for i in range(n))
+    mats = tuple(lattice.action[g] for g in rep)
     return quotient, GLattice(quotient, lattice.rank, mats)
 
 

@@ -504,8 +504,8 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     diag = _eliminate(m.to_rows(), left, right)
     return SnfResult(
         diag,
-        IntegerMatrix.from_rows(left) if m.rows else IntegerMatrix.zero(0, 0),
-        IntegerMatrix.from_rows(right) if m.cols else IntegerMatrix.zero(0, 0),
+        IntegerMatrix.from_rows(left),
+        IntegerMatrix.from_rows(right),
     )
 
 

@@ -8,7 +8,9 @@ equation and reduces modulo coboundaries by explicit membership tests,
 so the two implementations share no linear algebra.  For checking the
 library's reduction, cocycle_relation_matrix writes the defining
 equation out for every pair of group elements, cocycle_matrix builds M
-and norm_matrix builds T.
+and norm_matrix builds T.  is_valid_action is the reference for the
+GLattice constructor: it checks every pair of elements and every
+determinant, where the library checks a generating set only.
 
 Completeness of the enumeration: if s annihilates a cohomology class
 [f], then s f = (g |-> g w - w) for some lattice vector w, and
@@ -120,6 +122,51 @@ def norm_matrix(lattice):
             for j in range(d):
                 total[i][j] += act[i, j]
     return IntegerMatrix(d, d, tuple(x for row in total for x in row))
+
+
+def _determinant(rows):
+    """Exact determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def is_valid_action(group, rank, action):
+    """Reference lattice check: every pair of elements, every determinant.
+
+    True when there is one rank x rank matrix per element, the identity
+    acts as I, action(g h) = action(g) action(h) for all s^2 pairs, and
+    every matrix has determinant +-1.
+    """
+    mats = [_mat_rows(m) for m in action]
+    if len(mats) != group.order:
+        return False
+    if any(len(m) != rank or any(len(r) != rank for r in m) for m in mats):
+        return False
+    ident = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    if mats[group.identity] != ident:
+        return False
+    for g in group.elements():
+        for h in group.elements():
+            a, b = mats[g], mats[h]
+            prod = [
+                [sum(a[i][k] * b[k][j] for k in range(rank)) for j in range(rank)]
+                for i in range(rank)
+            ]
+            if mats[group.table[g][h]] != prod:
+                return False
+    return all(abs(_determinant(m)) == 1 for m in mats)
 
 
 def generating_set(group):

@@ -188,6 +188,15 @@ class TestExitCodes:
         assert err.startswith("error: digit cap exceeded: gamma(1500) = prod_")
         assert "about 1073523 decimal digits" in err
 
+    @pytest.mark.parametrize("cap", ["0", "abc"])
+    def test_bad_digit_cap_refused(self, cap, capsys, monkeypatch):
+        monkeypatch.setenv("ASA_DIGIT_CAP", cap)
+        code, out, err = run_in_process(["constants", "gamma", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: invalid input: ASA_DIGIT_CAP must be a positive integer, got {cap}\n"
+        )
+
     def test_invalid_input_value(self, capsys):
         code, _, err = run_in_process(["symbol", "legendre", "3", "4"], capsys)
         assert code == 2 and "invalid input" in err

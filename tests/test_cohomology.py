@@ -24,6 +24,7 @@ from oracle_h1 import (
     brute_force_h1,
     cocycle_matrix,
     cocycle_relation_matrix,
+    is_valid_action,
     membership_direct_sum,
     membership_permutation,
     membership_rational,
@@ -320,11 +321,11 @@ def augmentation_dual(group):
 
 
 class TestH1BeyondOrderSix:
-    """H^1 known from theory, with N = (s - 1) d up to 529.
+    """H^1 known from theory, with N = (s - 1) d up to 2209.
 
     The elementary divisors are also checked against sympy's invariant
     factors of the coboundary matrix.  Lattices are built inside the
-    test, since J_G at order 24 takes about half a second.
+    test, since J_G at order 48 takes up to about a second.
     """
 
     CASES = [
@@ -358,6 +359,9 @@ class TestH1BeyondOrderSix:
             ),
             (2, 12),
         ),
+        # At order 48: C48^ab = C48, and (S4 x C2)^ab = C2 x C2.
+        ("J-C48", lambda: augmentation_dual(FiniteGroup.cyclic(48)), (48,)),
+        ("J-S4xC2", lambda: augmentation_dual(S4_C2), (2, 2)),
     ]
 
     @pytest.mark.parametrize("name,build,divisors", CASES, ids=[c[0] for c in CASES])
@@ -366,6 +370,75 @@ class TestH1BeyondOrderSix:
         assert h1(lattice) == AbelianGroupInvariants(divisors, 0)
         factors = invariant_factors(Matrix(_coboundary_matrix(lattice).to_rows()))
         assert tuple(int(x) for x in factors if x > 1) == divisors
+
+
+class TestActionCheckAgainstReference:
+    """GLattice checks a generating set; the reference checks every pair
+    of elements and every determinant, and shares no code with it."""
+
+    LATTICES = TestCocycleMatrices.LATTICES
+
+    @staticmethod
+    def accepts(group, rank, action):
+        try:
+            GLattice(group, rank, action)
+        except ValueError:
+            return False
+        return True
+
+    def test_reference_accepts_the_corpus(self):
+        for lat in self.LATTICES:
+            assert is_valid_action(lat.group, lat.rank, lat.action)
+
+    def test_single_entry_corruptions(self):
+        rng = random.Random(4848)
+        outcomes = set()
+        for lat in self.LATTICES:
+            for _ in range(30):
+                g = rng.randrange(lat.group.order)
+                k = rng.randrange(lat.rank * lat.rank)
+                entries = list(lat.action[g].entries)
+                entries[k] += rng.choice((-2, -1, 1, 2))
+                action = list(lat.action)
+                action[g] = IntegerMatrix(lat.rank, lat.rank, tuple(entries))
+                expected = is_valid_action(lat.group, lat.rank, action)
+                assert self.accepts(lat.group, lat.rank, action) == expected, (lat, g, k)
+                outcomes.add(expected)
+        # Some corruptions give another valid action (the sign lattice
+        # turned trivial); most give none.
+        assert outcomes == {True, False}
+
+    def test_non_generator_matrix_is_checked(self):
+        # 1 generates C4, so action(2) and action(3) are only ever read as
+        # products action(1 h); a unimodular wrong value must still fail.
+        for g in (2, 3):
+            action = list(ROT4.action)
+            action[g] = I2
+            assert not is_valid_action(C4, 2, action)
+            with pytest.raises(ValueError, match="group table"):
+                GLattice(C4, 2, action)
+
+    def test_every_generator_is_checked(self):
+        # On C_n x C_n, element n i + j acts as y^j x^i for non-commuting
+        # x, y of order n.  Every product action(1 h) agrees, since 1 acts
+        # as y; only the second generator n, acting as x, shows the fault.
+        # For n = 3 the first generator spans {0, 1, 2} and not the group.
+        def power(m, k):
+            out = I2
+            for _ in range(k):
+                out = out.mul(m)
+            return out
+
+        for n, x, y in (
+            (2, rows([0, 1], [1, 0]), rows([1, 0], [0, -1])),
+            (3, rows([0, -1], [1, -1]), rows([-1, -1], [1, 0])),
+        ):
+            cn = FiniteGroup.cyclic(n)
+            group = FiniteGroup.direct_product(cn, cn)
+            action = [power(y, g % n).mul(power(x, g // n)) for g in group.elements()]
+            assert not is_valid_action(group, 2, action)
+            with pytest.raises(ValueError, match="group table"):
+                GLattice(group, 2, action)
 
 
 class TestBoundChecks:
