@@ -8,8 +8,8 @@ any downstream parser.  Wall time goes to standard error, keeping
 standard output byte-identical across repeated runs.
 
 Exit codes: 0 success with all certifications passing, 1 certification
-failure, 2 usage error (unknown subcommand, malformed input file, or a
-digit-cap overflow).
+failure, 2 usage error (unknown subcommand, malformed input file, an
+input over a work budget, or a digit-cap overflow).
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ import time
 from fractions import Fraction
 
 from . import bounds, cohomology, experiments, progressions, symbols
-from .core import IntegerMatrix, determinant
+from .core import IntegerMatrix, determinant, factor
 
 __all__ = ["main", "run"]
+
+_FACTOR_LIMIT = 2**64  # the range of core.factor, which two certifications call
 
 
 def _fmt(value):
@@ -157,6 +159,34 @@ def _count_invertible_mod3(d: int) -> int:
     return count
 
 
+def _jacobi_by_reciprocity(a: int, n: int) -> int:
+    """(a/n) for odd n >= 1 as the product of (q/n) over the primes q of a mod n.
+
+    An odd q gives (q/n) = (n/q) (-1)^((q-1)/2 (n-1)/2); 2 gives 1 exactly
+    when n = +-1 (mod 8).
+    """
+    if a % n == 0:
+        return int(n == 1)
+    prod = 1
+    for q, e in factor(a % n).factors:
+        if q == 2:
+            prod *= (1 if n % 8 in (1, 7) else -1) ** e
+        else:
+            prod *= (symbols.legendre(n, q) * (-1 if q % 4 == n % 4 == 3 else 1)) ** e
+    return prod
+
+
+def _count_nth_powers(p: int, n: int) -> int:
+    """Number of n-th powers mod the prime p: the order of g^n, g a primitive root."""
+    qs = factor(p - 1).primes()
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    x, order = pow(g, n, p), p - 1
+    for q in qs:
+        while order % q == 0 and pow(x, order // q, p) == 1:
+            order //= q
+    return order
+
+
 def _report(command, inputs, outputs, provenance, certifications):
     status = "ok" if all(c["passed"] for c in certifications) else "certification-failure"
     return {
@@ -228,11 +258,9 @@ def _run_symbol(args, argv):
         formula = "quadratic residue symbol via reciprocity"
     elif which == "jacobi":
         value = symbols.jacobi(args.a, args.n)
-        from .core import factor
-
-        prod = 1
-        for p, e in factor(args.n).factors:
-            prod *= symbols.legendre(args.a, p) ** e
+        if args.a % args.n > _FACTOR_LIMIT:
+            raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
+        prod = _jacobi_by_reciprocity(args.a, args.n)
         certs = [_cert("multiplicative-over-factorization", prod == value)]
         inputs = {"a": args.a, "n": args.n}
         formula = "jacobi symbol, multiplicative extension of legendre"
@@ -413,8 +441,10 @@ def _run_section7(args, argv):
 
 
 def _run_local_index(args, argv):
+    if args.p - 1 > _FACTOR_LIMIT:
+        raise UsageError(f"p - 1 must be <= 2**64 for the power-count certification, got {args.p}")
     value = experiments.local_power_index(args.p, args.n)
-    count = len({pow(x, args.n, args.p) for x in range(1, args.p)})
+    count = _count_nth_powers(args.p, args.n)
     certs = [_cert("power-count-agrees", count * value == args.p - 1)]
     provenance = {
         "module": "arithlab.experiments",

@@ -340,13 +340,6 @@ class IntegerMatrix:
             ),
         )
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self[i, j] == (1 if i == j else 0)

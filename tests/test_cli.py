@@ -1,10 +1,15 @@
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
+from sympy import jacobi_symbol
+from sympy.ntheory import n_order, primitive_root
 
 from arithlab import cli
+from arithlab.progressions import primes_up_to
 
 SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
 2
@@ -216,6 +221,82 @@ class TestExitCodes:
         )
         assert code == 1
         assert json.loads(out)["status"] == "certification-failure"
+
+
+class TestBoundedWork:
+    """Commands whose certification once enumerated a whole unit group."""
+
+    TWO128_PLUS_1 = 2**128 + 1  # = 59649589127497217 * 5704689200685129054721
+
+    @pytest.mark.parametrize(
+        "command,outputs",
+        [
+            (["density", "exact", "1(30000)"], {"density": "1/8000"}),
+            (["density", "intersection", "1(9973)", "9967"], {"density": "1/99380952"}),
+            (
+                ["tractable", "1(9973)", "9967"],
+                {"tractable": True, "intersection_density": "1/99380952"},
+            ),
+        ],
+    )
+    def test_large_conductors_run_in_bounded_time(self, command, outputs, capsys):
+        start = time.monotonic()
+        code, out, _ = run_in_process(command, capsys)
+        assert time.monotonic() - start < 2.0
+        assert code == 0 and json.loads(out)["outputs"] == outputs
+
+    @pytest.mark.parametrize(
+        "a", [2, 3, 12, 0, 59649589127497217 * 3, 2**64, 2**64 - 59, -(2**128), 7 - 2**128]
+    )
+    def test_jacobi_beyond_factor_certified_through_a(self, a, capsys):
+        n = self.TWO128_PLUS_1
+        code, out, _ = run_in_process(["symbol", "jacobi", "--", str(a), str(n)], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["outputs"]["value"] == str(jacobi_symbol(a, n))
+        assert report["certifications"] == [
+            {"name": "multiplicative-over-factorization", "passed": True}
+        ]
+
+    def test_jacobi_by_reciprocity_against_sympy(self):
+        for n in range(1, 160, 2):
+            for a in range(-30, 2 * n):
+                assert cli._jacobi_by_reciprocity(a, n) == jacobi_symbol(a, n), (a, n)
+
+    def test_jacobi_refused_when_neither_side_factors(self, capsys):
+        n = self.TWO128_PLUS_1
+        code, out, err = run_in_process(["symbol", "jacobi", str(2**100 + 1), str(n)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot certify (a/n): a mod n exceeds 2**64, the limit of factor\n"
+
+    def test_count_nth_powers_is_the_order_of_a_power_of_a_primitive_root(self):
+        for p in primes_up_to(3000)[1:]:
+            g = primitive_root(p)
+            for n in range(1, 40):
+                assert cli._count_nth_powers(p, n) == n_order(pow(g, n, p), p), (p, n)
+                if p < 200:
+                    assert cli._count_nth_powers(p, n) == len({pow(x, n, p) for x in range(1, p)})
+
+    def test_local_index_at_a_billion(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run_in_process(["local-index", "1000000009", "2"], capsys)
+        assert time.monotonic() - start < 2.0
+        report = json.loads(out)
+        assert code == 0 and report["status"] == "ok"
+        assert report["outputs"]["index"] == str(math.gcd(2, 1000000008))
+
+    def test_local_index_refused_beyond_factor(self, capsys):
+        p = 2**64 + 13  # prime, 1 mod 4
+        code, out, err = run_in_process(["local-index", str(p), "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: p - 1 must be <= 2**64 for the power-count certification, got {p}\n"
+
+    def test_unit_height_over_budget_refused(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_in_process(["example", "2.5", "--height", "301"], capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: height bound must be <= 300, got 301")
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from arithlab.core import is_prime
 from arithlab.experiments import (
     GAUSSIAN_UNITS,
     MAX_BIASED_ELL,
+    MAX_UNIT_HEIGHT,
     BiasedPrimePair,
     CongruenceTarget,
     GaussianInteger,
@@ -169,6 +170,10 @@ class TestNormOneConstrainedUnits:
         # its conjugate quotient (3 - 4i)/5 must not appear.
         units = norm_one_constrained_units(30)
         assert all(u.norm() == 1 for u in units)
+
+    def test_rejects_height_over_the_budget(self):
+        with pytest.raises(ValueError, match="must be <= 300"):
+            norm_one_constrained_units(MAX_UNIT_HEIGHT + 1)
 
     def test_rejects_zero_height(self):
         with pytest.raises(ValueError):

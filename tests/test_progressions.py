@@ -17,9 +17,8 @@ from arithlab.progressions import (
     primes_up_to,
     splits_completely,
     tractable_condition,
-    _reduction_kernel,
-    _unit_group,
 )
+import oracle_progressions as oracle
 
 GAUSSIAN = AbelianExtensionDescriptor.gaussian()
 P14 = ProgressionSpec.residue_class(1, 4)
@@ -294,10 +293,10 @@ class TestConductorOne:
     RATIONALS = AbelianExtensionDescriptor.rationals()
     ALL_PRIMES = ProgressionSpec.residue_class(1, 2)
 
-    def test_reduction_kernel_to_the_trivial_group(self):
-        assert _unit_group(1) == frozenset({0})
+    def test_whole_unit_group_is_the_rationals(self):
         for m in range(1, 13):
-            assert _reduction_kernel(m, 1) == _unit_group(m)
+            units = [r for r in range(m) if math.gcd(r, m) == 1]
+            assert AbelianExtensionDescriptor(m, units) == self.RATIONALS
 
     def test_descriptor(self):
         assert AbelianExtensionDescriptor(1, [5]) == self.RATIONALS
@@ -349,3 +348,56 @@ class TestPrimesUpTo:
 
     def test_empty(self):
         assert primes_up_to(1) == ()
+
+
+class TestAgainstEnumerationOracle:
+    """Every subgroup of (Z/mZ)^x, m <= 40, against the unit-group enumeration."""
+
+    RAW = [(m, h) for m in range(1, 41) for h in oracle.subgroups(m)]
+    FIELDS = sorted(
+        {oracle.minimal_conductor(m, h) for m, h in RAW}, key=lambda e: (e[0], sorted(e[1]))
+    )
+
+    def test_oracle_enumerates_every_subgroup(self):
+        # The number of subgroups of (Z/mZ)^x, for the cyclic groups of
+        # order phi(m) (m = 37: 9 divisors of 36) and (Z/2)^3 (m = 24: 16).
+        counts = {m: sum(1 for k, _ in self.RAW if k == m) for m in (1, 2, 7, 24, 37)}
+        assert counts == {1: 1, 2: 1, 7: 4, 24: 16, 37: 9}
+        assert len(self.RAW) == 279 and len(self.FIELDS) == 135
+
+    def test_descriptor_cosets_and_densities(self):
+        for m, h in self.RAW:
+            ext = AbelianExtensionDescriptor(m, h)
+            m0, h0 = oracle.minimal_conductor(m, h)
+            assert (ext.conductor, ext.subgroup) == (m0, h0), (m, h)
+            assert ext.degree == oracle.degree(m0, h0)
+            assert ext.cosets() == oracle.cosets(m0, h0)
+            for c in ext.cosets():
+                assert chebotarev_density(ProgressionSpec(ext, c)) == oracle.density(m0, h0)
+
+    def test_intersection_and_tractability(self):
+        # Every field against every target, each pair with one coset of the
+        # first field, turning through all of its cosets as the target moves.
+        fields = {f: AbelianExtensionDescriptor(*f) for f in self.FIELDS}
+        for i, (m1, h1) in enumerate(self.FIELDS):
+            cosets = oracle.cosets(m1, h1)
+            for j, (m2, h2) in enumerate(self.FIELDS):
+                c = cosets[(i + j) % len(cosets)]
+                spec = ProgressionSpec(fields[m1, h1], c)
+                pair = (m1, sorted(c), m2, sorted(h2))
+                assert intersection_density(spec, fields[m2, h2]) == (
+                    oracle.intersection_density(m1, c, m2, h2)
+                ), pair
+                assert tractable_condition(spec, fields[m2, h2]) == (
+                    oracle.tractable(m1, h1, c, m2, h2)
+                ), pair
+
+    def test_membership_matches_the_coset_of_each_prime(self):
+        for m, h in self.FIELDS:
+            ext = AbelianExtensionDescriptor(m, h)
+            for c in ext.cosets():
+                spec = ProgressionSpec(ext, c)
+                for p in primes_up_to(200):
+                    unramified = math.gcd(p, m) == 1
+                    assert in_progression(spec, p) == (unramified and frobenius(ext, p).coset == c)
+                    assert splits_completely(ext, p) == (unramified and p % m in h)
