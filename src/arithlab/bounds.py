@@ -62,7 +62,11 @@ def _compact_int(n: int) -> str:
     digit-count description."""
     if n < 10**40:
         return str(n)
-    digits = int(math.log10(n)) + 1
+    # With k the integer nearest log10(n), n has k + 1 digits exactly when
+    # n >= 10^k; near a power of ten _beyond_cap compares exactly.
+    log_value = math.log10(n)
+    k = round(log_value)
+    digits = k + 1 if _beyond_cap(log_value, k, lambda: n) else k
     return f"<{digits}-digit integer>"
 
 
@@ -170,11 +174,15 @@ def _gamma_log10(d: int) -> float:
 
 
 def _gamma_product(d: int) -> int:
-    out = 1
-    q = 3**d
-    for i in range(d):
-        out *= q - 3**i
-    return out
+    """prod_{i<d} (3^d - 3^i) = 3^(d(d-1)/2) * prod_{k=1}^{d} (3^k - 1).
+
+    The second product is taken pairwise, level by level, so that big
+    factors meet big factors and Karatsuba does the work.
+    """
+    level = [3**k - 1 for k in range(1, d + 1)]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return 3 ** (d * (d - 1) // 2) * level[0]
 
 
 def gamma(d: int) -> int:

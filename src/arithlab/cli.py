@@ -15,6 +15,7 @@ input over a work budget, or a digit-cap overflow).
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import os
@@ -30,15 +31,45 @@ __all__ = ["main", "run"]
 _FACTOR_LIMIT = 2**64  # the range of core.factor, which two certifications call
 
 
+def _decimal(n: int) -> str:
+    """str(n) in subquadratic time, where CPython 3.11's str(int) is quadratic.
+
+    Splits n = hi * 2^w + lo and reassembles the halves' decimal values as
+    digits(lo) + digits(hi) * 2^w in decimal.Decimal, whose big products run
+    by number-theoretic transform; leaves of at most 128 bits go through
+    Decimal(int) directly.  The context has maximal precision and traps
+    Inexact, so every step is exact or raises.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2^w, memoised for this call
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w if w <= 128 else power(w // 2) * power(w - w // 2)
+        return powers[w]
+
+    def digits(x: int, width: int) -> decimal.Decimal:  # 0 <= x < 2^width
+        if width <= 128:
+            return decimal.Decimal(x)
+        w = width // 2
+        hi = x >> w
+        return digits(x - (hi << w), w) + digits(hi, width - w) * power(w)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(digits(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
+
+
 def _fmt(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+            return _decimal(value.numerator)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -69,26 +100,31 @@ def _parse_place(token: str) -> symbols.Place:
 
 
 def _parse_progression(token: str) -> progressions.ProgressionSpec:
-    """Progression syntax a(m), e.g. 1(4) for primes congruent to 1 mod 4."""
+    """Progression syntax a(m), e.g. 1(4) for primes congruent to 1 mod 4.
+
+    A well-formed token whose values are refused (a not a unit, m out of
+    range) raises ValueError, reported as invalid input.
+    """
     try:
         a, rest = token.split("(", 1)
-        m = rest.rstrip(")")
-        return progressions.ProgressionSpec.residue_class(int(a), int(m))
-    except (ValueError, IndexError) as exc:
+        a, m = int(a), int(rest.rstrip(")"))
+    except ValueError as exc:
         raise UsageError(f"cannot parse progression {token!r}: expected a(m)") from exc
+    return progressions.ProgressionSpec.residue_class(a, m)
 
 
 def _parse_extension(token: str) -> progressions.AbelianExtensionDescriptor:
-    """Extension syntax m (cyclotomic) or m:h1,h2,... (fixed field)."""
+    """Extension syntax m (cyclotomic) or m:h1,h2,... (fixed field).
+
+    Refused values raise ValueError, as for progressions.
+    """
     try:
-        if ":" in token:
-            m, subgroup = token.split(":", 1)
-            return progressions.AbelianExtensionDescriptor(
-                int(m), [int(x) for x in subgroup.split(",")]
-            )
-        return progressions.AbelianExtensionDescriptor.cyclotomic(int(token))
+        m, colon, subgroup = token.partition(":")
+        m = int(m)
+        hs = [int(x) for x in subgroup.split(",")] if colon else [1]
     except ValueError as exc:
         raise UsageError(f"cannot parse extension {token!r}: {exc}") from exc
+    return progressions.AbelianExtensionDescriptor(m, hs)
 
 
 def _parse_target(token: str) -> experiments.CongruenceTarget:
@@ -224,8 +260,7 @@ def _run_constants(args, argv):
         inputs = {"d": args.d}
         formula = "lambda(d) = d * (gamma(d) - 1)"
     elif which == "psi":
-        # Rendered once: psi(3) has 136,473 digits.
-        value = str(bounds.psi(args.d))
+        value = _decimal(bounds.psi(args.d))
         size = bounds.psi_size(args.d)
         certs.append(
             _cert("digit-count-matches-log-estimate", str(len(value)) == size.digits10)

@@ -56,6 +56,11 @@ def subgroups(m: int) -> list[frozenset[int]]:
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
+def closed_under_products(m: int, h: frozenset[int]) -> bool:
+    """Does x * y mod m lie in h for all |h|^2 pairs?"""
+    return all(x * y % m in h for x in h for y in h)
+
+
 def minimal_conductor(m: int, h: frozenset[int]) -> tuple[int, frozenset[int]]:
     """Least d | m, d != 2 mod 4, whose whole reduction kernel lies in h."""
     for d in range(1, m + 1):

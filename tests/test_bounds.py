@@ -21,6 +21,8 @@ from arithlab.bounds import (
     spl0_index_bound,
     t1_density_bound,
     _checked_power,
+    _compact_int,
+    _gamma_product,
 )
 
 
@@ -81,6 +83,13 @@ class TestGamma:
         assert err.value.size.digits10 == "1073523" and err.value.size.approximate
         with pytest.raises(DigitCapExceeded):
             lam(1500)
+
+    def test_product_tree_equals_the_left_to_right_product(self):
+        for d in range(1, 201):
+            expected = 1
+            for i in range(d):
+                expected *= 3**d - 3**i
+            assert _gamma_product(d) == expected, d
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_cap_is_the_exact_digit_count(self, d, monkeypatch):
@@ -266,3 +275,13 @@ class TestPowerSize:
     def test_rejects_trivial(self):
         with pytest.raises(ValueError):
             PowerSize.of(1, 5)
+
+
+class TestCompactInt:
+    # math.log10 rounds 10^k - 1 up to k for k = 15..44 and 10^k down below
+    # k for k = 512, 1024, 2048.
+    @pytest.mark.parametrize("k", [*range(40, 61), 512, 1024, 2048])
+    def test_digit_count_is_exact_at_powers_of_ten(self, k):
+        for n in (10**k - 1, 10**k):
+            expected = str(n) if n < 10**40 else f"<{len(str(n))}-digit integer>"
+            assert _compact_int(n) == expected

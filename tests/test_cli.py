@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
@@ -193,6 +197,12 @@ class TestExitCodes:
         assert err.startswith("error: digit cap exceeded: gamma(1500) = prod_")
         assert "about 1073523 decimal digits" in err
 
+    def test_size_report_counts_digits_exactly(self, capsys):
+        d = 10**50 - 1  # math.log10 rounds it up to 50
+        code, out, err = run_in_process(["constants", "gamma", str(d)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: digit cap exceeded: gamma(<50-digit integer>) = prod_")
+
     @pytest.mark.parametrize("cap", ["0", "abc"])
     def test_bad_digit_cap_refused(self, cap, capsys, monkeypatch):
         monkeypatch.setenv("ASA_DIGIT_CAP", cap)
@@ -291,12 +301,147 @@ class TestBoundedWork:
         assert (code, out) == (2, "")
         assert err == f"error: p - 1 must be <= 2**64 for the power-count certification, got {p}\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["density", "exact", "1(100001)"],
+            ["density", "intersection", "1(4)", "100001:1"],
+            ["tractable", "1(4)", "100001"],
+        ],
+    )
+    def test_conductor_over_budget_refused(self, command, capsys):
+        start = time.monotonic()
+        code, out, err = run_in_process(command, capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.endswith("conductor 100001 exceeds MAX_CONDUCTOR = 100000\n")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_conductor_of_ten_billion_refused_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_in_process(["density", "exact", "1(10000000000)"], capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "conductor 10000000000 exceeds MAX_CONDUCTOR = 100000" in err
+
     def test_unit_height_over_budget_refused(self, capsys):
         start = time.monotonic()
         code, out, err = run_in_process(["example", "2.5", "--height", "301"], capsys)
         assert time.monotonic() - start < 1.0
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid input: height bound must be <= 300, got 301")
+
+
+class TestDecimal:
+    """CLI integer rendering, against str and modular arithmetic, which share no code with it."""
+
+    def test_random_signed_ints(self):
+        rng = random.Random(9)
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randint(1, 5000)) * rng.choice((1, -1))
+            assert cli._decimal(n) == str(n), n
+
+    def test_boundaries(self):
+        edges = [0, 1, 2**128 - 1, 2**128, 2**128 + 1, 2**256, 10**1000, 3**20000 - 1]
+        for n in edges:
+            assert cli._decimal(n) == str(n)
+            assert cli._decimal(-n) == str(-n)
+
+    def test_gamma_1447_renders_in_seconds(self, capsys):
+        # gamma(1447) has 999,001 digits, just under the default cap; the
+        # left-to-right product and str() took 23 s.
+        start = time.monotonic()
+        code, out, _ = run_in_process(["constants", "gamma", "1447"], capsys)
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        text = json.loads(out)["outputs"]["value"]
+        assert len(text) == 999_001 and text[0] != "0"
+        primes = [10**9 + 7, 998244353, 2**61 - 1, 1000003]
+        modulus = math.prod(primes)
+        residue = 0
+        for i in range(0, len(text), 1000):
+            chunk = text[i : i + 1000]
+            residue = (residue * pow(10, len(chunk), modulus) + int(chunk)) % modulus
+        for p in primes:
+            expected = 1
+            for i in range(1447):
+                expected = expected * (pow(3, 1447, p) - pow(3, i, p)) % p
+            assert residue % p == expected != 0, p
+
+
+class TestFuzzedArguments:
+    """Random argument tokens end in exit 0, 1 or 2, never in an exception."""
+
+    SMALL = st.integers(-30, 400)
+    NOISE = st.text(alphabet="0123456789-+()/:,^=. xa", max_size=14)
+    # Conductors inside the budget, and two beyond it that must be refused at once.
+    MODULUS = st.one_of(st.integers(1, 400), st.integers(-3, 0), st.sampled_from([100_001, 10**12]))
+    UNIT = st.sampled_from([1, -1, 7, 11, 13, 29, 31, 37, 41, 97, 101, 389])  # mostly coprime to m
+    PROGRESSION = st.one_of(st.builds("{}({})".format, st.one_of(UNIT, SMALL), MODULUS), NOISE)
+    EXTENSION = st.one_of(
+        st.builds(str, MODULUS),
+        st.builds(  # the cyclic subgroup generated by g, when g is a unit
+            lambda m, g: f"{m}:" + ",".join(str(pow(g, k, m)) for k in range(m)),
+            st.integers(1, 400),
+            SMALL,
+        ),
+        st.builds(
+            lambda m, hs: f"{m}:{','.join(map(str, hs))}",
+            MODULUS,
+            st.lists(SMALL, min_size=1, max_size=6),
+        ),
+        NOISE,
+    )
+    CONDITION = st.builds(
+        "{}^{}={}".format,
+        st.sampled_from([3, 7, 11, 19, 5, 2, 4, 0, -3]),
+        st.one_of(st.integers(1, 4), st.integers(-1, 0)),
+        st.integers(-50, 50),
+    )
+    DYADIC = st.builds("2^{}={}".format, st.integers(1, 5), st.integers(-50, 50))
+    TARGET = st.one_of(
+        st.builds(lambda c, cs: ",".join([c, *cs]), DYADIC, st.lists(CONDITION, max_size=2)),
+        st.builds(",".join, st.lists(CONDITION, min_size=1, max_size=3)),
+        NOISE,
+    )
+    RATIONAL = st.one_of(
+        st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(-100, 10**6)),
+        st.builds(str, st.integers(-10**6, 10**6)),
+        NOISE,
+    )
+    PLACE = st.one_of(st.sampled_from(["inf", "oo", "2", "3", "7", "4", "-5"]), NOISE)
+
+    @staticmethod
+    def exits_cleanly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:  # one line from run(): no token reaches argparse's own errors
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
+        else:
+            json.loads(out.getvalue())
+
+    @settings(max_examples=150)
+    @given(spec=PROGRESSION, ext=EXTENSION, kind=st.sampled_from(["exact", "intersection", "tractable"]))
+    def test_progressions_and_extensions(self, spec, ext, kind):
+        argv = {
+            "exact": ["density", "exact", "--", spec],
+            "intersection": ["density", "intersection", "--", spec, ext],
+            "tractable": ["tractable", "--", spec, ext],
+        }[kind]
+        self.exits_cleanly(argv)
+
+    @settings(max_examples=100)
+    @given(target=TARGET)
+    def test_congruence_targets(self, target):
+        self.exits_cleanly(["example", "2.3", f"--target={target}"])
+
+    @settings(max_examples=150)
+    @given(a=RATIONAL, b=RATIONAL, place=PLACE)
+    def test_rationals_and_places(self, a, b, place):
+        self.exits_cleanly(["symbol", "hilbert", "--", a, b, place])
 
 
 class TestDeterminism:

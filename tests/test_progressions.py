@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import sympy
 
 from arithlab.core import is_prime
 from arithlab.progressions import (
+    MAX_CONDUCTOR,
     AbelianExtensionDescriptor,
     ProgressionSpec,
     RamifiedPrimeError,
@@ -33,6 +36,41 @@ class TestDescriptor:
     def test_subgroup_must_be_closed(self):
         with pytest.raises(ValueError):
             AbelianExtensionDescriptor(8, [1, 3, 5])
+
+    def test_closure_check_agrees_with_all_pairs(self):
+        # Every subset of (Z/mZ)^x that holds 1, for m <= 15.
+        for m in range(1, 16):
+            one = 1 % m
+            others = sorted(oracle.unit_group(m) - {one})
+            for k in range(len(others) + 1):
+                for extra in itertools.combinations(others, k):
+                    h = frozenset({one, *extra})
+                    try:
+                        AbelianExtensionDescriptor(m, h)
+                        accepted = True
+                    except ValueError as exc:
+                        assert str(exc) == "subgroup is not closed under multiplication"
+                        accepted = False
+                    assert accepted == oracle.closed_under_products(m, h), (m, h)
+
+    def test_large_subgroup_checked_along_generators(self):
+        # {r = 1 mod 8} has 10,000 elements mod 10^5; all pairs took 11.8 s.
+        m = 100_000
+        h = [r for r in range(1, m, 8) if r % 5]
+        assert len(h) == 10_000
+        start = time.monotonic()
+        ext = AbelianExtensionDescriptor(m, h)
+        assert time.monotonic() - start < 0.5
+        assert ext == AbelianExtensionDescriptor(8, [1])
+        with pytest.raises(ValueError, match="not closed"):
+            AbelianExtensionDescriptor(m, h + [3])
+
+    def test_conductor_budget(self):
+        ext = AbelianExtensionDescriptor.cyclotomic(MAX_CONDUCTOR)
+        assert ext.conductor == MAX_CONDUCTOR == 100_000
+        for m in (MAX_CONDUCTOR + 1, 10**10):
+            with pytest.raises(ValueError, match=f"conductor {m} exceeds MAX_CONDUCTOR = 100000"):
+                AbelianExtensionDescriptor(m, [1])
 
     def test_elements_must_be_units(self):
         with pytest.raises(ValueError):
