@@ -128,16 +128,19 @@ def _parse_extension(token: str) -> progressions.AbelianExtensionDescriptor:
 
 
 def _parse_target(token: str) -> experiments.CongruenceTarget:
-    """Target syntax p^alpha=a comma-separated, e.g. 2^2=3,7^1=2."""
+    """Target syntax p^alpha=a comma-separated, e.g. 2^2=3,7^1=2.
+
+    Refused values raise ValueError, as for progressions.
+    """
     conditions = []
     try:
         for part in token.split(","):
             pa, a = part.split("=", 1)
             p, alpha = pa.split("^", 1)
             conditions.append((int(p), int(alpha), int(a)))
-        return experiments.CongruenceTarget(tuple(conditions))
     except ValueError as exc:
         raise UsageError(f"cannot parse congruence target {token!r}: {exc}") from exc
+    return experiments.CongruenceTarget(tuple(conditions))
 
 
 def _parse_lattice_file(path: str) -> cohomology.GLattice:
@@ -148,7 +151,7 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read lattice file {path!r}: {exc}") from exc
     tokens: list[int] = []
     for line in text.splitlines():
@@ -160,13 +163,14 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
                 raise UsageError(
                     f"malformed lattice file {path!r}: non-integer token {tok!r}"
                 ) from exc
-    it = iter(tokens)
+    pos = 0
 
     def take(k: int, what: str) -> list[int]:
-        out = list(itertools.islice(it, k))
-        if len(out) != k:
+        nonlocal pos
+        if k > len(tokens) - pos:
             raise UsageError(f"malformed lattice file {path!r}: truncated {what}")
-        return out
+        pos += k
+        return tokens[pos - k : pos]
 
     try:
         s = take(1, "group order")[0]
@@ -177,10 +181,9 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
         for _ in range(s):
             rows = [take(d, "action matrix") for _ in range(d)]
             mats.append(IntegerMatrix.from_rows(rows))
-        leftovers = list(it)
-        if leftovers:
+        if pos < len(tokens):
             raise UsageError(
-                f"malformed lattice file {path!r}: {len(leftovers)} trailing tokens"
+                f"malformed lattice file {path!r}: {len(tokens) - pos} trailing tokens"
             )
         return cohomology.GLattice(group, d, tuple(mats))
     except ValueError as exc:

@@ -27,7 +27,20 @@ sequence 0 -> Z^1/B^1 -> Z^N/B^1 -> Z^N/Z^1 -> 0 splits:
 Z^N/B^1 = H^1 + Z^N/Z^1.  The torsion of H^1 is therefore the torsion
 of coker C, and its free rank is (N - rank M) - rank C
 = d - rank T - rank C; both come out of Smith diagonals, and no
-generators, relators or unimodular transforms are ever built.
+cocycle bases, relators or unimodular transforms are ever built.
+
+C is not built either.  Write A_g for the action matrix of g and L for
+the lattice in Z^d spanned by the rows of C.  If C = U D V with U, V
+unimodular and D diagonal, then L is the row lattice of D V, so
+Z^d / L = Z/D_11 + ... + Z^(d - rank C): the rank of C and its Smith
+diagonal entries above 1 depend only on L.  The blocks A_x - I for x in
+the generating set S of FiniteGroup already span L, because
+A_gh - I = A_g (A_h - I) + (A_g - I) and the rows of A_g (A_h - I) are
+integer combinations of the rows of A_h - I; every g is a product of
+generators, so induction on its length puts the rows of A_g - I in the
+span of the generators' rows.  h1 therefore eliminates C_S, the |S| d x d
+stack of those blocks with |S| <= log2 s, in place of the (s - 1) d x d
+matrix C, and gets the same torsion and free rank.
 """
 
 from __future__ import annotations
@@ -60,12 +73,17 @@ class FiniteGroup:
     """A finite group as an explicit multiplication table on 0..s-1.
 
     The constructor checks the full group axioms over the table, so a
-    FiniteGroup value is always a genuine group.
+    FiniteGroup value is always a genuine group.  It also fixes a
+    generating set S, grown greedily in index order: x joins S unless
+    the elements already in S generate it.  Each new generator lies
+    outside the subgroup spanned so far, so the span at least doubles
+    and |S| <= log2 s.
     """
 
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+    generators: tuple[int, ...]
 
     def __init__(self, table: Sequence[Sequence[int]]):
         s = len(table)
@@ -95,9 +113,18 @@ class FiniteGroup:
                 for c in range(s):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise ValueError("table is not associative")
+        generators, span = [], {identity}
+        for x in range(s):
+            if x in span:
+                continue
+            generators.append(x)
+            span.add(x)
+            while grown := {t[a][b] for a in span for b in span} - span:
+                span |= grown
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "generators", tuple(generators))
 
     @property
     def order(self) -> int:
@@ -161,10 +188,9 @@ class GLattice:
     """A rank-d lattice with a verified integral group action.
 
     The constructor checks that the identity acts as I and that
-    action(x h) = action(x) action(h) for all h and each x of a
-    generating set S, grown greedily in index order (x is skipped if the
-    elements checked so far span it): |S| s products instead of s^2.
-    That suffices: K = {x : action(x h) = action(x) action(h) for all h}
+    action(x h) = action(x) action(h) for all h and each x of the
+    group's generating set S: |S| s products instead of s^2.  That
+    suffices: K = {x : action(x h) = action(x) action(h) for all h}
     holds 1 and S, and for x, y in K, action(x y h) = action(x) action(y)
     action(h) = action(x y) action(h), so K is closed under products,
     hence a subgroup, hence G.  Then action(g) action(g^-1) = I, so
@@ -185,16 +211,10 @@ class GLattice:
             raise ValueError("action matrices must be rank x rank")
         if not mats[group.identity].is_identity():
             raise ValueError("identity element must act as the identity matrix")
-        span = {group.identity}
-        for x in group.elements():
-            if x in span:
-                continue
+        for x in group.generators:
             for h in group.elements():
                 if mats[group.mul(x, h)] != mats[x].mul(mats[h]):
                     raise ValueError("action does not respect the group table")
-            span.add(x)
-            while grown := {group.mul(a, b) for a in span for b in span} - span:
-                span |= grown
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "action", mats)
@@ -258,16 +278,15 @@ class AbelianGroupInvariants:
 
 
 def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
-    """The map a |-> (g.a - a for g != 1), one d-row block per g."""
-    grp, d = lattice.group, lattice.rank
+    """C_S: the map a |-> (x.a - a for x in S), one d-row block per generator."""
+    gens, d = lattice.group.generators, lattice.rank
     identity = IntegerMatrix.identity(d).entries
     return IntegerMatrix(
-        (grp.order - 1) * d,
+        len(gens) * d,
         d,
         tuple(
             x - y
-            for g in grp.elements()
-            if g != grp.identity
+            for g in gens
             for x, y in zip(lattice.action[g].entries, identity)
         ),
     )
@@ -281,8 +300,11 @@ def h1(lattice: GLattice) -> AbelianGroupInvariants:
     rank M = N - d + rank T.  Z^1 is saturated, so Z^N/B^1 = H^1 +
     Z^N/Z^1 with the second summand free of rank rank M: the elementary
     divisors of H^1 are those of coker C above 1, and its free rank is
-    (N - rank M) - rank C = d - rank T - rank C.  Finiteness of the
-    result (free rank 0) is a theorem; the computed free rank is
+    (N - rank M) - rank C = d - rank T - rank C.  Both are read off the
+    generator stack C_S: A_gh - I = A_g (A_h - I) + (A_g - I) puts every
+    block of C in the row lattice of C_S, and the rank and the Smith
+    diagonal entries above 1 depend only on that lattice.  Finiteness
+    of the result (free rank 0) is a theorem; the computed free rank is
     returned so that tests can confirm it.
     """
     d = lattice.rank

@@ -33,6 +33,11 @@ MAX_BIASED_ELL = 7
 # norm_one_constrained_units trial-divides every norm, O(H^3) in all: about
 # 1.4 s at H = 300 on one x86-64 core, so about 11 s at H = 600.
 MAX_UNIT_HEIGHT = 300
+# density_witness walks one class modulo lcm(4, prod p^alpha) with is_prime on
+# numbers of that size.  Over the targets 2^k = a for the 20 odd a below 40 on
+# one x86-64 core: at k = 1000 the median took 0.13 s and the slowest 0.96 s;
+# at k = 1200, 0.31 s and 2.5 s; 2^3000 = 1 took 15 s.
+MAX_TARGET_MODULUS = 2**1024
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,11 @@ class CongruenceTarget:
 
     The conditions describe the set prod (a_i + p_i^alpha_i Z_p_i) times
     units everywhere else.  The dyadic condition must be present; the
-    other primes must avoid the residue class 1 mod 4.
+    other primes must avoid the residue class 1 mod 4.  The CRT modulus
+    lcm(4, prod p_i^alpha_i) may not exceed MAX_TARGET_MODULUS, checked
+    before any primality test: sum alpha_i (bits(p_i) - 1) is a lower
+    bound on its log2 and refuses large inputs without a power, and
+    below that bound the product has at most twice as many bits.
     """
 
     conditions: tuple[tuple[int, int, int], ...]
@@ -102,6 +111,16 @@ class CongruenceTarget:
             raise ValueError("condition primes must be distinct")
         if 2 not in primes:
             raise ValueError("a condition at 2 is required")
+        sized = [(p, alpha) for p, alpha, _ in self.conditions if p > 1 and alpha > 0]
+        cap_bits = MAX_TARGET_MODULUS.bit_length() - 1
+        if (
+            sum(alpha * (p.bit_length() - 1) for p, alpha in sized) > cap_bits
+            or math.lcm(4, *(p**alpha for p, alpha in sized)) > MAX_TARGET_MODULUS
+        ):
+            raise ValueError(
+                f"the CRT modulus exceeds MAX_TARGET_MODULUS = 2**{cap_bits}: "
+                "the witness search would run for minutes"
+            )
         for p, alpha, a in self.conditions:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")

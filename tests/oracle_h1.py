@@ -7,8 +7,10 @@ instead enumerates cocycles directly from the defining functional
 equation and reduces modulo coboundaries by explicit membership tests,
 so the two implementations share no linear algebra.  For checking the
 library's reduction, cocycle_relation_matrix writes the defining
-equation out for every pair of group elements, cocycle_matrix builds M
-and norm_matrix builds T.  is_valid_action is the reference for the
+equation out for every pair of group elements, coboundary_matrix builds
+the full C with one block g - 1 for every g != 1 (the library stacks
+the blocks of a generating set only), cocycle_matrix builds M and
+norm_matrix builds T.  is_valid_action is the reference for the
 GLattice constructor: it checks every pair of elements and every
 determinant, where the library checks a generating set only.
 
@@ -92,6 +94,21 @@ def cocycle_relation_matrix(lattice):
             rows.extend(block)
     if not rows:
         return IntegerMatrix.zero(0, ncols)
+    return IntegerMatrix.from_rows(rows)
+
+
+def coboundary_matrix(lattice):
+    """C: the map a |-> (g.a - a for every g != 1), one d-row block per g."""
+    grp, d = lattice.group, lattice.rank
+    rows = []
+    for g in grp.elements():
+        if g == grp.identity:
+            continue
+        act = _mat_rows(lattice.action[g])
+        for i in range(d):
+            rows.append([act[i][j] - (1 if i == j else 0) for j in range(d)])
+    if not rows:
+        return IntegerMatrix.zero(0, d)
     return IntegerMatrix.from_rows(rows)
 
 

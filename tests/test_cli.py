@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
-from arithlab import cli
+from arithlab import cli, progressions
+from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
+from arithlab.core import IntegerMatrix
 from arithlab.progressions import primes_up_to
 
 SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
@@ -153,6 +155,19 @@ class TestLatticeFile:
         code, _, err = run_in_process(["h1", str(path)], capsys)
         assert code == 2 and "malformed lattice file" in err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"2\n\xff\xfe\n")
+        code, _, err = run_in_process(["h1", str(path)], capsys)
+        assert code == 2 and err.startswith("error: cannot read lattice file") and "utf-8" in err
+
+    @pytest.mark.parametrize("order", [10**9, 2**63, 10**30])
+    def test_order_beyond_the_file_is_truncated(self, order, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{order}\n0 1\n1 0\n")
+        code, _, err = run_in_process(["h1", str(path)], capsys)
+        assert code == 2 and err.endswith("truncated multiplication table\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_in_process(["h1", "/nonexistent/lattice.txt"], capsys)
         assert code == 2 and "cannot read" in err
@@ -255,6 +270,18 @@ class TestBoundedWork:
         assert time.monotonic() - start < 2.0
         assert code == 0 and json.loads(out)["outputs"] == outputs
 
+    def test_density_exact_factors_the_conductor_once(self, capsys, monkeypatch):
+        # The certification sums 9972 coset densities; each reads the
+        # descriptor's phi instead of factoring 9973 again.
+        calls = []
+        factor = progressions.factor
+        monkeypatch.setattr(progressions, "factor", lambda n: calls.append(n) or factor(n))
+        code, out, _ = run_in_process(["density", "exact", "3(9973)"], capsys)
+        report = json.loads(out)
+        assert code == 0 and report["outputs"] == {"density": "1/9972"}
+        assert report["certifications"] == [{"name": "coset-densities-sum-to-one", "passed": True}]
+        assert calls == [9973]
+
     @pytest.mark.parametrize(
         "a", [2, 3, 12, 0, 59649589127497217 * 3, 2**64, 2**64 - 59, -(2**128), 7 - 2**128]
     )
@@ -323,6 +350,17 @@ class TestBoundedWork:
         assert time.monotonic() - start < 1.0
         assert (code, out) == (2, "")
         assert "conductor 10000000000 exceeds MAX_CONDUCTOR = 100000" in err
+
+    @pytest.mark.parametrize("target", ["2^1025=1", "2^3000=1", "2^2=3,3^646=2"])
+    def test_target_modulus_over_budget_refused(self, target, capsys):
+        start = time.monotonic()
+        code, out, err = run_in_process(["example", "2.3", "--target", target], capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: invalid input: the CRT modulus exceeds MAX_TARGET_MODULUS = 2**1024: "
+            "the witness search would run for minutes\n"
+        )
 
     def test_unit_height_over_budget_refused(self, capsys):
         start = time.monotonic()
@@ -442,6 +480,99 @@ class TestFuzzedArguments:
     @given(a=RATIONAL, b=RATIONAL, place=PLACE)
     def test_rationals_and_places(self, a, b, place):
         self.exits_cleanly(["symbol", "hilbert", "--", a, b, place])
+
+
+def _lattice_tokens(lattice):
+    """The lattice-file tokens of a lattice: order, table, rank, matrices."""
+    grp = lattice.group
+    tokens = [grp.order, *(x for row in grp.table for x in row), lattice.rank]
+    return tokens + [x for m in lattice.action for x in m.entries]
+
+
+def _valid_lattice_files():
+    """Token tuples of eight small lattices, rank 0 to 6."""
+    c1, c2, c3 = (FiniteGroup.cyclic(n) for n in (1, 2, 3))
+    sign = GLattice(c2, 1, (IntegerMatrix.identity(1), IntegerMatrix.from_rows([[-1]])))
+    v4 = FiniteGroup.direct_product(c2, c2)
+    s3 = FiniteGroup.symmetric(3)
+    lattices = [
+        GLattice.trivial(c1, 0),
+        GLattice.trivial(c1, 2),
+        sign,
+        sign.direct_sum(GLattice.trivial(c2, 1)),
+        norm_one_lattice(c3),
+        induced_lattice(c3, [0]),
+        induced_lattice(v4, [0, 1]),
+        induced_lattice(s3, [0, 1]),
+    ]
+    return [tuple(_lattice_tokens(lat)) for lat in lattices]
+
+
+VALID_LATTICE_FILES = _valid_lattice_files()
+
+
+class TestFuzzedLatticeFiles:
+    """Lattice files, valid ones edited at random and raw noise, through
+    cli.run: exit 0, 1 or 2, exit 2 with one error: line, no exception."""
+
+    VALUE = st.one_of(
+        st.integers(-2, 3),
+        st.integers(-3, 60),
+        st.sampled_from([49, 10**9, 2**63, 10**30, -(10**20)]),
+        st.sampled_from(["x", "1.5", "--", "0x10", "1e3", "\u0661", "7_7"]),
+    )
+    SEPARATOR = st.sampled_from([" ", "\n", "\t", "  # comment 1 2\n", "\r\n"])
+
+    @staticmethod
+    @st.composite
+    def edited_files(draw):
+        tokens = list(draw(st.sampled_from(VALID_LATTICE_FILES)))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["set", "set", "set", "insert", "delete", "truncate"]))
+            i = draw(st.integers(0, len(tokens)))
+            if kind == "insert":
+                tokens.insert(i, draw(TestFuzzedLatticeFiles.VALUE))
+            elif kind == "truncate":
+                del tokens[i:]
+            elif i < len(tokens):
+                if kind == "set":
+                    tokens[i] = draw(TestFuzzedLatticeFiles.VALUE)
+                else:
+                    del tokens[i]
+        separators = draw(st.lists(
+            TestFuzzedLatticeFiles.SEPARATOR, min_size=len(tokens), max_size=len(tokens)
+        ))
+        return "".join(f"{t}{sep}" for t, sep in zip(tokens, separators)).encode()
+
+    NOISE = st.one_of(
+        st.builds(
+            lambda xs: " ".join(map(str, xs)).encode(),
+            st.lists(st.integers(-2, 6), max_size=40),
+        ),
+        st.binary(max_size=64),
+    )
+
+    @staticmethod
+    def exits_cleanly(path, content):
+        path.write_bytes(content)
+        TestFuzzedArguments.exits_cleanly(["h1", str(path)])
+
+    def test_unedited_files_succeed(self, tmp_path, capsys):
+        for k, tokens in enumerate(VALID_LATTICE_FILES):
+            path = tmp_path / f"valid{k}.txt"
+            path.write_text(" ".join(map(str, tokens)))
+            code, out, _ = run_in_process(["h1", str(path)], capsys)
+            assert code == 0 and json.loads(out)["status"] == "ok", tokens
+
+    @settings(max_examples=200)
+    @given(content=edited_files())
+    def test_edited_files(self, tmp_path_factory, content):
+        self.exits_cleanly(tmp_path_factory.getbasetemp() / "edited-lattice.txt", content)
+
+    @settings(max_examples=100)
+    @given(content=NOISE)
+    def test_noise(self, tmp_path_factory, content):
+        self.exits_cleanly(tmp_path_factory.getbasetemp() / "noise-lattice.txt", content)
 
 
 class TestDeterminism:

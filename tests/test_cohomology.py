@@ -22,6 +22,7 @@ from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
 
 from oracle_h1 import (
     brute_force_h1,
+    coboundary_matrix,
     cocycle_matrix,
     cocycle_relation_matrix,
     is_valid_action,
@@ -256,7 +257,7 @@ class TestCocycleMatrices:
 
     h1 reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0.  It
     never builds M, and takes rank M = N - d + rank T from the norm
-    matrix T.
+    matrix T.  C here is the oracle's full matrix, one block per g != 1.
     """
 
     LATTICES = [lat for _, lat, _ in CORPUS + MIXED] + [
@@ -266,14 +267,14 @@ class TestCocycleMatrices:
     def test_coboundaries_are_cocycles(self):
         for lat in self.LATTICES:
             relations = cocycle_relation_matrix(lat)
-            coboundaries = _coboundary_matrix(lat)
+            coboundaries = coboundary_matrix(lat)
             assert relations.cols == coboundaries.rows
             assert not any(relations.mul(coboundaries).entries)
 
     def test_kernel_of_m_is_the_cocycles(self):
         for lat in self.LATTICES:
             relations = cocycle_relation_matrix(lat)
-            coboundaries = _coboundary_matrix(lat)
+            coboundaries = coboundary_matrix(lat)
             cocycles = cocycle_matrix(coboundaries, lat.group.order)
             n = (lat.group.order - 1) * lat.rank
             assert (cocycles.rows, cocycles.cols) == (n, n)
@@ -287,7 +288,7 @@ class TestCocycleMatrices:
         # The trivial group has N = 0 and T = I_d.
         for lat in self.LATTICES + [GLattice.trivial(FiniteGroup.cyclic(1), 2)]:
             n, d = (lat.group.order - 1) * lat.rank, lat.rank
-            cocycles = cocycle_matrix(_coboundary_matrix(lat), lat.group.order)
+            cocycles = cocycle_matrix(coboundary_matrix(lat), lat.group.order)
             assert _rank(cocycles) == n - d + _rank(norm_matrix(lat))
 
 
@@ -324,8 +325,9 @@ class TestH1BeyondOrderSix:
     """H^1 known from theory, with N = (s - 1) d up to 2209.
 
     The elementary divisors are also checked against sympy's invariant
-    factors of the coboundary matrix.  Lattices are built inside the
-    test, since J_G at order 48 takes up to about a second.
+    factors of the generator stack C_S that h1 eliminates.  Lattices are
+    built inside the test, since J_G at order 48 takes up to about a
+    second.
     """
 
     CASES = [
@@ -370,6 +372,98 @@ class TestH1BeyondOrderSix:
         assert h1(lattice) == AbelianGroupInvariants(divisors, 0)
         factors = invariant_factors(Matrix(_coboundary_matrix(lattice).to_rows()))
         assert tuple(int(x) for x in factors if x > 1) == divisors
+
+
+def relabel(lattice, perm):
+    """The same lattice with element g renamed perm[g] in table and action."""
+    grp = lattice.group
+    table = [[0] * grp.order for _ in grp.elements()]
+    for a in grp.elements():
+        for b in grp.elements():
+            table[perm[a]][perm[b]] = perm[grp.mul(a, b)]
+    action = [None] * grp.order
+    for g in grp.elements():
+        action[perm[g]] = lattice.action[g]
+    return GLattice(FiniteGroup(table), lattice.rank, action)
+
+
+def relabelled_lattices():
+    """Shuffled labels, so that the identity and the generators move."""
+    rng = random.Random(4096)
+    bases = [S3_PERM, V4_DIAG, ROT4, S3_SIGN, induced_lattice(S3, [S3.identity]),
+             augmentation_dual(FiniteGroup.direct_product(FiniteGroup.cyclic(4), C2)),
+             augmentation_dual(S4)]
+    pairs = []
+    for base in bases:
+        for _ in range(2):
+            perm = list(base.group.elements())
+            rng.shuffle(perm)
+            pairs.append((base, relabel(base, perm)))
+    return pairs
+
+
+def span_of(group, gens):
+    """The subgroup generated by gens: closure of {1} under right products."""
+    span, frontier = {group.identity}, [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.table[x][g]
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def _nonzero_invariants(m):
+    factors = invariant_factors(Matrix(m.to_rows())) if m.rows and m.cols else ()
+    return tuple(int(x) for x in factors if x)
+
+
+class TestGeneratorStack:
+    """h1 eliminates C_S, one block per generator, in place of the full C.
+
+    Both must have the same rank and the same nonzero invariant factors
+    (sympy), and S must generate G with |S| <= log2 s.
+    """
+
+    @staticmethod
+    def lattices():
+        yield from (lat for _, lat, _ in CORPUS + MIXED)
+        yield from (lat for _, lat in random_conjugates())
+        yield from (lat for _, lat in relabelled_lattices())
+        yield augmentation_dual(FiniteGroup.cyclic(48))
+        yield augmentation_dual(S4_C2)
+
+    def test_same_rank_and_invariants_as_the_full_matrix(self):
+        for lat in self.lattices():
+            stack, full = _coboundary_matrix(lat), coboundary_matrix(lat)
+            assert stack.rows == len(lat.group.generators) * lat.rank
+            invariants = _nonzero_invariants(full)
+            assert _rank(stack) == len(invariants)
+            assert _nonzero_invariants(stack) == invariants
+
+    def test_relabelled_tables_keep_h1(self):
+        pairs = relabelled_lattices()
+        for base, lat in pairs:
+            assert h1(lat) == h1(base)
+        assert any(lat.group.identity != 0 for _, lat in pairs)
+        assert any(lat.group.generators != base.group.generators for base, lat in pairs)
+
+    def test_generators_span_the_group(self):
+        groups = [FiniteGroup.cyclic(n) for n in range(1, 49)] + [
+            S3, S4, S4_C2, V4,
+            FiniteGroup.direct_product(V4, C2),
+            FiniteGroup.direct_product(FiniteGroup.cyclic(12), C2),
+            FiniteGroup.direct_product(S3, FiniteGroup.direct_product(C2, C2)),
+        ] + [lat.group for _, lat in relabelled_lattices()]
+        for grp in groups:
+            gens = grp.generators
+            assert span_of(grp, gens) == set(grp.elements()), gens
+            assert 2 ** len(gens) <= grp.order, gens
+            # Each generator lies outside the span of those before it.
+            for k, x in enumerate(gens):
+                assert x not in span_of(grp, gens[:k]), gens
 
 
 class TestActionCheckAgainstReference:

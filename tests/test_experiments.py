@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from arithlab.core import is_prime
 from arithlab.experiments import (
     GAUSSIAN_UNITS,
     MAX_BIASED_ELL,
+    MAX_TARGET_MODULUS,
     MAX_UNIT_HEIGHT,
     BiasedPrimePair,
     CongruenceTarget,
@@ -88,6 +90,36 @@ class TestCongruenceTarget:
     def test_rejects_duplicate_primes(self):
         with pytest.raises(ValueError):
             CongruenceTarget(((2, 1, 1), (2, 2, 3)))
+
+    @staticmethod
+    def accepted(conditions):
+        try:
+            CongruenceTarget(conditions)
+        except ValueError as exc:
+            assert "MAX_TARGET_MODULUS = 2**1024" in str(exc)
+            return False
+        return True
+
+    def test_modulus_budget_is_exact_at_the_boundary(self):
+        assert MAX_TARGET_MODULUS == 2**1024
+        for alpha in range(1018, 1030):
+            assert self.accepted(((2, alpha, 1),)) == (2**alpha <= MAX_TARGET_MODULUS), alpha
+        for alpha in range(640, 650):  # lcm(4, 3^alpha) = 4 * 3^alpha
+            expected = 4 * 3**alpha <= MAX_TARGET_MODULUS
+            assert self.accepted(((2, 2, 3), (3, alpha, 2))) == expected, alpha
+        # Two primes, each within the budget alone.
+        assert not self.accepted(((2, 600, 1), (3, 300, 2)))
+        assert self.accepted(((2, 600, 1), (3, 260, 2)))
+
+    def test_huge_targets_refused_before_any_power_or_primality_test(self):
+        start = time.monotonic()
+        for conditions in (
+            ((2, 10**12, 1),),
+            ((2, 1, 1), (7, 10**15, 2)),
+            ((2, 1, 1), (10**30000 + 3, 1, 2)),  # too big to test for primality
+        ):
+            assert not self.accepted(conditions)
+        assert time.monotonic() - start < 0.5
 
 
 class TestDensityWitness:
