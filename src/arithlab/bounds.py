@@ -7,17 +7,20 @@ guards materialization.  Above the cap the evaluators raise
 DigitCapExceeded carrying a size report whose digit counts come from
 logarithms and are flagged as approximate -- never a silently truncated
 value.
+
+The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
+that the CLI reads it without importing this module; the names are
+re-exported here unchanged.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import factor
+from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap, factor
 
 __all__ = [
     "BoundReport",
@@ -38,24 +41,6 @@ __all__ = [
     "t1_density_bound",
     "divides_power",
 ]
-
-DIGIT_CAP_ENV = "ASA_DIGIT_CAP"
-DEFAULT_DIGIT_CAP = 10**6
-
-
-def default_digit_cap() -> int:
-    """Digit cap from the environment, falling back to one million."""
-    raw = os.environ.get(DIGIT_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIGIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0  # refused just below, with the same message
-    if cap < 1:
-        raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
-    return cap
-
 
 def _compact_int(n: int) -> str:
     """Decimal rendering that never explodes: huge values become a
@@ -140,18 +125,6 @@ def _exceeds_digits(base: int, exponent: int, cap: int) -> bool:
     if exponent <= 10**12:
         return _beyond_cap(exponent * log_base, cap, lambda: base**exponent)
     return math.log10(exponent) + math.log10(log_base) > math.log10(cap)
-
-
-class DigitCapExceeded(ArithmeticError):
-    """An exact value would exceed the digit cap; carries the size report."""
-
-    def __init__(self, name: str, size: PowerSize | ProductSize, cap: int):
-        self.name = name
-        self.size = size
-        self.cap = cap
-        super().__init__(
-            f"{name} = {size.describe()}, beyond the {cap}-digit cap"
-        )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ standard output byte-identical across repeated runs.
 Exit codes: 0 success with all certifications passing, 1 certification
 failure, 2 usage error (unknown subcommand, malformed input file, an
 input over a work budget, or a digit-cap overflow).
+
+Only core is imported up front; each handler imports the modules it
+uses when it runs, so a command loads nothing it does not call.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bounds, cohomology, experiments, progressions, symbols
-from .core import IntegerMatrix, determinant, factor
+from .core import DigitCapExceeded, IntegerMatrix, default_digit_cap, determinant, factor
+
+if TYPE_CHECKING:
+    from . import cohomology, experiments, progressions, symbols
 
 __all__ = ["main", "run"]
 
@@ -91,6 +97,8 @@ def _parse_rational(token: str) -> Fraction:
 
 
 def _parse_place(token: str) -> symbols.Place:
+    from . import symbols
+
     if token in ("inf", "oo", "infinity"):
         return symbols.Place.infinite()
     try:
@@ -110,6 +118,8 @@ def _parse_progression(token: str) -> progressions.ProgressionSpec:
         a, m = int(a), int(rest.rstrip(")"))
     except ValueError as exc:
         raise UsageError(f"cannot parse progression {token!r}: expected a(m)") from exc
+    from . import progressions
+
     return progressions.ProgressionSpec.residue_class(a, m)
 
 
@@ -124,6 +134,8 @@ def _parse_extension(token: str) -> progressions.AbelianExtensionDescriptor:
         hs = [int(x) for x in subgroup.split(",")] if colon else [1]
     except ValueError as exc:
         raise UsageError(f"cannot parse extension {token!r}: {exc}") from exc
+    from . import progressions
+
     return progressions.AbelianExtensionDescriptor(m, hs)
 
 
@@ -140,14 +152,19 @@ def _parse_target(token: str) -> experiments.CongruenceTarget:
             conditions.append((int(p), int(alpha), int(a)))
     except ValueError as exc:
         raise UsageError(f"cannot parse congruence target {token!r}: {exc}") from exc
+    from . import experiments
+
     return experiments.CongruenceTarget(tuple(conditions))
 
 
 def _parse_lattice_file(path: str) -> cohomology.GLattice:
     """Read a group lattice: order, table rows, rank, action matrices.
 
-    Whitespace-separated integers; everything after # is a comment.
+    Whitespace-separated integers; everything after # is a comment.  An
+    order outside 1..MAX_GROUP_ORDER is refused before the table is read.
     """
+    from . import cohomology
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -174,6 +191,11 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
 
     try:
         s = take(1, "group order")[0]
+        if not 1 <= s <= cohomology.MAX_GROUP_ORDER:
+            raise UsageError(
+                f"malformed lattice file {path!r}: group order must be in "
+                f"1..{cohomology.MAX_GROUP_ORDER}, got {s}"
+            )
         table = [take(s, "multiplication table") for _ in range(s)]
         group = cohomology.FiniteGroup(table)
         d = take(1, "rank")[0]
@@ -204,6 +226,8 @@ def _jacobi_by_reciprocity(a: int, n: int) -> int:
     An odd q gives (q/n) = (n/q) (-1)^((q-1)/2 (n-1)/2); 2 gives 1 exactly
     when n = +-1 (mod 8).
     """
+    from . import symbols
+
     if a % n == 0:
         return int(n == 1)
     prod = 1
@@ -248,6 +272,8 @@ def _cert(name: str, passed: bool) -> dict:
 
 
 def _run_constants(args, argv):
+    from . import bounds
+
     which = args.constant
     certs = []
     if which == "gamma":
@@ -287,6 +313,8 @@ def _run_constants(args, argv):
 
 
 def _run_symbol(args, argv):
+    from . import symbols
+
     which = args.symbol
     if which == "legendre":
         value = symbols.legendre(args.a, args.p)
@@ -316,6 +344,8 @@ def _run_symbol(args, argv):
 
 
 def _run_density(args, argv):
+    from . import progressions
+
     which = args.kind
     spec = _parse_progression(args.spec)
     if which == "exact":
@@ -351,6 +381,8 @@ def _run_density(args, argv):
 
 
 def _run_tractable(args, argv):
+    from . import progressions
+
     spec = _parse_progression(args.spec)
     target = _parse_extension(args.target)
     value = progressions.tractable_condition(spec, target)
@@ -371,6 +403,8 @@ def _run_tractable(args, argv):
 
 
 def _run_h1(args, argv):
+    from . import cohomology
+
     lattice = _parse_lattice_file(args.lattice_file)
     report = cohomology.h1_bound_check(lattice)
     inv = report.invariants
@@ -395,6 +429,8 @@ def _run_h1(args, argv):
 
 
 def _run_example(args, argv):
+    from . import experiments, symbols
+
     which = args.which
     if which == "2.1":
         pair = experiments.build_biased_prime_sets(args.ell)
@@ -453,6 +489,8 @@ def _run_example(args, argv):
 
 
 def _run_section7(args, argv):
+    from . import experiments
+
     report = experiments.section7_index_bound(args.n, args.ell, args.primes)
     certs = [
         _cert("product-equals-n-to-ell", report.product == args.n**args.ell),
@@ -481,6 +519,8 @@ def _run_section7(args, argv):
 def _run_local_index(args, argv):
     if args.p - 1 > _FACTOR_LIMIT:
         raise UsageError(f"p - 1 must be <= 2**64 for the power-count certification, got {args.p}")
+    from . import experiments
+
     value = experiments.local_power_index(args.p, args.n)
     count = _count_nth_powers(args.p, args.n)
     certs = [_cert("power-count-agrees", count * value == args.p - 1)]
@@ -585,7 +625,7 @@ def run(argv: list[str]) -> int:
         # Exact values may run to hundreds of thousands of digits; lift the
         # interpreter's decimal-rendering guard up to the digit cap before
         # argparse converts any integer argument.
-        sys.set_int_max_str_digits(max(bounds.default_digit_cap() + 10, 20000))
+        sys.set_int_max_str_digits(max(default_digit_cap() + 10, 20000))
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
         report = args.handler(args, argv)
@@ -594,10 +634,10 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except bounds.DigitCapExceeded as exc:
+    except DigitCapExceeded as exc:
         print(f"error: digit cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, progressions.RamifiedPrimeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - start

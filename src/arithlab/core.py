@@ -1,5 +1,6 @@
 """Exact integer arithmetic: primality, factorization, CRT, prime search,
-and Smith normal form over the integers.
+and Smith normal form over the integers; and the decimal-digit cap that
+guards materializing huge exact values.
 
 Everything here is exact -- Python ints throughout, no floating point.
 """
@@ -8,8 +9,12 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .bounds import PowerSize, ProductSize
 
 __all__ = [
     "IntegerMatrix",
@@ -24,6 +29,8 @@ __all__ = [
     "snf_diagonal",
     "integer_kernel",
     "determinant",
+    "DigitCapExceeded",
+    "default_digit_cap",
 ]
 
 _TWO64 = 1 << 64
@@ -528,3 +535,38 @@ def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
         r[i, j] for i in range(m.cols) for j in kernel_cols
     )
     return IntegerMatrix(m.cols, len(kernel_cols), entries)
+
+
+# ---------------------------------------------------------------------------
+# Digit cap.  It lives here, with the arithmetic every module imports, so
+# that the CLI can read it without importing bounds.
+# ---------------------------------------------------------------------------
+
+DIGIT_CAP_ENV = "ASA_DIGIT_CAP"
+DEFAULT_DIGIT_CAP = 10**6
+
+
+def default_digit_cap() -> int:
+    """Digit cap from the environment, falling back to one million."""
+    raw = os.environ.get(DIGIT_CAP_ENV)
+    if raw is None:
+        return DEFAULT_DIGIT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused just below, with the same message
+    if cap < 1:
+        raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
+    return cap
+
+
+class DigitCapExceeded(ArithmeticError):
+    """An exact value would exceed the digit cap; carries the size report."""
+
+    def __init__(self, name: str, size: PowerSize | ProductSize, cap: int):
+        self.name = name
+        self.size = size
+        self.cap = cap
+        super().__init__(
+            f"{name} = {size.describe()}, beyond the {cap}-digit cap"
+        )

@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,12 +163,23 @@ class TestLatticeFile:
         code, _, err = run_in_process(["h1", str(path)], capsys)
         assert code == 2 and err.startswith("error: cannot read lattice file") and "utf-8" in err
 
-    @pytest.mark.parametrize("order", [10**9, 2**63, 10**30])
+    @pytest.mark.parametrize("order", [3, 48])
     def test_order_beyond_the_file_is_truncated(self, order, tmp_path, capsys):
-        path = tmp_path / "huge.txt"
+        path = tmp_path / "short-table.txt"
         path.write_text(f"{order}\n0 1\n1 0\n")
         code, _, err = run_in_process(["h1", str(path)], capsys)
         assert code == 2 and err.endswith("truncated multiplication table\n")
+
+    @pytest.mark.parametrize("order", [-1, 0, 49, 10**9, 2**63, 10**30])
+    def test_order_out_of_range_refused(self, order, tmp_path, capsys):
+        # Refused before the table is read, quoting the file's own value.
+        path = tmp_path / "order.txt"
+        path.write_text(f"{order}\n0 1\n1 0\n")
+        code, out, err = run_in_process(["h1", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed lattice file {str(path)!r}: group order must be in 1..48, got {order}\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run_in_process(["h1", "/nonexistent/lattice.txt"], capsys)
@@ -609,6 +622,55 @@ class TestStartup:
         )
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestImportFootprint:
+    """Each subcommand family loads only the arithlab modules it uses."""
+
+    PROBE = (
+        "import io, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from arithlab import cli\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "    code = cli.run(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('arithlab.')))\n"
+    )
+    FAMILIES = {
+        "symbol": (["symbol", "hilbert", "--", "-1", "-1", "inf"], {"cli", "core", "symbols"}),
+        "constants": (["constants", "psi", "2"], {"bounds", "cli", "core"}),
+        "density": (["density", "exact", "1(4)"], {"cli", "core", "progressions"}),
+        "tractable": (["tractable", "1(4)", "4:1"], {"cli", "core", "progressions"}),
+        "h1": (["h1", "sign.txt"], {"bounds", "cli", "cohomology", "core"}),
+        "example": (
+            ["example", "2.5", "--height", "4"],
+            {"cli", "core", "experiments", "progressions", "symbols"},
+        ),
+        "section7": (
+            ["section7", "3", "1", "13"],
+            {"cli", "core", "experiments", "progressions", "symbols"},
+        ),
+        "local-index": (
+            ["local-index", "13", "3"],
+            {"cli", "core", "experiments", "progressions", "symbols"},
+        ),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_modules_loaded(self, family, tmp_path):
+        argv, expected = self.FAMILIES[family]
+        (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        code, *modules = result.stdout.split()
+        assert code == "0", result.stderr
+        assert set(modules) == {f"arithlab.{m}" for m in expected}
 
 
 class TestClosedPipe:
