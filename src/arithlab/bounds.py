@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap, factor
+from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap
+from .core import factor, valuation
 
 __all__ = [
     "BoundReport",
@@ -303,10 +304,7 @@ def divides_power(m: int, base: int, exponent: int) -> bool:
     if base == 1:
         return False
     for p, avail in factor(base).factors:
-        need = 0
-        while m % p == 0:
-            m //= p
-            need += 1
+        need, m = valuation(m, p)
         if need > avail * exponent:
             return False
     return m == 1

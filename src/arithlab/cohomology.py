@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, snf_diagonal
+from .core import IntegerMatrix, determinant, snf_diagonal
 
 __all__ = [
     "FiniteGroup",
@@ -449,15 +449,8 @@ class MinkowskiReport:
         return self.order_divides_gamma and (self.order == 1 or self.nontrivial_mod_3)
 
 
-def _mat_pow(m: IntegerMatrix, e: int) -> IntegerMatrix:
-    result = IntegerMatrix.identity(m.rows)
-    base = m
-    while e:
-        if e & 1:
-            result = result.mul(base)
-        base = base.mul(base)
-        e >>= 1
-    return result
+def _is_identity_mod_3(m: IntegerMatrix) -> bool:
+    return all(m[i, j] % 3 == (i == j) for i in range(m.rows) for j in range(m.cols))
 
 
 def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
@@ -466,28 +459,29 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     The order of any finite-order element of GL_d(Z) divides gamma(d),
     and reduction mod 3 is injective on finite subgroups, so a
     nonidentity finite-order matrix cannot reduce to the identity mod 3.
+
+    The same fact decides finiteness.  Let k be the first exponent with
+    m^k = I (mod 3); it is at most the largest element order of
+    GL_d(F_3).  If m has finite order, m^k lies in a finite subgroup and
+    reduces to I, so m^k = I and k is the order.  So m is refused exactly
+    when its determinant is not a unit or m^k is not I.
     """
     if m.rows != d or m.cols != d:
         raise ValueError(f"expected a {d} x {d} matrix")
     g = gamma(d)
-    if not _mat_pow(m, g).is_identity():
-        raise ValueError(f"matrix has no finite order dividing gamma({d}) = {g}")
-    # m has finite order, so its powers reach the identity.  That order is
-    # tiny next to gamma(d) (7 for a 7-cycle, against gamma(7) > 2^64), and
-    # walking to it needs no factorization of gamma(d).
+    refusal = f"matrix has no finite order dividing gamma({d}) = {g}"
+    if determinant(m) not in (1, -1):
+        raise ValueError(refusal)
     order, power = 1, m
-    while not power.is_identity():
+    while not _is_identity_mod_3(power):
         power = power.mul(m)
         order += 1
-    mod3_identity = all(
-        m[i, j] % 3 == (1 if i == j else 0) % 3
-        for i in range(d)
-        for j in range(d)
-    )
+    if not power.is_identity():
+        raise ValueError(refusal)
     return MinkowskiReport(
         dimension=d,
         order=order,
         gamma_bound=g,
         order_divides_gamma=(g % order == 0),
-        nontrivial_mod_3=not mod3_identity,
+        nontrivial_mod_3=not _is_identity_mod_3(m),
     )

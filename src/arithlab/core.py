@@ -23,6 +23,7 @@ __all__ = [
     "is_prime",
     "jacobi",
     "factor",
+    "valuation",
     "crt_solve",
     "next_prime_in_progression",
     "smith_normal_form",
@@ -48,12 +49,19 @@ _MR_TIERS = (
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p**e) with p**e the largest power of p dividing n != 0."""
+    if n == 0 or p < 2:
+        raise ValueError(f"valuation requires n != 0 and p >= 2, got n = {n}, p = {p}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = valuation(n - 1, 2)
     for a in bases:
         a %= n
         if a == 0:
@@ -85,11 +93,7 @@ def _lucas_strong_probable_prime(n: int) -> bool:
         d = -(d + 2) if d > 0 else -(d - 2)
     p, q = 1, (1 - d) // 4
     # n + 1 = s * 2^r with s odd
-    s = n + 1
-    r = 0
-    while s % 2 == 0:
-        s //= 2
-        r += 1
+    r, s = valuation(n + 1, 2)
     # Lucas sequences U_s, V_s by binary ladder.
     u, v, qk = 1, p, q % n
     for bit in bin(s)[3:]:
@@ -128,9 +132,9 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if a % 2 == 0:
+            e, a = valuation(a, 2)
+            if e % 2 and n % 8 in (3, 5):
                 result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
@@ -225,9 +229,8 @@ def factor(n: int) -> Factorization:
     remaining = n
     found: dict[int, int] = {}
     for p in _SMALL_PRIMES:
-        while remaining % p == 0:
-            found[p] = found.get(p, 0) + 1
-            remaining //= p
+        if remaining % p == 0:
+            found[p], remaining = valuation(remaining, p)
     stack = [remaining] if remaining > 1 else []
     while stack:
         m = stack.pop()

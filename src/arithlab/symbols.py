@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import factor, is_prime, jacobi
+from .core import factor, is_prime, jacobi, valuation
 
 __all__ = [
     "Place",
@@ -74,15 +74,9 @@ def _as_fraction(a: Rational) -> Fraction:
 
 def _valuation(f: Fraction, p: int) -> tuple[int, int, int]:
     """(v, u_num, u_den) with f = p^v * u_num/u_den and p dividing neither."""
-    num, den = f.numerator, f.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num, den
+    v, num = valuation(f.numerator, p)
+    w, den = valuation(f.denominator, p)
+    return v - w, num, den
 
 
 def _unit_residue(num: int, den: int, modulus: int) -> int:

@@ -628,6 +628,21 @@ class TestFaithfulQuotient:
         assert h1(qlat) == h1(C6_THROUGH_SIGN)
 
 
+def hyperbolic_block(d):
+    """diag([[1, 1], [1, 2]], I_(d-2)), of infinite order."""
+    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    m[0][:2], m[1][:2] = [1, 1], [1, 2]
+    return rows(*m)
+
+
+MINKOWSKI_REFUSALS = [
+    (hyperbolic_block(4), 4),
+    (hyperbolic_block(7), 7),
+    (rows(*([3 if i == j else 0 for j in range(7)] for i in range(7))), 7),
+    (rows([1, 3], [0, 1]), 2),
+]
+
+
 class TestMinkowskiCheck:
     def test_identity(self):
         report = minkowski_check(IntegerMatrix.identity(2), 2)
@@ -650,6 +665,14 @@ class TestMinkowskiCheck:
     def test_order_six(self):
         report = minkowski_check(rows([0, -1], [1, 1]), 2)
         assert report.order == 6 and report.passed
+
+    @pytest.mark.parametrize("m, d", MINKOWSKI_REFUSALS)
+    def test_refused_without_a_gamma_power(self, m, d):
+        # The gamma(d)-th power of a hyperbolic block has entries of tens of
+        # millions of bits, and 3 * I reduces to 0 mod 3, where no power is
+        # the identity: each must be refused at once.
+        with pytest.raises(ValueError, match="no finite order"):
+            minkowski_check(m, d)
 
     def test_cyclic_permutation_of_order_seven(self):
         # gamma(7) > 2^64 is beyond factor, so the order must not need it factored.

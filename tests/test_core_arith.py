@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import multiplicity
 
 from arithlab.core import (
     Factorization,
@@ -16,6 +17,7 @@ from arithlab.core import (
     next_prime_in_progression,
     smith_normal_form,
     snf_diagonal,
+    valuation,
 )
 from arithlab.core import _miller_rabin
 
@@ -141,6 +143,26 @@ class TestFactor:
     def test_semiprime_with_large_factors(self):
         p, q = 1000003, 1000033
         assert factor(p * q).factors == ((p, 1), (q, 1))
+
+
+class TestValuation:
+    @pytest.mark.parametrize("p", [2, 3, 5, 97, 2**61 - 1])
+    def test_prime_powers_times_a_cofactor(self, p):
+        rng = random.Random(p)
+        for k in (0, 1, 2, 7, 64, 200):
+            for _ in range(5):
+                cofactor = rng.randrange(1, 10**30)
+                for n in (p**k * cofactor, -(p**k) * cofactor):
+                    e, rest = valuation(n, p)
+                    assert e == multiplicity(p, n) >= k
+                    assert rest * p**e == n and rest % p != 0
+
+    def test_refuses_zero_and_small_bases(self):
+        with pytest.raises(ValueError):
+            valuation(0, 2)
+        for p in (0, 1):
+            with pytest.raises(ValueError):
+                valuation(12, p)
 
 
 class TestCrtSolve:

@@ -21,8 +21,10 @@ from arithlab.experiments import (
     norm_one_constrained_units,
     section7_index_bound,
 )
+from arithlab.experiments import _split_valuations_agree
 from arithlab.progressions import primes_up_to
 from arithlab.symbols import Place, hilbert_symbol, is_square_in_qv, legendre
+from oracle_units import split_valuations_agree
 
 
 class TestBiasedPrimeSets:
@@ -191,6 +193,12 @@ class TestNormOneConstrainedUnits:
         expected = sorted(GAUSSIAN_UNITS, key=lambda z: (z.a, z.b))
         for height in (1, 2, 5, 10):
             assert norm_one_constrained_units(height) == expected
+
+    def test_predicate_matches_the_trial_division_oracle(self):
+        for u in range(-60, 61):
+            for v in range(-60, 61):
+                if u or v:
+                    assert _split_valuations_agree(u, v) == split_valuations_agree(u, v), (u, v)
 
     def test_monotone_in_height(self):
         small = set(norm_one_constrained_units(3))
