@@ -27,14 +27,14 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import DigitCapExceeded, IntegerMatrix, default_digit_cap, determinant, factor
+from .core import (
+    FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, default_digit_cap, determinant, factor,
+)
 
 if TYPE_CHECKING:
     from . import cohomology, experiments, progressions, symbols
 
 __all__ = ["main", "run"]
-
-_FACTOR_LIMIT = 2**64  # the range of core.factor, which two certifications call
 
 
 def _decimal(n: int) -> str:
@@ -223,11 +223,10 @@ def _count_invertible_mod3(d: int) -> int:
 def _jacobi_by_reciprocity(a: int, n: int) -> int:
     """(a/n) for odd n >= 1 as the product of (q/n) over the primes q of a mod n.
 
-    An odd q gives (q/n) = (n/q) (-1)^((q-1)/2 (n-1)/2); 2 gives 1 exactly
-    when n = +-1 (mod 8).
+    An odd q gives (q/n) = (n/q) (-1)^((q-1)/2 (n-1)/2), with (n/q) from
+    Euler's criterion rather than the reciprocity loop being certified; 2
+    gives 1 exactly when n = +-1 (mod 8).
     """
-    from . import symbols
-
     if a % n == 0:
         return int(n == 1)
     prod = 1
@@ -235,7 +234,8 @@ def _jacobi_by_reciprocity(a: int, n: int) -> int:
         if q == 2:
             prod *= (1 if n % 8 in (1, 7) else -1) ** e
         else:
-            prod *= (symbols.legendre(n, q) * (-1 if q % 4 == n % 4 == 3 else 1)) ** e
+            euler = pow(n, (q - 1) // 2, q)  # 0, 1 or q - 1
+            prod *= ((-1 if euler == q - 1 else euler) * (-1 if q % 4 == n % 4 == 3 else 1)) ** e
     return prod
 
 
@@ -250,13 +250,13 @@ def _count_nth_powers(p: int, n: int) -> int:
     return order
 
 
-def _report(command, inputs, outputs, provenance, certifications):
+def _report(command, inputs, outputs, certifications, module, operation, formula):
     status = "ok" if all(c["passed"] for c in certifications) else "certification-failure"
     return {
         "command": command,
         "inputs": _fmt(inputs),
         "outputs": _fmt(outputs),
-        "provenance": provenance,
+        "provenance": {"module": f"arithlab.{module}", "operation": operation, "formula": formula},
         "certifications": certifications,
         "status": status,
     }
@@ -308,8 +308,7 @@ def _run_constants(args, argv):
         value = bounds.c_reductive(args.ell, args.n, args.r)
         inputs = {"ell": args.ell, "n": args.n, "r": args.r}
         formula = "c(ell, n, r) = 2^(ell * r) * ctilde(ell, n)"
-    provenance = {"module": "arithlab.bounds", "operation": which, "formula": formula}
-    return _report(argv, inputs, {"value": value}, provenance, certs)
+    return _report(argv, inputs, {"value": value}, certs, "bounds", which, formula)
 
 
 def _run_symbol(args, argv):
@@ -324,7 +323,7 @@ def _run_symbol(args, argv):
         formula = "quadratic residue symbol via reciprocity"
     elif which == "jacobi":
         value = symbols.jacobi(args.a, args.n)
-        if args.a % args.n > _FACTOR_LIMIT:
+        if args.a % args.n > FACTOR_LIMIT:
             raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
         prod = _jacobi_by_reciprocity(args.a, args.n)
         certs = [_cert("multiplicative-over-factorization", prod == value)]
@@ -339,8 +338,7 @@ def _run_symbol(args, argv):
         ]
         inputs = {"a": a, "b": b, "place": str(place)}
         formula = "local solvability class of z^2 = a x^2 + b y^2"
-    provenance = {"module": "arithlab.symbols", "operation": which, "formula": formula}
-    return _report(argv, inputs, {"value": value}, provenance, certs)
+    return _report(argv, inputs, {"value": value}, certs, "symbols", which, formula)
 
 
 def _run_density(args, argv):
@@ -373,11 +371,10 @@ def _run_density(args, argv):
         ]
         outputs = {"density": value}
         formula = "residue count modulo lcm of conductors"
-    provenance = {"module": "arithlab.progressions", "operation": which, "formula": formula}
     inputs = {"spec": args.spec}
     if which == "intersection":
         inputs["ext"] = args.ext
-    return _report(argv, inputs, outputs, provenance, certs)
+    return _report(argv, inputs, outputs, certs, "progressions", which, formula)
 
 
 def _run_tractable(args, argv):
@@ -388,18 +385,10 @@ def _run_tractable(args, argv):
     value = progressions.tractable_condition(spec, target)
     density = progressions.intersection_density(spec, target)
     certs = [_cert("density-positivity-matches-condition", (density > 0) == value)]
-    provenance = {
-        "module": "arithlab.progressions",
-        "operation": "tractable_condition",
-        "formula": "class restriction to the intersection field is trivial",
-    }
-    return _report(
-        argv,
-        {"spec": args.spec, "target": args.target},
-        {"tractable": value, "intersection_density": density},
-        provenance,
-        certs,
-    )
+    inputs = {"spec": args.spec, "target": args.target}
+    outputs = {"tractable": value, "intersection_density": density}
+    formula = "class restriction to the intersection field is trivial"
+    return _report(argv, inputs, outputs, certs, "progressions", "tractable_condition", formula)
 
 
 def _run_h1(args, argv):
@@ -413,11 +402,6 @@ def _run_h1(args, argv):
         _cert("order-divides-power-bound", report.order_divides_bound),
         _cert("annihilated-by-group-order", report.annihilated_by_group_order),
     ]
-    provenance = {
-        "module": "arithlab.cohomology",
-        "operation": "h1",
-        "formula": "cocycle kernel modulo coboundary image, by Smith normal form",
-    }
     outputs = {
         "elementary_divisors": list(inv.divisors),
         "free_rank": inv.free_rank,
@@ -425,7 +409,9 @@ def _run_h1(args, argv):
         "group_order": report.group_order,
         "rank": report.rank,
     }
-    return _report(argv, {"lattice_file": args.lattice_file}, outputs, provenance, certs)
+    inputs = {"lattice_file": args.lattice_file}
+    formula = "cocycle kernel modulo coboundary image, by Smith normal form"
+    return _report(argv, inputs, outputs, certs, "cohomology", "h1", formula)
 
 
 def _run_example(args, argv):
@@ -484,8 +470,7 @@ def _run_example(args, argv):
         inputs = {"height": args.height}
         operation = "norm_one_constrained_units"
         formula = "conjugate quotients with balanced split valuations"
-    provenance = {"module": "arithlab.experiments", "operation": operation, "formula": formula}
-    return _report(argv, inputs, outputs, provenance, certs)
+    return _report(argv, inputs, outputs, certs, "experiments", operation, formula)
 
 
 def _run_section7(args, argv):
@@ -496,42 +481,28 @@ def _run_section7(args, argv):
         _cert("product-equals-n-to-ell", report.product == args.n**args.ell),
         _cert("bounds-strictly-increasing", report.monotone),
     ]
-    provenance = {
-        "module": "arithlab.experiments",
-        "operation": "section7_index_bound",
-        "formula": "product of local power indices; bound n^ell / 4",
-    }
     outputs = {
         "local_indices": list(report.local_indices),
         "product": report.product,
         "lower_bound": report.lower_bound,
         "partial_bounds": list(report.partial_bounds),
     }
-    return _report(
-        argv,
-        {"n": args.n, "ell": args.ell, "primes": list(args.primes)},
-        outputs,
-        provenance,
-        certs,
-    )
+    inputs = {"n": args.n, "ell": args.ell, "primes": list(args.primes)}
+    formula = "product of local power indices; bound n^ell / 4"
+    return _report(argv, inputs, outputs, certs, "experiments", "section7_index_bound", formula)
 
 
 def _run_local_index(args, argv):
-    if args.p - 1 > _FACTOR_LIMIT:
+    if args.p - 1 > FACTOR_LIMIT:
         raise UsageError(f"p - 1 must be <= 2**64 for the power-count certification, got {args.p}")
     from . import experiments
 
     value = experiments.local_power_index(args.p, args.n)
     count = _count_nth_powers(args.p, args.n)
     certs = [_cert("power-count-agrees", count * value == args.p - 1)]
-    provenance = {
-        "module": "arithlab.experiments",
-        "operation": "local_power_index",
-        "formula": "gcd(n, p - 1), cross-checked by counting n-th powers",
-    }
-    return _report(
-        argv, {"p": args.p, "n": args.n}, {"index": value}, provenance, certs
-    )
+    inputs, outputs = {"p": args.p, "n": args.n}, {"index": value}
+    formula = "gcd(n, p - 1), cross-checked by counting n-th powers"
+    return _report(argv, inputs, outputs, certs, "experiments", "local_power_index", formula)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, determinant, snf_diagonal
+from .core import IntegerMatrix, determinant, generating_set, snf_diagonal
 
 __all__ = [
     "FiniteGroup",
@@ -74,15 +74,13 @@ class FiniteGroup:
 
     The constructor checks the full group axioms over the table, so a
     FiniteGroup value is always a genuine group.  It also fixes a
-    generating set S, grown greedily in index order: x joins S unless
-    the elements already in S generate it.  Each new generator lies
-    outside the subgroup spanned so far, so the span at least doubles
-    and |S| <= log2 s.
+    generating set S by core.generating_set, the one home of the greedy
+    rule, in index order: x joins S unless the elements already in S
+    generate it, so |S| <= log2 s.
     """
 
     table: tuple[tuple[int, ...], ...]
     identity: int
-    inverse: tuple[int, ...]
     generators: tuple[int, ...]
 
     def __init__(self, table: Sequence[Sequence[int]]):
@@ -93,38 +91,25 @@ class FiniteGroup:
         for row in t:
             if len(row) != s or any(not 0 <= x < s for x in row):
                 raise ValueError("multiplication table is not s x s over 0..s-1")
-        identity = None
-        for e in range(s):
-            if all(t[e][g] == g and t[g][e] == g for g in range(s)):
-                identity = e
-                break
+        identity = next(
+            (e for e in range(s) if all(t[e][g] == g == t[g][e] for g in range(s))), None
+        )
         if identity is None:
             raise ValueError("table has no identity element")
-        inverse = [None] * s
-        for g in range(s):
-            for h in range(s):
-                if t[g][h] == identity and t[h][g] == identity:
-                    inverse[g] = h
-                    break
-            if inverse[g] is None:
-                raise ValueError(f"element {g} has no inverse")
+        lonely = next(
+            (g for g in range(s) if not any(t[g][h] == identity == t[h][g] for h in range(s))),
+            None,
+        )
+        if lonely is not None:
+            raise ValueError(f"element {lonely} has no inverse")
         for a in range(s):
             for b in range(s):
                 for c in range(s):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise ValueError("table is not associative")
-        generators, span = [], {identity}
-        for x in range(s):
-            if x in span:
-                continue
-            generators.append(x)
-            span.add(x)
-            while grown := {t[a][b] for a in span for b in span} - span:
-                span |= grown
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", tuple(inverse))
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "generators", generating_set(range(s), self.mul, identity))
 
     @property
     def order(self) -> int:
@@ -148,9 +133,9 @@ class FiniteGroup:
 
     def is_subgroup(self, subset: Iterable[int]) -> bool:
         sub = set(subset)
-        if not sub or not sub <= set(self.elements()):
-            return False
-        return all(self.table[a][b] in sub for a in sub for b in sub)
+        return sub <= set(self.elements()) and (
+            generating_set(sorted(sub), self.mul, self.identity) is not None
+        )
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -189,7 +174,8 @@ class GLattice:
 
     The constructor checks that the identity acts as I and that
     action(x h) = action(x) action(h) for all h and each x of the
-    group's generating set S: |S| s products instead of s^2.  That
+    group's generating set S (from core.generating_set, the one home of
+    the greedy rule): |S| s products instead of s^2.  That
     suffices: K = {x : action(x h) = action(x) action(h) for all h}
     holds 1 and S, and for x, y in K, action(x y h) = action(x) action(y)
     action(h) = action(x y) action(h), so K is closed under products,
@@ -301,7 +287,8 @@ def h1(lattice: GLattice) -> AbelianGroupInvariants:
     Z^N/Z^1 with the second summand free of rank rank M: the elementary
     divisors of H^1 are those of coker C above 1, and its free rank is
     (N - rank M) - rank C = d - rank T - rank C.  Both are read off the
-    generator stack C_S: A_gh - I = A_g (A_h - I) + (A_g - I) puts every
+    generator stack C_S, S from core.generating_set (the one home of the
+    greedy rule): A_gh - I = A_g (A_h - I) + (A_g - I) puts every
     block of C in the row lattice of C_S, and the rank and the Smith
     diagonal entries above 1 depend only on that lattice.  Finiteness
     of the result (free rank 0) is a theorem; the computed free rank is

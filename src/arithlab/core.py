@@ -11,7 +11,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .bounds import PowerSize, ProductSize
@@ -24,6 +24,7 @@ __all__ = [
     "jacobi",
     "factor",
     "valuation",
+    "generating_set",
     "crt_solve",
     "next_prime_in_progression",
     "smith_normal_form",
@@ -34,7 +35,7 @@ __all__ = [
     "default_digit_cap",
 ]
 
-_TWO64 = 1 << 64
+FACTOR_LIMIT = 2**64  # factor's range is 1 <= n <= FACTOR_LIMIT
 
 # Deterministic Miller-Rabin witness sets: (bound, bases) is exact for
 # every odd n < bound.  The smallest strong pseudoprimes to bases 2, 3 and
@@ -43,7 +44,7 @@ _TWO64 = 1 << 64
 _MR_TIERS = (
     (1_373_653, (2, 3)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (_TWO64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (2**64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -58,6 +59,40 @@ def valuation(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
+
+
+def generating_set(
+    elements: Sequence[Hashable], mul: Callable[[Hashable, Hashable], Hashable], one: Hashable
+) -> tuple | None:
+    """A greedy generating set S of `elements`, or None if they are not a subgroup.
+
+    mul is the law of a finite group with identity `one`.  In the given
+    order, x joins S unless the span K of S so far holds it; K then grows
+    to <K, x> by Dimino's coset step (G. Butler, LNCS 559): add the coset
+    K r for r = x, and for each new r try the representatives r g, g in S.
+    The cosets' union holds 1 and is closed under right multiplication by
+    S, so it is <K, x>, at least twice K: |S| <= log2 |<S>|.  Every coset
+    must lie in elements, so on success elements = <S>, and a subgroup
+    never fails.  Cost: O(|S|) products per element of <S>.
+    """
+    members = set(elements)
+    if one not in members:
+        return None
+    gens, span = [], {one}
+    for x in elements:
+        if x in span:
+            continue
+        gens.append(x)
+        base, reps = tuple(span), [x]
+        for r in reps:
+            if r in span:  # span is a union of cosets K r', so K r is in it
+                continue
+            coset = {mul(k, r) for k in base}
+            if not coset <= members:
+                return None
+            span |= coset
+            reps.extend(mul(r, g) for g in gens)
+    return tuple(gens)
 
 
 def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
@@ -224,7 +259,7 @@ def _pollard_rho(n: int) -> int:
 
 def factor(n: int) -> Factorization:
     """Factor n completely; desk-scale input range 1 <= n <= 2^64."""
-    if not 1 <= n <= _TWO64:
+    if not 1 <= n <= FACTOR_LIMIT:
         raise ValueError(f"factor requires 1 <= n <= 2**64, got {n}")
     remaining = n
     found: dict[int, int] = {}

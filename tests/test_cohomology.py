@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -90,6 +91,20 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             FiniteGroup([[1, 1], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[1, 1], [1, 1]], "table has no identity element"),
+            # 1 * 2 = 0 but 2 * 1 = 2: a right inverse only.
+            ([[0, 1, 2], [1, 1, 0], [2, 2, 2]], "element 1 has no inverse"),
+            # (1 * 1) * 2 = 0 but 1 * (1 * 2) = 1.
+            ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], "table is not associative"),
+        ],
+    )
+    def test_refusals_name_the_failed_axiom(self, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGroup(table)
+
     def test_identity_found_at_any_index(self):
         grp = FiniteGroup([[1, 0], [0, 1]])
         assert grp.identity == 1
@@ -107,6 +122,15 @@ class TestFiniteGroup:
         assert S3.is_subgroup([S3.identity, ORDER_TWO])
         assert not S3.is_subgroup([ORDER_TWO])
         assert not S3.is_subgroup([])
+        assert not C2.is_subgroup([0, 1, 2])
+
+    @pytest.mark.parametrize("group", [S3, C6, FiniteGroup.direct_product(V4, C2)])
+    def test_subgroup_check_agrees_with_all_pairs(self, group):
+        elements = list(group.elements())
+        for k in range(len(elements) + 1):
+            for subset in itertools.combinations(elements, k):
+                closed = all(group.mul(a, b) in subset for a in subset for b in subset)
+                assert group.is_subgroup(subset) == (bool(subset) and closed), subset
 
 
 class TestGLattice:
@@ -450,14 +474,27 @@ class TestGeneratorStack:
         assert any(lat.group.identity != 0 for _, lat in pairs)
         assert any(lat.group.generators != base.group.generators for base, lat in pairs)
 
-    def test_generators_span_the_group(self):
+    @staticmethod
+    @functools.cache
+    def groups():
         groups = [FiniteGroup.cyclic(n) for n in range(1, 49)] + [
             S3, S4, S4_C2, V4,
             FiniteGroup.direct_product(V4, C2),
             FiniteGroup.direct_product(FiniteGroup.cyclic(12), C2),
             FiniteGroup.direct_product(S3, FiniteGroup.direct_product(C2, C2)),
-        ] + [lat.group for _, lat in relabelled_lattices()]
-        for grp in groups:
+        ] + [lat.group for lat in TestGeneratorStack.lattices()]
+        return tuple(dict.fromkeys(groups))
+
+    def test_generators_are_the_greedy_choice(self):
+        # x is in S exactly when the elements of S below x do not generate it.
+        for grp in self.groups():
+            gens = set(grp.generators)
+            for x in grp.elements():
+                below = sorted(g for g in gens if g < x)
+                assert (x in gens) == (x not in span_of(grp, below)), (grp.generators, x)
+
+    def test_generators_span_the_group(self):
+        for grp in self.groups():
             gens = grp.generators
             assert span_of(grp, gens) == set(grp.elements()), gens
             assert 2 ** len(gens) <= grp.order, gens

@@ -12,6 +12,7 @@ from arithlab.core import (
     crt_solve,
     determinant,
     factor,
+    generating_set,
     integer_kernel,
     is_prime,
     next_prime_in_progression,
@@ -163,6 +164,38 @@ class TestValuation:
         for p in (0, 1):
             with pytest.raises(ValueError):
                 valuation(12, p)
+
+
+def add_mod(m):
+    return lambda a, b: (a + b) % m
+
+
+def mul_mod(m):
+    return lambda a, b: a * b % m
+
+
+class TestGeneratingSet:
+    def test_greedy_choice_in_the_given_order(self):
+        assert generating_set(range(12), add_mod(12), 0) == (1,)
+        assert generating_set([0, 6, 3, 9], add_mod(12), 0) == (6, 3)
+        assert generating_set([0, 3, 6, 9], add_mod(12), 0) == (3,)
+        assert generating_set([0], add_mod(12), 0) == ()
+        # (Z/24)^x has exponent 2: each generator doubles the span.
+        assert generating_set([1, 5, 7, 11, 13, 17, 19, 23], mul_mod(24), 1) == (5, 7, 13)
+        # Z/2 x Z/4 from the second factor's generator first.
+        pairs = [(0, 1), (1, 0), (0, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        law = lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)
+        assert generating_set(pairs, law, (0, 0)) == ((0, 1), (1, 0))
+
+    def test_subset_that_is_not_closed_returns_none(self):
+        assert generating_set([0, 3, 6], add_mod(12), 0) is None  # 3 + 6 = 9
+        assert generating_set([0, 4, 8, 6], add_mod(12), 0) is None  # 4 + 6 = 10
+        assert generating_set([0, 2, 3], add_mod(12), 0) is None
+        assert generating_set([1, 5, 7, 11, 13], mul_mod(24), 1) is None
+
+    def test_subset_without_the_identity_returns_none(self):
+        assert generating_set([], add_mod(12), 0) is None
+        assert generating_set([3, 6, 9], add_mod(12), 0) is None
 
 
 class TestCrtSolve:
