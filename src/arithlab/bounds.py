@@ -16,12 +16,11 @@ re-exported here unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap
-from .core import factor, valuation
+from .core import Record, factor, valuation
 
 __all__ = [
     "BoundReport",
@@ -56,8 +55,7 @@ def _compact_int(n: int) -> str:
     return f"<{digits}-digit integer>"
 
 
-@dataclass(frozen=True)
-class PowerSize:
+class PowerSize(Record):
     """Size report for base**exponent without materializing it.
 
     digits10 is floor(exponent * log10(base)) + 1 computed in floating
@@ -88,8 +86,7 @@ class PowerSize:
         )
 
 
-@dataclass(frozen=True)
-class ProductSize:
+class ProductSize(Record):
     """Size report for a product left unmaterialized: its formula and an
     approximate decimal digit count from floating-point logarithms."""
 
@@ -128,8 +125,7 @@ def _exceeds_digits(base: int, exponent: int, cap: int) -> bool:
     return math.log10(exponent) + math.log10(log_base) > math.log10(cap)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A named exact value together with its inputs and formula."""
 
     name: str

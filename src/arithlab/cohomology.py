@@ -45,11 +45,10 @@ matrix C, and gets the same torsion and free rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import gamma
-from .core import IntegerMatrix, determinant, generating_set, snf_diagonal
+from .core import IntegerMatrix, Record, determinant, generating_set, is_prime, snf_diagonal
 
 __all__ = [
     "FiniteGroup",
@@ -68,8 +67,7 @@ __all__ = [
 MAX_GROUP_ORDER = 48
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group as an explicit multiplication table on 0..s-1.
 
     The constructor checks the full group axioms over the table, so a
@@ -168,8 +166,7 @@ class FiniteGroup:
         return cls(table)
 
 
-@dataclass(frozen=True)
-class GLattice:
+class GLattice(Record):
     """A rank-d lattice with a verified integral group action.
 
     The constructor checks that the identity acts as I and that
@@ -233,8 +230,7 @@ class GLattice:
         return cls(group, rank, tuple(IntegerMatrix.identity(rank) for _ in group.elements()))
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
+class AbelianGroupInvariants(Record):
     """Elementary divisors d_1 | d_2 | ... (each > 1) plus free rank."""
 
     divisors: tuple[int, ...]
@@ -302,8 +298,7 @@ def h1(lattice: GLattice) -> AbelianGroupInvariants:
     return AbelianGroupInvariants(tuple(x for x in diag if x > 1), d - rank_t - rank_c)
 
 
-@dataclass(frozen=True)
-class H1BoundReport:
+class H1BoundReport(Record):
     """Divisibility facts for |H^1|: the s^(r(s-1)) bound and s-torsion."""
 
     invariants: AbelianGroupInvariants
@@ -421,8 +416,7 @@ def faithful_quotient(lattice: GLattice) -> tuple[FiniteGroup, GLattice]:
     return quotient, GLattice(quotient, lattice.rank, mats)
 
 
-@dataclass(frozen=True)
-class MinkowskiReport:
+class MinkowskiReport(Record):
     """Order data for a finite-order integer matrix against gamma(d)."""
 
     dimension: int
@@ -440,6 +434,34 @@ def _is_identity_mod_3(m: IntegerMatrix) -> bool:
     return all(m[i, j] % 3 == (i == j) for i in range(m.rows) for j in range(m.cols))
 
 
+def _largest_finite_order(d: int) -> int:
+    """L(d), the largest order of a finite-order element of GL_d(Z).
+
+    GL_d(Z) has an element of order n exactly when D(n) <= d, where D(n)
+    sums phi(p^a) over the prime powers p^a exactly dividing n, less 1
+    when n = 2 (mod 4) and n > 2 (Kuzmanovich and Pavlichenkov, *Finite
+    groups of matrices whose entries are integers*, Amer. Math. Monthly
+    109 (2002)).  A knapsack over the odd prime powers with phi(p^a) <= d
+    (so p^a <= 2d + 2) gives the largest odd n of each cost; the 2-part
+    is then free as a factor 2, or 2^a at cost 2^(a-1).
+    """
+    odd = [1] * (d + 1)  # odd[c]: the largest odd n with D(n) <= c
+    for p in range(3, 2 * d + 3, 2):
+        if not is_prime(p):
+            continue
+        grown, q = odd[:], p
+        while (cost := q - q // p) <= d:
+            for c in range(cost, d + 1):
+                grown[c] = max(grown[c], q * odd[c - cost])
+            q *= p
+        odd = grown
+    largest, q = (2 * odd[d] if d else 1), 4
+    while q // 2 <= d:
+        largest = max(largest, q * odd[d - q // 2])
+        q *= 2
+    return largest
+
+
 def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     """Verify the finite-order constraints on a d x d integer matrix.
 
@@ -448,10 +470,11 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     nonidentity finite-order matrix cannot reduce to the identity mod 3.
 
     The same fact decides finiteness.  Let k be the first exponent with
-    m^k = I (mod 3); it is at most the largest element order of
-    GL_d(F_3).  If m has finite order, m^k lies in a finite subgroup and
-    reduces to I, so m^k = I and k is the order.  So m is refused exactly
-    when its determinant is not a unit or m^k is not I.
+    m^k = I (mod 3).  If m has finite order, m^k lies in a finite subgroup
+    and reduces to I, so m^k = I and k is the order, at most
+    _largest_finite_order(d).  So m is refused exactly when its
+    determinant is not a unit, k exceeds that bound (the walk stops
+    there, not at k, which can reach 3^d - 1), or m^k is not I.
     """
     if m.rows != d or m.cols != d:
         raise ValueError(f"expected a {d} x {d} matrix")
@@ -459,8 +482,10 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     refusal = f"matrix has no finite order dividing gamma({d}) = {g}"
     if determinant(m) not in (1, -1):
         raise ValueError(refusal)
-    order, power = 1, m
+    order, power, limit = 1, m, _largest_finite_order(d)
     while not _is_identity_mod_3(power):
+        if order == limit:
+            raise ValueError(refusal)
         power = power.mul(m)
         order += 1
     if not power.is_identity():

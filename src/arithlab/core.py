@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .bounds import PowerSize, ProductSize
 
 __all__ = [
+    "Record",
     "IntegerMatrix",
     "SnfResult",
     "Factorization",
@@ -48,6 +48,72 @@ _MR_TIERS = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class Record:
+    """Base of arithlab's immutable value classes, in place of a frozen dataclass.
+
+    A subclass names its fields as class annotations, in order, each with
+    an optional class-level default; under `from __future__ import
+    annotations` they are strings and none is evaluated.  At class
+    creation the subclass gets what @dataclass(frozen=True) would give
+    it: __init__ (positional or keyword arguments, then __post_init__ if
+    the class has one; a class that writes its own __init__ keeps it and
+    sets its fields with object.__setattr__), __eq__ (same class, equal
+    field tuples), __hash__ (of the field tuple) and __match_args__.
+    __repr__ and the refusal to assign or delete are shared.  Instances
+    keep a __dict__, so pickle and copy work as for any object.
+
+    dataclasses is not used because importing it pulls in inspect, ast,
+    dis and tokenize, about 11-14 ms of every cold CLI command.  The
+    three methods are generated per class, with one exec, as dataclasses
+    itself does, rather than written once as loops over the field names:
+    that generic version made IntegerMatrix construction 50-80 % slower,
+    hash 2x slower and artin_kernel_evidence(5, 10**6) 20-40 % slower,
+    while the generated code runs level with dataclasses.
+    """
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__ + tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = names
+        mine = "".join(f"self.{n}, " for n in names)
+        theirs = "".join(f"other.{n}, " for n in names)
+        source = (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n"
+        )
+        defaults = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
+        if "__init__" not in cls.__dict__:
+            params = "".join(
+                f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
+            )
+            # object.__setattr__, as dataclasses uses: a store through
+            # self.__dict__ would turn the instance's inline attribute values
+            # into a dict and slow every later field read.
+            stores = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+            post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+            source += f"def __init__(self{params}):\n{stores}{post}"
+        methods = {}
+        exec(source, {"_setattr": object.__setattr__, **defaults}, methods)
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def valuation(n: int, p: int) -> tuple[int, int]:
@@ -203,8 +269,7 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, (2,)) and _lucas_strong_probable_prime(n)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Complete prime factorization of a positive integer."""
 
     base: int
@@ -326,8 +391,7 @@ def next_prime_in_progression(a: int, m: int, lower: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable integer matrix, entries stored row-major."""
 
     rows: int
@@ -419,8 +483,7 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith normal form data: left * M * right is diag(diagonal)."""
 
     diagonal: tuple[int, ...]

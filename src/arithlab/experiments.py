@@ -7,13 +7,12 @@ indices with their divergent lower bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import crt_solve, is_prime, next_prime_in_progression
+from .core import Record, crt_solve, is_prime, next_prime_in_progression
 from .progressions import primes_up_to
-from .symbols import Place, hilbert_symbol, is_square_in_qv, jacobi
+from .symbols import Place, _is_square_at, hilbert_symbol, jacobi
 
 __all__ = [
     "BiasedPrimePair",
@@ -42,8 +41,7 @@ MAX_UNIT_HEIGHT = 300
 MAX_TARGET_MODULUS = 2**1024
 
 
-@dataclass(frozen=True)
-class BiasedPrimePair:
+class BiasedPrimePair(Record):
     """Disjoint prime lists P, Q inside 1 mod 4 with (p/q) = 1 throughout."""
 
     p_list: tuple[int, ...]
@@ -92,8 +90,7 @@ def build_biased_prime_sets(ell: int) -> BiasedPrimePair:
     return BiasedPrimePair(tuple(p_list), tuple(q_list))
 
 
-@dataclass(frozen=True)
-class CongruenceTarget:
+class CongruenceTarget(Record):
     """A basic open congruence set: unit conditions a_i mod p_i^alpha_i.
 
     The conditions describe the set prod (a_i + p_i^alpha_i Z_p_i) times
@@ -168,8 +165,7 @@ def density_witness(target: CongruenceTarget) -> tuple[int, int]:
     return eps, p
 
 
-@dataclass(frozen=True)
-class ArtinKernelReport:
+class ArtinKernelReport(Record):
     """Local-square evidence at every split place up to a bound."""
 
     q: int
@@ -198,7 +194,7 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
     failures = []
     # q and the sieved p are prime, so jacobi gives the Legendre symbols.
     for p in checked:
-        square = is_square_in_qv(q, Place.finite(p))
+        square = _is_square_at(q, p)
         reciprocity = jacobi(p % q, q) == 1 and jacobi(q, p) == 1
         if not (square and reciprocity):
             failures.append(p)
@@ -209,8 +205,7 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
     return ArtinKernelReport(q, sample_bound, checked, tuple(failures), tuple(sampled))
 
 
-@dataclass(frozen=True)
-class GaussianInteger:
+class GaussianInteger(Record):
     """Exact element a + b i of the Gaussian integers."""
 
     a: int
@@ -307,8 +302,7 @@ def local_power_index(p: int, n: int) -> int:
     return math.gcd(n, p - 1)
 
 
-@dataclass(frozen=True)
-class PowerIndexReport:
+class PowerIndexReport(Record):
     """Product of local power indices and the resulting index lower bound."""
 
     n: int

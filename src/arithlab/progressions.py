@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable
 
-from .core import factor, generating_set
+from .core import Record, factor, generating_set
 
 __all__ = [
     "AbelianExtensionDescriptor",
@@ -51,8 +50,7 @@ def _phi(m: int) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factor(m).factors)
 
 
-@dataclass(frozen=True)
-class AbelianExtensionDescriptor:
+class AbelianExtensionDescriptor(Record):
     """Fixed field of a residue subgroup inside a cyclotomic field.
 
     Normalization at construction reduces the encoding to the minimal
@@ -131,8 +129,7 @@ class AbelianExtensionDescriptor:
         return cls(4, [1])
 
 
-@dataclass(frozen=True)
-class FrobeniusDatum:
+class FrobeniusDatum(Record):
     """Image of an unramified prime in the coset group (Z/mZ)^x / H."""
 
     prime: int
@@ -152,8 +149,7 @@ def frobenius(ext: AbelianExtensionDescriptor, p: int) -> FrobeniusDatum:
     return FrobeniusDatum(p, frozenset(r * h % m for h in ext.subgroup))
 
 
-@dataclass(frozen=True)
-class ProgressionSpec:
+class ProgressionSpec(Record):
     """Primes whose Frobenius lies in a fixed coset, minus a finite set."""
 
     extension: AbelianExtensionDescriptor

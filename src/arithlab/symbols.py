@@ -8,11 +8,10 @@ plus a unit-residue test, so no p-adic precision policy is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import factor, is_prime, jacobi, valuation
+from .core import Record, factor, is_prime, jacobi, valuation
 
 __all__ = [
     "Place",
@@ -27,8 +26,7 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of Q: finite (a verified prime) or the archimedean one."""
 
     prime: int | None
@@ -72,7 +70,7 @@ def _as_fraction(a: Rational) -> Fraction:
     return f
 
 
-def _valuation(f: Fraction, p: int) -> tuple[int, int, int]:
+def _valuation(f: Rational, p: int) -> tuple[int, int, int]:
     """(v, u_num, u_den) with f = p^v * u_num/u_den and p dividing neither."""
     v, num = valuation(f.numerator, p)
     w, den = valuation(f.denominator, p)
@@ -93,8 +91,16 @@ def is_square_in_qv(a: Rational, v: Place) -> bool:
     f = _as_fraction(a)
     if v.is_infinite:
         return f > 0
-    p = v.prime
-    val, num, den = _valuation(f, p)
+    return _is_square_at(f, v.prime)
+
+
+def _is_square_at(a: Rational, p: int) -> bool:
+    """is_square_in_qv at the finite place of p, for nonzero a and a known prime p.
+
+    Takes p without a Place, so callers that hold primes from the sieve
+    do not prove them prime again.
+    """
+    val, num, den = _valuation(a, p)
     if val % 2:
         return False
     if p == 2:
@@ -143,8 +149,7 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     return _hilbert_odd(fa, fb, v.prime)
 
 
-@dataclass(frozen=True)
-class HilbertProductReport:
+class HilbertProductReport(Record):
     """All potentially nontrivial local factors of (a, b) and their product."""
 
     a: Fraction

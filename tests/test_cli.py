@@ -634,6 +634,7 @@ class TestImportFootprint:
         "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
         "    code = cli.run(sys.argv[1:])\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('arithlab.')))\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     FAMILIES = {
         "symbol": (["symbol", "hilbert", "--", "-1", "-1", "inf"], {"cli", "core", "symbols"}),
@@ -668,9 +669,13 @@ class TestImportFootprint:
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": path},
         )
-        code, *modules = result.stdout.split()
+        loaded, heavy = result.stdout.splitlines()
+        code, *modules = loaded.split()
         assert code == "0", result.stderr
         assert set(modules) == {f"arithlab.{m}" for m in expected}
+        # The value classes are core.Record subclasses: dataclasses, and
+        # the inspect it imports, cost a cold command about 11-14 ms.
+        assert heavy == ""
 
 
 class TestClosedPipe:

@@ -1,9 +1,10 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, Poly, cyclotomic_poly, factorint, symbols, totient
 from sympy.matrices.normalforms import invariant_factors
 
 from arithlab.bounds import divides_power, gamma, lam, psi
@@ -18,6 +19,7 @@ from arithlab.cohomology import (
     minkowski_check,
     norm_one_lattice,
     _coboundary_matrix,
+    _largest_finite_order,
 )
 from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
 
@@ -672,6 +674,46 @@ def hyperbolic_block(d):
     return rows(*m)
 
 
+def companion(coeffs):
+    """Companion matrix of x^d + coeffs[d-1] x^(d-1) + ... + coeffs[0]."""
+    d = len(coeffs)
+    m = [[1 if i == j + 1 else 0 for j in range(d)] for i in range(d)]
+    for i, c in enumerate(coeffs):
+        m[i][d - 1] = -c
+    return rows(*m)
+
+
+def cyclotomic_companion(n):
+    """Companion matrix of the n-th cyclotomic polynomial: order n, size phi(n)."""
+    coeffs = Poly(cyclotomic_poly(n, symbols("x")), symbols("x")).all_coeffs()
+    return companion([int(c) for c in reversed(coeffs[1:])])
+
+
+def block_diagonal(blocks, d):
+    """The blocks down the diagonal, padded with 1s to d x d."""
+    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            m[at + i][at : at + b.cols] = b.to_rows()[i]
+        at += b.rows
+    return rows(*m)
+
+
+def min_dimension(n):
+    """D(n): the least d such that GL_d(Z) has an element of order n."""
+    powers = [p**a for p, a in factorint(n).items()]
+    return sum(int(totient(q)) for q in powers) - (n % 4 == 2 and n > 2)
+
+
+def order_n_blocks(n):
+    """Cyclotomic blocks of total size D(n) whose direct sum has order n."""
+    powers = sorted(p**a for p, a in factorint(n).items())
+    if n % 4 == 2 and n > 2:
+        powers = powers[1:-1] + [2 * powers[-1]]  # Phi_2q costs phi(q)
+    return [cyclotomic_companion(q) for q in powers]
+
+
 MINKOWSKI_REFUSALS = [
     (hyperbolic_block(4), 4),
     (hyperbolic_block(7), 7),
@@ -710,6 +752,41 @@ class TestMinkowskiCheck:
         # the identity: each must be refused at once.
         with pytest.raises(ValueError, match="no finite order"):
             minkowski_check(m, d)
+
+    def test_largest_finite_order_against_brute_force(self):
+        # L(d) = max {n : D(n) <= d}.  Each prime power q exactly dividing
+        # n has q <= 2 phi(q), so their sum is at most 2 (D(n) + 1), and a
+        # product of positive numbers of sum S is at most e^(S/e): for
+        # d <= 10, every n with D(n) <= d is below e^(22/e) < 3300.
+        dims = {n: min_dimension(n) for n in range(1, 3300)}
+        for d in range(11):
+            assert _largest_finite_order(d) == max(n for n, dn in dims.items() if dn <= d)
+        assert [_largest_finite_order(d) for d in (8, 10, 16, 20)] == [60, 120, 840, 2520]
+
+    def test_every_finite_order_up_to_the_bound_is_found(self):
+        orders = [n for n in range(1, 61) if min_dimension(n) <= 8]
+        assert max(orders) == 60 == _largest_finite_order(8)
+        for n in orders:
+            report = minkowski_check(block_diagonal(order_n_blocks(n), 8), 8)
+            assert report.order == n and report.passed
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-1, 0, 0, 1, 0, 0, 0, 0],  # x^8 + x^3 - 1
+            [-1, 1, 0, 1, 0, 0, 0, 0, 0, 0],  # x^10 + x^3 + x - 1
+        ],
+    )
+    def test_long_walk_mod_3_refused_at_once(self, coeffs):
+        # Both polynomials are primitive mod 3, so the first power of the
+        # companion matrix that is I mod 3 is the (3^d - 1)-th: 6,560 and
+        # 59,048 products with growing entries.  The walk stops at
+        # L(8) = 60 and L(10) = 120.
+        d = len(coeffs)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^matrix has no finite order dividing gamma\({d}\)"):
+            minkowski_check(companion(coeffs), d)
+        assert time.perf_counter() - start < 0.1
 
     def test_cyclic_permutation_of_order_seven(self):
         # gamma(7) > 2^64 is beyond factor, so the order must not need it factored.

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import functools
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from sympy import multiplicity
 from arithlab.core import (
     Factorization,
     IntegerMatrix,
+    Record,
     crt_solve,
     determinant,
     factor,
@@ -287,6 +293,156 @@ class TestIntegerMatrixMul:
         b = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         product = IntegerMatrix.zero(0, 2).mul(b)
         assert product == IntegerMatrix.zero(0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Record: the frozen value classes without dataclasses
+# ---------------------------------------------------------------------------
+
+
+def record_samples():
+    """Values of every Record subclass, built through the public API.
+
+    The two identity matrices are equal but distinct objects, and several
+    classes appear twice with different fields.
+    """
+    from arithlab import bounds, cohomology, experiments, progressions, symbols
+
+    c2 = cohomology.FiniteGroup.cyclic(2)
+    sign = cohomology.GLattice(c2, 1, (IntegerMatrix.identity(1), IntegerMatrix.from_rows([[-1]])))
+    ext = progressions.AbelianExtensionDescriptor(5, [1, 4])
+    return [
+        factor(12),
+        factor(1),
+        IntegerMatrix.identity(2),
+        IntegerMatrix.from_rows([[1, 0], [0, 1]]),
+        IntegerMatrix(1, 3, (4, -5, 6)),
+        smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])),
+        bounds.PowerSize.of(3, 100),
+        bounds.psi_size(2),
+        bounds.ProductSize("gamma(9)", "39", False),
+        bounds.t1_density_bound(1, Fraction(1, 2)),
+        symbols.Place.finite(7),
+        symbols.Place.infinite(),
+        symbols.hilbert_product_check(-1, -1),
+        ext,
+        progressions.AbelianExtensionDescriptor(7, [1]),
+        progressions.frobenius(ext, 11),
+        progressions.ProgressionSpec.residue_class(1, 5, excluded=[11]),
+        c2,
+        cohomology.FiniteGroup.cyclic(3),
+        sign,
+        cohomology.AbelianGroupInvariants((2, 4), 1),
+        cohomology.h1_bound_check(sign),
+        cohomology.minkowski_check(IntegerMatrix.from_rows([[0, -1], [1, 0]]), 2),
+        experiments.build_biased_prime_sets(1),
+        experiments.CongruenceTarget(((2, 3, 3), (3, 1, 2))),
+        experiments.artin_kernel_evidence(5, 100),
+        experiments.GaussianInteger(1, -2),
+        experiments.GaussianInteger(-2, 1),
+        experiments.section7_index_bound(3, 1, [13]),
+    ]
+
+
+@functools.cache
+def twin_class(cls):
+    """A frozen dataclass with cls's name and fields."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+
+
+def twin(x):
+    return twin_class(type(x))(*(getattr(x, n) for n in type(x).__match_args__))
+
+
+class TestRecord:
+    def test_every_value_class_is_sampled(self):
+        sampled = {type(x) for x in record_samples()}
+        ours = {c for c in Record.__subclasses__() if c.__module__.startswith("arithlab.")}
+        assert sampled == ours
+        assert len(sampled) == 21
+
+    def test_repr_matches_a_frozen_dataclass(self):
+        for x in record_samples():
+            assert repr(x) == repr(twin(x))
+
+    def test_equality_and_hash_match_a_frozen_dataclass(self):
+        values = record_samples()
+        twins = [twin(x) for x in values]
+        assert values[2] is not values[3] and values[2] == values[3]
+        for x, tx in zip(values, twins):
+            assert hash(x) == hash(tx)
+            for y, ty in zip(values, twins):
+                assert (x == y) is (tx == ty)
+                assert (x != y) is (tx != ty)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for x in record_samples():
+            for name in (*type(x).__match_args__, "unknown"):
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                    setattr(x, name, 0)
+                with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                    delattr(x, name)
+
+    def test_pickle_and_copy_round_trip(self):
+        for x in record_samples():
+            copies = [pickle.loads(pickle.dumps(x, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for y in (*copies, copy.copy(x), copy.deepcopy(x)):
+                assert type(y) is type(x) and y == x
+                assert hash(y) == hash(x) and repr(y) == repr(x)
+
+    def test_post_init_refusals_still_raise(self):
+        from arithlab.cohomology import AbelianGroupInvariants
+        from arithlab.symbols import Place
+
+        with pytest.raises(ValueError, match="malformed factor list for 12"):
+            Factorization(12, ((3, 1), (2, 2)))
+        with pytest.raises(ValueError, match="factors do not multiply back to 12"):
+            Factorization(12, ((2, 1), (3, 1)))
+        with pytest.raises(ValueError, match="entry count does not match dimensions"):
+            IntegerMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+            IntegerMatrix(-1, 0, ())
+        with pytest.raises(ValueError, match="divisors must form a chain"):
+            AbelianGroupInvariants((4, 6), 0)
+        with pytest.raises(ValueError, match="divisors must exceed 1"):
+            AbelianGroupInvariants((1,), 0)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            Place(4)
+
+    def test_arguments_defaults_and_match_like_a_dataclass(self):
+        from arithlab.bounds import PowerSize, ProductSize
+
+        assert IntegerMatrix(rows=1, cols=2, entries=(3, 4)) == IntegerMatrix(1, 2, (3, 4))
+        assert IntegerMatrix(1, entries=(3, 4), cols=2) == IntegerMatrix(1, 2, (3, 4))
+        assert PowerSize(2, 3, "1").approximate is True
+        assert ProductSize("f", "1", approximate=False).approximate is False
+        assert ProductSize("f", "1") == ProductSize("f", "1", True)
+        for args, kwargs in [
+            ((1, 1, (1,), 5), {}),  # too many
+            ((1, 1), {}),  # missing
+            ((1, 1, (1,)), {"depth": 2}),  # unknown
+            ((1, 1, (1,)), {"rows": 1}),  # given twice
+        ]:
+            with pytest.raises(TypeError):
+                IntegerMatrix(*args, **kwargs)
+        with pytest.raises(TypeError):
+            ProductSize("f")
+        assert IntegerMatrix.__match_args__ == ("rows", "cols", "entries")
+
+        class Shape(Record):
+            rows: int
+            cols: int
+            entries: tuple
+
+        # Same fields, another class: unequal, and the repr names the class.
+        assert Shape(1, 1, (7,)) == Shape(1, 1, (7,)) != IntegerMatrix(1, 1, (7,))
+        assert repr(Shape(1, 1, (7,))).endswith("<locals>.Shape(rows=1, cols=1, entries=(7,))")
+        match IntegerMatrix(1, 1, (7,)):
+            case IntegerMatrix(r, c, (e,)):
+                assert (r, c, e) == (1, 1, 7)
+            case _:
+                pytest.fail("positional pattern did not match")
 
 
 # ---------------------------------------------------------------------------

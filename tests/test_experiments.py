@@ -181,6 +181,28 @@ class TestArtinKernelEvidence:
         for x in (Fraction(7, 5), -3, 10):
             assert hilbert_symbol(x, 5, Place.finite(11)) == 1
 
+    def test_sieved_primes_are_not_proved_again(self, monkeypatch):
+        # One test for q and one per Place of the 12 sampled Hilbert
+        # symbols; the 19,617 split primes come from the sieve.
+        from arithlab import core, experiments, symbols
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        for module in (core, symbols, experiments):
+            monkeypatch.setattr(module, "is_prime", counted)
+        report = artin_kernel_evidence(5, 10**6)
+        assert len(calls) <= 13
+        expected = [p for p in primes_up_to(10**6) if p % 5 == 1]
+        assert report.checked_primes == tuple(expected) and len(expected) == 19617
+        assert report.failures == () and report.passed
+        assert [s for s, _ in report.sampled_symbols[:4]] == [
+            "(2, 5)_11", "(-3/7, 5)_11", "(11, 5)_11", "(1/2, 5)_11",
+        ]
+
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
             artin_kernel_evidence(7, 100)

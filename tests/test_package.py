@@ -1,5 +1,6 @@
 """The package surface: the names `arithlab` exports, resolved on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -98,3 +99,18 @@ def test_cli_digit_cap_refusal_is_unchanged():
         "error: digit cap exceeded: psi(3) = 11232^33693 with about 136473 decimal digits, "
         "beyond the 100-digit cap\n"
     )
+
+
+def test_no_module_imports_dataclasses():
+    # The value classes derive from core.Record; dataclasses would bring
+    # inspect, ast, dis and tokenize into every cold CLI command.
+    package = Path(arithlab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.partition(".")[0] == "dataclasses" for m in modules), path.name

@@ -14,6 +14,7 @@ from arithlab.symbols import (
     jacobi,
     legendre,
 )
+from arithlab.symbols import _is_square_at
 
 ODD_PRIMES_UNDER_200 = [p for p in range(3, 200) if is_prime(p)]
 INF = Place.infinite()
@@ -106,6 +107,12 @@ class TestIsSquare:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             is_square_in_qv(0, INF)
+
+    def test_known_prime_route_agrees(self):
+        for p in range(2, 10**4 + 1):
+            if is_prime(p):
+                for a in (-7, -1, 2, 5, Fraction(3, 4)):
+                    assert _is_square_at(a, p) is is_square_in_qv(a, Place.finite(p))
 
     def test_square_forces_trivial_symbol(self):
         rng = random.Random(3)
