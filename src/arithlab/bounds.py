@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap
 from .core import Record, factor, valuation
@@ -130,7 +129,7 @@ class BoundReport(Record):
 
     name: str
     inputs: tuple[tuple[str, str], ...]
-    value: Union[int, Fraction]
+    value: int | Fraction
     formula: str
 
 

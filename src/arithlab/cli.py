@@ -25,14 +25,10 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .core import (
     FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, default_digit_cap, determinant, factor,
 )
-
-if TYPE_CHECKING:
-    from . import cohomology, experiments, progressions, symbols
 
 __all__ = ["main", "run"]
 

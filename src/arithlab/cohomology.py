@@ -45,7 +45,7 @@ matrix C, and gets the same torsion and free rank.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .bounds import gamma
 from .core import IntegerMatrix, Record, determinant, generating_set, is_prime, snf_diagonal

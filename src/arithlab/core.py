@@ -3,6 +3,12 @@ and Smith normal form over the integers; and the decimal-digit cap that
 guards materializing huge exact values.
 
 Everything here is exact -- Python ints throughout, no floating point.
+
+smith_normal_form, snf_diagonal and integer_kernel share one elimination
+kernel with one path.  The transforms ride along as identity blocks
+appended to the matrix: I_rows to its right becomes the left transform,
+I_cols below it the right one.  integer_kernel appends only I_cols, so it
+builds only the column transform, and snf_diagonal appends nothing.
 """
 
 from __future__ import annotations
@@ -10,10 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .bounds import PowerSize, ProductSize
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 __all__ = [
     "Record",
@@ -499,12 +502,12 @@ class SnfResult(Record):
         return IntegerMatrix.from_rows(out) if r else IntegerMatrix.zero(0, c)
 
 
-def _pivot_search(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Smallest |entry| != 0 in the trailing submatrix, row-major ties."""
+def _pivot_search(a: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
+    """Smallest |entry| != 0 in the block's trailing submatrix, row-major ties."""
     best = None
     best_val = None
-    for i in range(t, len(a)):
-        tail = a[i][t:]
+    for i in range(t, rows):
+        tail = a[i][t:cols]
         if not any(tail):
             continue
         sizes = [abs(x) for x in tail]
@@ -516,80 +519,66 @@ def _pivot_search(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return best
 
 
-def _eliminate(
-    a: list[list[int]],
-    left: list[list[int]] | None,
-    right: list[list[int]] | None,
-) -> tuple[int, ...]:
-    """Reduce the row lists a in place to Smith form; return its diagonal.
+def _eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
+    """Reduce the top-left rows x cols block of the row lists a in place to
+    Smith form; return its diagonal.
 
-    Classical elimination: the pivot is always the entry of smallest
-    nonzero absolute value (ties broken row-major).  Every row operation
-    is repeated on left and every column operation on right, when they
-    are given, so left * M * right stays equal to a.  Zero entries take
-    part in no operation, so skipping them changes no result.
+    Classical elimination: the pivot is always the block entry of smallest
+    nonzero absolute value (ties broken row-major).  Row operations combine
+    the block's rows over their whole length, and column operations the
+    block's columns down every row of a.  So an identity appended to the
+    right of the block ends as the left transform, and one appended below
+    it as the right transform (the augmented-matrix method of Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).  Zero entries
+    take part in no operation, so skipping them changes no result.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    for t in range(min(nrows, ncols)):
-        while (pos := _pivot_search(a, t)) is not None:
+    for t in range(min(rows, cols)):
+        while (pos := _pivot_search(a, t, rows, cols)) is not None:
             # Move the smallest entry of the trailing submatrix to (t, t).
             i, j = pos
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                if left is not None:
-                    left[t], left[i] = left[i], left[t]
             if j != t:
                 for row in a:
                     row[t], row[j] = row[j], row[t]
-                if right is not None:
-                    for row in right:
-                        row[t], row[j] = row[j], row[t]
             top = a[t]
             pivot = top[t]
             # Clear column t, then row t, with the current pivot; a
             # remainder left in either means another round.
             remainder = False
-            for i, row in enumerate(a):
+            for i in range(rows):
+                row = a[i]
                 if row[t] and i != t:
                     q = row[t] // pivot
                     if q:
                         a[i] = [x - q * y for x, y in zip(row, top)]
-                        if left is not None:
-                            left[i] = [x - q * y for x, y in zip(left[i], left[t])]
                     remainder = remainder or a[i][t] != 0
             # Column t does not change here, so the rows that a column
             # operation touches are known in advance.
             touched = [row for row in a if row[t]]
-            moved = [row for row in right if row[t]] if right is not None else []
-            for j in range(ncols):
+            for j in range(cols):
                 if j != t and top[j]:
                     q = top[j] // pivot
                     if q:
                         for row in touched:
                             row[j] -= q * row[t]
-                        for row in moved:
-                            row[j] -= q * row[t]
                     remainder = remainder or top[j] != 0
             if not remainder:
                 # Pivot must divide the rest of the submatrix; a unit does.
-                rest = range(t + 1, nrows) if abs(pivot) != 1 else ()
+                rest = range(t + 1, rows) if abs(pivot) != 1 else ()
                 offender = next(
-                    (i for i in rest if math.gcd(pivot, *a[i][t + 1 :]) != abs(pivot)), None
+                    (i for i in rest if math.gcd(pivot, *a[i][t + 1 : cols]) != abs(pivot)),
+                    None,
                 )
                 if offender is None:
                     break
                 a[t] = [x + y for x, y in zip(top, a[offender])]
-                if left is not None:
-                    left[t] = [x + y for x, y in zip(left[t], left[offender])]
         else:
             # The trailing submatrix is zero: the rest of the diagonal is too.
             break
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if left is not None:
-                left[t] = [-x for x in left[t]]
-    return tuple(a[i][i] for i in range(min(nrows, ncols)))
+    return tuple(a[i][i] for i in range(min(rows, cols)))
 
 
 def smith_normal_form(m: IntegerMatrix) -> SnfResult:
@@ -598,44 +587,43 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     The pivot is always the entry of smallest nonzero absolute value
     (ties broken row-major), which keeps the transforms deterministic.
     The returned diagonal d_1 | d_2 | ... is the full divisor chain,
-    padded with zeros up to min(rows, cols).
+    padded with zeros up to min(rows, cols).  The transforms ride along
+    as identity blocks: I_rows to the right of m, I_cols below it.
     """
-    left = IntegerMatrix.identity(m.rows).to_rows()
-    right = IntegerMatrix.identity(m.cols).to_rows()
-    diag = _eliminate(m.to_rows(), left, right)
+    r, c = m.rows, m.cols
+    a = [row + unit for row, unit in zip(m.to_rows(), IntegerMatrix.identity(r).to_rows())]
+    a += IntegerMatrix.identity(c).to_rows()
+    diag = _eliminate(a, r, c)
     return SnfResult(
         diag,
-        IntegerMatrix.from_rows(left),
-        IntegerMatrix.from_rows(right),
+        IntegerMatrix.from_rows([row[c:] for row in a[:r]]),
+        IntegerMatrix.from_rows(a[r:]),
     )
 
 
 def snf_diagonal(m: IntegerMatrix) -> tuple[int, ...]:
     """The diagonal of smith_normal_form(m), without the transforms.
 
-    Same elimination, same padded divisor chain; no transform is built,
-    so callers that read only ranks and divisors pay for neither.
+    Same elimination, same padded divisor chain; no identity block is
+    appended, so callers that read only ranks and divisors pay for
+    neither transform.
     """
-    return _eliminate(m.to_rows(), None, None)
+    return _eliminate(m.to_rows(), m.rows, m.cols)
 
 
 def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
     """Basis of {x : m x = 0} over the integers, as matrix columns.
 
-    The basis spans the kernel saturately (the quotient by its span is
-    torsion-free), which follows from the unimodularity of the SNF
-    column transform.
+    Only I_cols is appended, below m, so only the column transform R is
+    built; its columns past the rank span the kernel.  The basis spans
+    the kernel saturately (the quotient by its span is torsion-free),
+    which follows from the unimodularity of R.
     """
-    snf = smith_normal_form(m)
-    diag = snf.diagonal
-    r = snf.right_transform
-    kernel_cols = [
-        j for j in range(m.cols) if j >= len(diag) or diag[j] == 0
-    ]
-    entries = tuple(
-        r[i, j] for i in range(m.cols) for j in kernel_cols
+    a = m.to_rows() + IntegerMatrix.identity(m.cols).to_rows()
+    rank = sum(1 for d in _eliminate(a, m.rows, m.cols) if d)
+    return IntegerMatrix(
+        m.cols, m.cols - rank, tuple(x for row in a[m.rows :] for x in row[rank:])
     )
-    return IntegerMatrix(m.cols, len(kernel_cols), entries)
 
 
 # ---------------------------------------------------------------------------

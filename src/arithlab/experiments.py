@@ -7,8 +7,8 @@ indices with their divergent lower bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .core import Record, crt_solve, is_prime, next_prime_in_progression
 from .progressions import primes_up_to
@@ -191,13 +191,7 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
     if q % 4 != 1 or not is_prime(q):
         raise ValueError(f"q must be a prime congruent to 1 mod 4, got {q}")
     checked = tuple(p for p in primes_up_to(sample_bound) if p % q == 1)
-    failures = []
-    # q and the sieved p are prime, so jacobi gives the Legendre symbols.
-    for p in checked:
-        square = _is_square_at(q, p)
-        reciprocity = jacobi(p % q, q) == 1 and jacobi(q, p) == 1
-        if not (square and reciprocity):
-            failures.append(p)
+    failures = [p for p in checked if not _is_square_at(q, p)]
     sampled = []
     for p in checked[:3]:
         for x in (Fraction(2), Fraction(-3, 7), Fraction(p), Fraction(1, 2)):

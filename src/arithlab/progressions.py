@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable
 
 from .core import Record, factor, generating_set
 

@@ -9,7 +9,6 @@ plus a unit-residue test, so no p-adic precision policy is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .core import Record, factor, is_prime, jacobi, valuation
 
@@ -23,7 +22,7 @@ __all__ = [
     "hilbert_product_check",
 ]
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class Place(Record):

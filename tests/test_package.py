@@ -101,9 +101,12 @@ def test_cli_digit_cap_refusal_is_unchanged():
     )
 
 
-def test_no_module_imports_dataclasses():
+def test_no_module_imports_dataclasses_or_typing():
     # The value classes derive from core.Record; dataclasses would bring
-    # inspect, ast, dis and tokenize into every cold CLI command.
+    # inspect, ast, dis and tokenize into every cold CLI command.  typing
+    # costs a cold command about 5 ms and is not needed: annotations are
+    # strings, and their names come from collections.abc or X | Y unions.
+    forbidden = {"dataclasses", "typing"}
     package = Path(arithlab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -113,4 +116,4 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            assert not any(m.partition(".")[0] == "dataclasses" for m in modules), path.name
+            assert not {m.partition(".")[0] for m in modules} & forbidden, path.name
