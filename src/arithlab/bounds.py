@@ -71,12 +71,7 @@ class PowerSize(Record):
     def of(cls, base: int, exponent: int) -> "PowerSize":
         if base < 2 or exponent < 1:
             raise ValueError("size reports are for base >= 2, exponent >= 1")
-        log_digits = math.log10(exponent) + math.log10(math.log10(base))
-        if log_digits < 15:
-            digits = int(exponent * math.log10(base)) + 1
-            return cls(base, exponent, str(digits))
-        frac, whole = math.modf(log_digits)
-        return cls(base, exponent, f"{10 ** frac:.4f}e+{int(whole)}")
+        return cls(base, exponent, _digits10(((base, exponent),)))
 
     def describe(self) -> str:
         return (
@@ -109,19 +104,50 @@ def _beyond_cap(log_value: float, cap: int, exact) -> bool:
     return exact() >= 10**cap
 
 
-def _exceeds_digits(base: int, exponent: int, cap: int) -> bool:
-    """Would base**exponent have more than cap decimal digits?
+def _log_digits(factors: tuple[tuple[int, int], ...]) -> float:
+    """log10 of log10 of prod base**exponent, for bases >= 2 and exponents >= 1.
 
-    Decided by _beyond_cap.  Works even when the exponent is itself
-    astronomically large: the comparison then happens on logarithms of
-    logarithms.
+    Each factor contributes log10(exponent) + log10(log10(base)), and the
+    terms are added as logarithms, so no exponent is too large.
     """
-    if base < 2 or exponent < 1:
-        return False
-    log_base = math.log10(base)
-    if exponent <= 10**12:
-        return _beyond_cap(exponent * log_base, cap, lambda: base**exponent)
-    return math.log10(exponent) + math.log10(log_base) > math.log10(cap)
+    logs = [math.log10(e) + math.log10(math.log10(b)) for b, e in factors]
+    top = max(logs)
+    return top + math.log10(sum(10 ** (x - top) for x in logs))
+
+
+def _digits10(factors: tuple[tuple[int, int], ...]) -> str:
+    """Approximate decimal digit count of prod base**exponent, rendered
+    in scientific notation when enormous."""
+    log_digits = _log_digits(factors)
+    if log_digits < 15:
+        return str(int(sum(e * math.log10(b) for b, e in factors)) + 1)
+    frac, whole = math.modf(log_digits)
+    return f"{10 ** frac:.4f}e+{int(whole)}"
+
+
+def _checked_product(
+    name: str, factors: tuple[tuple[int, int], ...], cap: int | None, formula: str = ""
+) -> int:
+    """prod base**exponent over factors, refused before it is formed when
+    it would have more than cap decimal digits.
+
+    log10 of the product is the sum of its factors' exponent *
+    log10(base), decided by _beyond_cap.  Once an exponent passes
+    10**12 the comparison happens on logarithms of logarithms, so
+    exponents may be astronomically large.  A refusal reports a lone
+    power as a PowerSize, and a product as a ProductSize of formula.
+    """
+    cap = default_digit_cap() if cap is None else cap
+    big = [(b, e) for b, e in factors if b > 1 and e > 0]
+    if max((e for _, e in big), default=0) <= 10**12:
+        log_value = sum(e * math.log10(b) for b, e in big)
+        exceeds = _beyond_cap(log_value, cap, lambda: math.prod(b**e for b, e in big))
+    else:
+        exceeds = _log_digits(big) > math.log10(cap)
+    if exceeds:
+        size = ProductSize(formula, _digits10(big)) if formula else PowerSize.of(*big[0])
+        raise DigitCapExceeded(name, size, cap)
+    return math.prod(b**e for b, e in big)
 
 
 class BoundReport(Record):
@@ -169,7 +195,7 @@ def gamma(d: int) -> int:
         log_value = _gamma_log10(d)
         exceeds = _beyond_cap(log_value, cap, lambda: _gamma_product(d))
         digits = str(int(log_value) + 1)
-    else:  # compare logarithms of logarithms, as in _exceeds_digits
+    else:  # compare logarithms of logarithms, as in _checked_product
         exceeds = 2 * math.log10(d) + math.log10(math.log10(3)) > math.log10(cap)
         digits = PowerSize.of(3, d * d).digits10
     if exceeds:
@@ -185,13 +211,6 @@ def lam(d: int) -> int:
     return d * (gamma(d) - 1)
 
 
-def _checked_power(name: str, base: int, exponent: int, cap: int | None) -> int:
-    cap = default_digit_cap() if cap is None else cap
-    if _exceeds_digits(base, exponent, cap):
-        raise DigitCapExceeded(name, PowerSize.of(base, exponent), cap)
-    return base**exponent
-
-
 def psi(d: int, cap: int | None = None) -> int:
     """The H^1 order bound psi(d) = gamma(d)^(d * (gamma(d) - 1)).
 
@@ -200,7 +219,7 @@ def psi(d: int, cap: int | None = None) -> int:
     """
     if d < 1:
         raise ValueError(f"psi requires d >= 1, got {d}")
-    return _checked_power(f"psi({d})", gamma(d), lam(d), cap)
+    return _checked_product(f"psi({d})", ((gamma(d), lam(d)),), cap)
 
 
 def psi_size(d: int) -> PowerSize:
@@ -216,19 +235,17 @@ def c_tilde(d: int, n: int, cap: int | None = None) -> int:
     """
     if d < 1 or n < 1:
         raise ValueError("c_tilde requires d, n >= 1")
-    ld = lam(d)
-    psi_factor = psi(ld, cap)
-    return n**d * psi_factor
+    name = f"c_tilde({_compact_int(d)}, {_compact_int(n)})"
+    return _checked_product(name, ((n, d), (psi(lam(d), cap), 1)), cap, "n^d * psi(lam(d))")
 
 
 def c_tilde_improved(d: int, n: int, cap: int | None = None) -> int:
     """Sharper torus index bound: n^d * gamma(d)^(lam(d) * (gamma(d) - 1))."""
     if d < 1 or n < 1:
         raise ValueError("c_tilde_improved requires d, n >= 1")
-    power = _checked_power(
-        f"c_tilde_improved({d}, {n})", gamma(d), lam(d) * (gamma(d) - 1), cap
-    )
-    return n**d * power
+    name = f"c_tilde_improved({_compact_int(d)}, {_compact_int(n)})"
+    formula = "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"
+    return _checked_product(name, ((n, d), (gamma(d), lam(d) * (gamma(d) - 1))), cap, formula)
 
 
 def c_reductive(ell: int, n: int, r: int, cap: int | None = None) -> int:
@@ -237,7 +254,9 @@ def c_reductive(ell: int, n: int, r: int, cap: int | None = None) -> int:
         raise ValueError("c_reductive requires ell, n >= 1")
     if r < 0:
         raise ValueError("real-place count must be nonnegative")
-    return 2 ** (ell * r) * c_tilde(ell, n, cap)
+    name = f"c_reductive({_compact_int(ell)}, {_compact_int(n)}, {_compact_int(r)})"
+    factors = ((2, ell * r), (c_tilde(ell, n, cap), 1))
+    return _checked_product(name, factors, cap, "2^(ell * r) * c_tilde(ell, n)")
 
 
 def dirichlet_index_bound(f_degree: int, density: Fraction) -> Fraction:

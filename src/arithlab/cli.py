@@ -328,6 +328,11 @@ def _run_symbol(args, argv):
     else:  # hilbert
         a, b = _parse_rational(args.a), _parse_rational(args.b)
         place = _parse_place(args.place)
+        if max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator) > FACTOR_LIMIT:
+            raise UsageError(
+                "cannot certify (a, b)_v: a numerator or denominator of a or b exceeds "
+                "2**64, the limit of factor"
+            )
         value = symbols.hilbert_symbol(a, b, place)
         certs = [
             _cert("reciprocity-product-is-one", symbols.hilbert_product_check(a, b).passed)

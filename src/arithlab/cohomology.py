@@ -16,22 +16,27 @@ checks along a generating set), and since Z^d is torsion-free f is a
 cocycle too.  So Z^1 = ker M over Z, and the group table is never read.
 
 M itself is never built: only its rank is needed, and that comes from
-the d x d norm matrix T = sum_g g.  Since E C = sum_{g != 1} (g - 1)
-= T - s I_d, the map f |-> E f sends ker M into ker T (E M = T E), and
-over Q it is an isomorphism with inverse u |-> -C u / s: for u in ker T,
-E(-C u / s) = u and M(-C u / s) = -C u + C u = 0, while E f = 0 and
-M f = 0 force s f = 0.  So rank M = N - d + rank T.
+T = sum_g A_g, the d x d norm matrix of the action matrices A_g.  Since
+E C = sum_{g != 1} (A_g - I) = T - s I_d, the map f |-> E f sends
+ker M into ker T (E M = T E), and over Q it is an isomorphism with
+inverse u |-> -C u / s: for u in ker T, E(-C u / s) = u and
+M(-C u / s) = -C u + C u = 0, while E f = 0 and M f = 0 force s f = 0.
+So rank M = N - d + rank T.  T is not built either: A_g A_h = A_gh
+gives T^2 = s T, so T / s is idempotent over Q and its rank is its
+trace, rank T = (sum_g tr A_g) / s, the dimension of the invariants
+(Serre, *Linear Representations of Finite Groups*, GTM 42, section 2.3).
 
 Z^1 is a kernel, hence saturated in Z^N, so Z^N/Z^1 is free and the
 sequence 0 -> Z^1/B^1 -> Z^N/B^1 -> Z^N/Z^1 -> 0 splits:
 Z^N/B^1 = H^1 + Z^N/Z^1.  The torsion of H^1 is therefore the torsion
 of coker C, and its free rank is (N - rank M) - rank C
-= d - rank T - rank C; both come out of Smith diagonals, and no
-cocycle bases, relators or unimodular transforms are ever built.
+= d - rank T - rank C.  The torsion and rank C come out of one Smith
+diagonal and rank T out of the traces; no cocycle bases, relators or
+unimodular transforms are ever built.
 
-C is not built either.  Write A_g for the action matrix of g and L for
-the lattice in Z^d spanned by the rows of C.  If C = U D V with U, V
-unimodular and D diagonal, then L is the row lattice of D V, so
+C is not built either.  Write L for the lattice in Z^d spanned by the
+rows of C.  If C = U D V with U, V unimodular and D diagonal, then L is
+the row lattice of D V, so
 Z^d / L = Z/D_11 + ... + Z^(d - rank C): the rank of C and its Smith
 diagonal entries above 1 depend only on L.  The blocks A_x - I for x in
 the generating set S of FiniteGroup already span L, because
@@ -277,22 +282,15 @@ def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
 def h1(lattice: GLattice) -> AbelianGroupInvariants:
     """Invariants of H^1(G, A) = Z^1 / B^1 for the given lattice.
 
-    Z^1 = ker M with M = s I + C E, and over Q ker M is isomorphic to
-    ker T for the norm matrix T = sum_g g (module docstring), so
-    rank M = N - d + rank T.  Z^1 is saturated, so Z^N/B^1 = H^1 +
-    Z^N/Z^1 with the second summand free of rank rank M: the elementary
-    divisors of H^1 are those of coker C above 1, and its free rank is
-    (N - rank M) - rank C = d - rank T - rank C.  Both are read off the
-    generator stack C_S, S from core.generating_set (the one home of the
-    greedy rule): A_gh - I = A_g (A_h - I) + (A_g - I) puts every
-    block of C in the row lattice of C_S, and the rank and the Smith
-    diagonal entries above 1 depend only on that lattice.  Finiteness
-    of the result (free rank 0) is a theorem; the computed free rank is
-    returned so that tests can confirm it.
+    Following the module docstring, the elementary divisors of H^1 are
+    those of the generator stack C_S above 1, and its free rank is
+    d - rank T - rank C_S with rank T = (sum_g tr A_g) / s: one Smith
+    diagonal and one character count.  Finiteness of the result (free
+    rank 0) is a theorem; the computed free rank is returned so that
+    tests can confirm it.
     """
     d = lattice.rank
-    norm = IntegerMatrix(d, d, tuple(map(sum, zip(*(m.entries for m in lattice.action)))))
-    rank_t = sum(1 for x in snf_diagonal(norm) if x)
+    rank_t = sum(sum(m.entries[:: d + 1]) for m in lattice.action) // lattice.group.order
     diag = snf_diagonal(_coboundary_matrix(lattice))
     rank_c = sum(1 for x in diag if x)
     return AbelianGroupInvariants(tuple(x for x in diag if x > 1), d - rank_t - rank_c)

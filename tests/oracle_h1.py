@@ -1,11 +1,12 @@
 """Brute-force first-cohomology oracle, independent of the library path.
 
-The library computes H^1 from two Smith diagonals: one of the d x d
-norm matrix T = sum_g g, which gives the rank of the N x N cocycle
-matrix M = s I + C E, and one of the coboundary matrix C.  This oracle
-instead enumerates cocycles directly from the defining functional
-equation and reduces modulo coboundaries by explicit membership tests,
-so the two implementations share no linear algebra.  For checking the
+The library computes H^1 from one Smith diagonal, of the coboundary
+matrix C, and one trace count: rank T = (sum_g tr A_g) / s for the d x d
+norm matrix T = sum_g A_g, which gives the rank of the N x N cocycle
+matrix M = s I + C E.  This oracle instead enumerates cocycles
+directly from the defining functional equation and reduces modulo
+coboundaries by explicit membership tests, so the two implementations
+share no linear algebra.  For checking the
 library's reduction, cocycle_relation_matrix writes the defining
 equation out for every pair of group elements, coboundary_matrix builds
 the full C with one block g - 1 for every g != 1 (the library stacks

@@ -20,7 +20,7 @@ from arithlab.bounds import (
     psi_size,
     spl0_index_bound,
     t1_density_bound,
-    _checked_power,
+    _checked_product,
     _compact_int,
     _gamma_product,
 )
@@ -144,11 +144,16 @@ class TestPsi:
         assert psi(2, cap=159) == 48**94
         with pytest.raises(DigitCapExceeded):
             psi(2, cap=158)
-        assert _checked_power("t", 2, 10, cap=4) == 1024
+        assert _checked_product("t", ((2, 10),), cap=4) == 1024
         # log10 of 10^k sits on the cap, so the exact comparison decides.
-        assert _checked_power("t", 10, 3, cap=4) == 1000
+        assert _checked_product("t", ((10, 3),), cap=4) == 1000
         with pytest.raises(DigitCapExceeded):
-            _checked_power("t", 10, 4, cap=4)
+            _checked_product("t", ((10, 4),), cap=4)
+        # The same holds for a product: 2^3 * 5^3 = 1000, 2^4 * 5^3 = 2000.
+        assert _checked_product("t", ((2, 3), (5, 3)), cap=4, formula="f") == 1000
+        assert _checked_product("t", ((2, 4), (5, 3)), cap=4, formula="f") == 2000
+        with pytest.raises(DigitCapExceeded):
+            _checked_product("t", ((2, 4), (5, 4)), cap=4, formula="f")
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("ASA_DIGIT_CAP", "100")
@@ -213,6 +218,21 @@ class TestCReductive:
     def test_rejects_negative_places(self):
         with pytest.raises(ValueError):
             c_reductive(1, 1, -1)
+
+    def test_whole_value_held_to_the_cap(self):
+        # 2^331 * 2 has 100 digits and 2^332 * 2 has 101.
+        assert c_reductive(1, 1, 331, cap=100) == 2**332
+        with pytest.raises(DigitCapExceeded) as err:
+            c_reductive(1, 1, 332, cap=100)
+        assert err.value.name == "c_reductive(1, 1, 332)"
+        assert err.value.size.formula == "2^(ell * r) * c_tilde(ell, n)"
+        assert err.value.size.digits10 == "101"
+
+    def test_astronomical_place_count_refused(self):
+        with pytest.raises(DigitCapExceeded) as err:
+            c_reductive(1, 10**50, 10**1000)
+        assert err.value.name == "c_reductive(1, <51-digit integer>, <1001-digit integer>)"
+        assert err.value.size.digits10 == "3.0103e+999"
 
 
 class TestIndexBounds:

@@ -231,6 +231,39 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: digit cap exceeded: gamma(<50-digit integer>) = prod_")
 
+    @pytest.mark.parametrize(
+        "command,fits",
+        [
+            # 2^331 * 2 has 100 digits, 2^332 * 2 has 101.
+            (["creductive", "1", "1", "331"], True),
+            (["creductive", "1", "1", "332"], False),
+            # c_tilde(1, n) = 2 n, which reaches 10^100 at n = 5 * 10^99.
+            (["ctilde", "1", str(5 * 10**99 - 1)], True),
+            (["ctilde", "1", str(5 * 10**99)], False),
+            (["ctilde-improved", "1", str(5 * 10**99 - 1)], True),
+            (["ctilde-improved", "1", str(5 * 10**99)], False),
+        ],
+    )
+    def test_whole_value_held_to_the_digit_cap(self, command, fits, capsys, monkeypatch):
+        monkeypatch.setenv("ASA_DIGIT_CAP", "100")
+        code, out, err = run_in_process(["constants", *command], capsys)
+        if fits:
+            assert code == 0
+            assert len(json.loads(out)["outputs"]["value"]) == 100
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: digit cap exceeded: c_")
+            assert err.endswith("with about 101 decimal digits, beyond the 100-digit cap\n")
+
+    @pytest.mark.parametrize("r", [10**12, 10**1000])
+    def test_huge_real_place_count_refused_at_once(self, r, capsys):
+        start = time.monotonic()
+        code, out, err = run_in_process(["constants", "creductive", "1", "1", str(r)], capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: digit cap exceeded: c_reductive(1, 1, ")
+        assert ("<1001-digit integer>" in err) == (r > 10**40)
+
     @pytest.mark.parametrize("cap", ["0", "abc"])
     def test_bad_digit_cap_refused(self, cap, capsys, monkeypatch):
         monkeypatch.setenv("ASA_DIGIT_CAP", cap)
@@ -318,6 +351,27 @@ class TestBoundedWork:
         code, out, err = run_in_process(["symbol", "jacobi", str(2**100 + 1), str(n)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: cannot certify (a/n): a mod n exceeds 2**64, the limit of factor\n"
+
+    @pytest.mark.parametrize(
+        "a,b", [(str(2**65), "3"), ("3", f"-1/{2**64 + 1}"), (f"-{2**64 + 1}/7", "5")]
+    )
+    def test_hilbert_refused_before_any_symbol(self, a, b, capsys, monkeypatch):
+        from arithlab import symbols
+
+        calls = []
+        monkeypatch.setattr(symbols, "hilbert_symbol", lambda *args: calls.append(args))
+        code, out, err = run_in_process(["symbol", "hilbert", "--", a, b, "5"], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert err == (
+            "error: cannot certify (a, b)_v: a numerator or denominator of a or b "
+            "exceeds 2**64, the limit of factor\n"
+        )
+
+    def test_hilbert_at_the_factor_limit_runs(self, capsys):
+        code, out, _ = run_in_process(["symbol", "hilbert", "--", str(-(2**64)), "3", "2"], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["certifications"] == [{"name": "reciprocity-product-is-one", "passed": True}]
 
     def test_count_nth_powers_is_the_order_of_a_power_of_a_primitive_root(self):
         for p in primes_up_to(3000)[1:]:

@@ -7,6 +7,7 @@ import pytest
 from sympy import Matrix, Poly, cyclotomic_poly, factorint, symbols, totient
 from sympy.matrices.normalforms import invariant_factors
 
+from arithlab import cohomology
 from arithlab.bounds import divides_power, gamma, lam, psi
 from arithlab.cohomology import (
     AbelianGroupInvariants,
@@ -21,7 +22,7 @@ from arithlab.cohomology import (
     _coboundary_matrix,
     _largest_finite_order,
 )
-from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
+from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form, snf_diagonal
 
 from oracle_h1 import (
     brute_force_h1,
@@ -282,8 +283,10 @@ class TestCocycleMatrices:
     """Z^1 = ker M, M = s I + C E, against the all-pairs R.
 
     h1 reads H^1 off coker C, which needs B^1 inside Z^1: R C = 0.  It
-    never builds M, and takes rank M = N - d + rank T from the norm
-    matrix T.  C here is the oracle's full matrix, one block per g != 1.
+    never builds M, and takes rank M = N - d + rank T with rank T the
+    trace sum of the action matrices over s, where T is the oracle's
+    norm matrix.  C here is the oracle's full matrix, one block per
+    g != 1.
     """
 
     LATTICES = [lat for _, lat, _ in CORPUS + MIXED] + [
@@ -316,6 +319,24 @@ class TestCocycleMatrices:
             n, d = (lat.group.order - 1) * lat.rank, lat.rank
             cocycles = cocycle_matrix(coboundary_matrix(lat), lat.group.order)
             assert _rank(cocycles) == n - d + _rank(norm_matrix(lat))
+        # T^2 = s T, so s rank T is the trace of T, the sum h1 reads.
+        for lat in self.LATTICES + [
+            augmentation_dual(FiniteGroup.cyclic(48)),
+            augmentation_dual(S4_C2),
+            induced_lattice(S4_C2, [S4_C2.identity]),
+        ]:
+            s, norm = lat.group.order, norm_matrix(lat)
+            traces = sum(m[i, i] for m in lat.action for i in range(lat.rank))
+            assert traces == s * _rank(norm) == s * Matrix(norm.to_rows()).rank()
+
+    def test_h1_runs_one_smith_diagonal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cohomology, "snf_diagonal", lambda m: calls.append(m) or snf_diagonal(m)
+        )
+        for k, lat in enumerate(self.LATTICES, 1):
+            h1(lat)
+            assert len(calls) == k
 
 
 def _parity(perm):
