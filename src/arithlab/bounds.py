@@ -287,13 +287,22 @@ def spl0_index_bound(density: Fraction) -> Fraction:
 
 
 def t1_density_bound(d: int, density: Fraction, cap: int | None = None) -> BoundReport:
-    """Torus index bound density^(-d) * psi(lam(d)), as an exact report."""
+    """Torus index bound density^(-d) * psi(lam(d)), as an exact report.
+
+    The digit cap holds b^d * psi(lam(d)) for density = a/b in lowest
+    terms, an upper bound on the reduced numerator of the value, and a
+    bound over the cap is refused before the value is formed.
+    """
     density = Fraction(density)
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
-    value = Fraction(1, 1) / density**d * psi(lam(d), cap)
+    factors = ((density.denominator, d), (psi(lam(d), cap), 1))
+    a, b = (_compact_int(x) for x in density.as_integer_ratio())
+    name = f"t1_density_bound({_compact_int(d)}, {a}/{b})"
+    numerator = _checked_product(name, factors, cap, "denominator(density)^d * psi(lam(d))")
+    value = Fraction(numerator, density.numerator**d)
     if value.denominator == 1:
         value = int(value)
     return BoundReport(

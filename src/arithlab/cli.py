@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from .core import (
-    FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, default_digit_cap, determinant, factor,
+    FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, default_digit_cap, factor,
 )
 
 __all__ = ["main", "run"]
@@ -209,10 +209,20 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
 
 
 def _count_invertible_mod3(d: int) -> int:
+    """Invertible d x d matrices mod 3 (d <= 3), counted over all 3^(d*d) row tuples.
+
+    Each matrix is padded to diag(M, I) in 3 x 3, which has determinant
+    det M: for the last two rows b, c, the cofactors of the first row
+    are written out once, and every first row a meets them in one dot
+    product.
+    """
+    rows = [r + (0,) * (3 - d) for r in itertools.product(range(3), repeat=d)]
+    identity = ((0, 1, 0), (0, 0, 1))[d - 1 :]
     count = 0
-    for entries in itertools.product(range(3), repeat=d * d):
-        if determinant(IntegerMatrix(d, d, entries)) % 3:
-            count += 1
+    for tail in itertools.product(rows, repeat=d - 1):
+        (b0, b1, b2), (c0, c1, c2) = tail + identity
+        k0, k1, k2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        count += sum(1 for a0, a1, a2 in rows if (a0 * k0 + a1 * k1 + a2 * k2) % 3)
     return count
 
 

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .core import Record, crt_solve, is_prime, next_prime_in_progression
-from .progressions import primes_up_to
+from .progressions import _primes_in_class
 from .symbols import Place, _is_square_at, hilbert_symbol, jacobi
 
 __all__ = [
@@ -190,7 +190,7 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
     """
     if q % 4 != 1 or not is_prime(q):
         raise ValueError(f"q must be a prime congruent to 1 mod 4, got {q}")
-    checked = tuple(p for p in primes_up_to(sample_bound) if p % q == 1)
+    checked = _primes_in_class(1, q, sample_bound)
     failures = [p for p in checked if not _is_square_at(q, p)]
     sampled = []
     for p in checked[:3]:

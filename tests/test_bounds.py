@@ -262,6 +262,12 @@ class TestIndexBounds:
         assert report.value == 3
         assert report.inputs == (("d", "1"), ("density", "2/3"))
 
+    def test_t1_digit_cap_holds_the_whole_value(self):
+        with pytest.raises(DigitCapExceeded) as err:
+            t1_density_bound(1, Fraction(1, 10**150), cap=100)
+        assert "about 151 decimal digits" in str(err.value)
+        assert t1_density_bound(1, Fraction(1, 10**98), cap=100).value == 2 * 10**98
+
     def test_t1_dimension_two_refused(self):
         with pytest.raises(DigitCapExceeded):
             t1_density_bound(2, Fraction(1, 2))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from sympy.ntheory import n_order, primitive_root
 
 from arithlab import cli, progressions
 from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
-from arithlab.core import IntegerMatrix
+from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
 
 SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
@@ -51,6 +52,15 @@ class TestReports:
         assert report["outputs"]["value"] == "48"
         assert report["status"] == "ok"
         assert report["provenance"]["module"] == "arithlab.bounds"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_invertible_count_mod3_against_determinants(self, d, capsys):
+        matrices = itertools.product(range(3), repeat=d * d)
+        expected = sum(1 for m in matrices if determinant(IntegerMatrix(d, d, m)) % 3)
+        assert cli._count_invertible_mod3(d) == expected
+        _, out, _ = run_in_process(["constants", "gamma", str(d)], capsys)
+        certs = json.loads(out)["certifications"]
+        assert certs == [{"name": "matches-brute-force-count", "passed": True}]
 
     def test_legendre_report(self, capsys):
         code, out, _ = run_in_process(["symbol", "legendre", "11", "5"], capsys)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,24 @@ class TestArtinKernelEvidence:
         assert [s for s, _ in report.sampled_symbols[:4]] == [
             "(2, 5)_11", "(-3/7, 5)_11", "(11, 5)_11", "(1/2, 5)_11",
         ]
+
+    @pytest.mark.parametrize("q", [5, 13, 17, 29])
+    def test_split_primes_are_the_filtered_sieve(self, q):
+        for b in (-5, 0, 1, 2, 3, 10, 11, 2 * q + 1, 10**4):
+            expected = tuple(p for p in primes_up_to(b) if p % q == 1)
+            assert artin_kernel_evidence(q, b).checked_primes == expected, b
+
+    def test_memory_peak_at_a_million(self):
+        # The split primes come off the mask in one class slice, with no
+        # tuple of all 78,498 primes: the peak was 4.6 MiB when they did.
+        primes_up_to.cache_clear()
+        tracemalloc.start()
+        try:
+            artin_kernel_evidence(5, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):

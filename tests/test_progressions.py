@@ -21,6 +21,7 @@ from arithlab.progressions import (
     splits_completely,
     tractable_condition,
 )
+from arithlab.progressions import _prime_mask
 import oracle_progressions as oracle
 
 GAUSSIAN = AbelianExtensionDescriptor.gaussian()
@@ -268,6 +269,30 @@ class TestSieveAgainstSympy:
         assert (after.misses, after.hits, after.currsize) == (info.misses + 1, info.hits, 1)
         natural_density_estimate(P14, 5000)  # the same mask serves the estimate
         assert primes_up_to.cache_info().hits == info.hits + 1
+
+
+class TestOddOnlyMask:
+    """The odd-only mask, its cached pi(x), and the class slices read off it."""
+
+    @pytest.mark.parametrize("bound", [1000, 1001, 10**4])
+    def test_every_unit_class_up_to_60_against_sympy(self, bound):
+        primes = list(sympy.primerange(2, bound + 1))
+        for m in range(1, 61):
+            for r in range(m):
+                if math.gcd(r, m) != 1:
+                    continue
+                for excluded in ((), (2,)):
+                    spec = ProgressionSpec.residue_class(r, m, excluded)
+                    n = spec.extension.conductor
+                    count = sum(1 for p in primes if p % n == r % n and p not in excluded)
+                    assert natural_density_estimate(spec, bound).hex() == (count / len(primes)).hex(), (
+                        r, m, excluded)
+
+    def test_mask_has_one_byte_per_odd_number_and_caches_pi(self):
+        for b in [*range(2, 300), 10**4, 10**4 + 1]:
+            mask, pi = _prime_mask(b)
+            assert len(mask) == (b + 1) // 2, b
+            assert pi == sympy.primepi(b), b
 
 
 class TestIntersectionDensity:
