@@ -17,6 +17,7 @@ import math
 import operator
 import os
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from functools import cache
 
 __all__ = [
     "Record",
@@ -42,12 +43,14 @@ FACTOR_LIMIT = 2**64  # factor's range is 1 <= n <= FACTOR_LIMIT
 
 # Deterministic Miller-Rabin witness sets: (bound, bases) is exact for
 # every odd n < bound.  The smallest strong pseudoprimes to bases 2, 3 and
-# to 2, 3, 5, 7 are 1,373,653 and 3,215,031,751; the twelve primes up to
-# 37 cover all n < 2^64.
+# to 2, 3, 5, 7 are 1,373,653 and 3,215,031,751.  The last tier is
+# Sinclair's seven-base set (2011), checked against Feitsma's list of the
+# base-2 strong pseudoprimes below 2^64; its bases are all below the
+# tier's least n, so none is 0 mod n.
 _MR_TIERS = (
     (1_373_653, (2, 3)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (2**64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -183,7 +186,26 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
 
 
 def _lucas_strong_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameter choice (n odd, > 2)."""
+    """Strong Lucas probable-prime test with Selfridge's parameters (n odd, > 2).
+
+    Baillie and Wagstaff, Lucas pseudoprimes, Math. Comp. 35 (1980),
+    method A: D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4.  With n + 1 = s 2^r, s odd, n passes when U_s = 0
+    or V_(s 2^i) = 0 for some 0 <= i < r.
+
+    The ladder never forms Q^k.  It carries u = c U_k
+    and v = c V_k mod n for a power of two c.  Doubling uses U_2k = U_k V_k
+    and V_2k = (V_k^2 + D U_k^2)/2, which follow from V_k^2 - D U_k^2 =
+    4 Q^k: 2 u v and v^2 + D u^2 are 2 c^2 U_2k and 2 c^2 V_2k.  A step
+    uses U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D U_k + V_k)/2: u + v and
+    D u + v are 2 c U_(k+1) and 2 c V_(k+1).  As c is a unit mod odd n, u
+    and v vanish exactly when U_k and V_k do, so the verdict is that of
+    the ladder that carries Q^k, with two reductions mod n per bit instead
+    of three and no halving.  Timed in one process against that ladder
+    (CPU time, interleaved, medians; CPython 3.11, x86-64), on primes of
+    128, 1024 and 2048 bits: 0.124 against 0.181 ms, 14.1 against 17.0
+    ms, 83 against 87 ms.
+    """
     if _is_square_int(n):
         return False
     # First D in 5, -7, 9, -11, ... with jacobi(D, n) == -1.
@@ -195,30 +217,19 @@ def _lucas_strong_probable_prime(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
-    p, q = 1, (1 - d) // 4
     # n + 1 = s * 2^r with s odd
     r, s = valuation(n + 1, 2)
-    # Lucas sequences U_s, V_s by binary ladder.
-    u, v, qk = 1, p, q % n
+    u = v = 1  # U_1 and V_1 = P, with c = 1
     for bit in bin(s)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
+        u, v = (u * v << 1) % n, (v * v + d * u * u) % n
         if bit == "1":
-            u, v = (p * u + v) % n, (d * u + p * v) % n
-            if u % 2:
-                u += n
-            if v % 2:
-                v += n
-            u, v = u // 2 % n, v // 2 % n
-            qk = qk * q % n
+            u, v = (u + v) % n, (d * u + v) % n
     if u == 0 or v == 0:
         return True
     for _ in range(r - 1):
-        v = (v * v - 2 * qk) % n
+        u, v = (u * v << 1) % n, (v * v + d * u * u) % n
         if v == 0:
             return True
-        qk = qk * qk % n
     return False
 
 
@@ -247,13 +258,36 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# Above 2^64, one gcd with the product of the odd primes below this bound
+# refuses every n with such a factor before any modular power is taken.
+_PRIMORIAL_BOUND = 4096
+
+
+@cache
+def _odd_primorial() -> int:
+    """The product of the odd primes below _PRIMORIAL_BOUND, built on first use."""
+    return math.prod(p for p in range(3, _PRIMORIAL_BOUND, 2) if is_prime(p))
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n >= 1.
 
     Trial division by the primes up to 47 settles every n < 53^2.  Up
     to 2^64 a Miller-Rabin witness set proven exact below the size of n
-    decides (two, four or twelve bases); above 2^64 a Baillie-PSW test
-    (Miller-Rabin base 2 plus a strong Lucas test) does.
+    decides: two, four or seven bases, the seven of Sinclair (2011).
+    Above 2^64, n is refused when it shares a factor with the product of
+    the odd primes below 4096 (one gcd), and otherwise a Baillie-PSW test
+    decides: Miller-Rabin base 2, then the strong Lucas test of Baillie
+    and Wagstaff (Math. Comp. 35, 1980).  The gcd changes no verdict,
+    since each such factor is a prime below n.
+
+    The bound 4096 was measured (medians of 9, CPython 3.11, x86-64) on
+    build_biased_prime_sets(6) and on 400 consecutive odd n at 128, 256,
+    512 and 1024 bits.  Against no gcd, every bound from 1024 to 16384
+    took 0.5-0.7 of the time, within noise of each other; at 4096 the
+    biased sets took 82 ms instead of 153.  At 65536 the 128-bit walk
+    was twice as slow as at 4096, as the gcd with a 94,000-bit product
+    outweighs the powers it saves.
     """
     if n < 1:
         raise ValueError(f"is_prime requires n >= 1, got {n}")
@@ -269,6 +303,8 @@ def is_prime(n: int) -> bool:
     for bound, bases in _MR_TIERS:
         if n < bound:
             return _miller_rabin(n, bases)
+    if math.gcd(n, _odd_primorial()) != 1:
+        return False
     return _miller_rabin(n, (2,)) and _lucas_strong_probable_prime(n)
 
 
@@ -312,7 +348,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -320,7 +356,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 

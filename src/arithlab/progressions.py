@@ -280,8 +280,10 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     count = int(2 % m in coset)
     for r in coset:
         if odd := _odd_slice(r, m):
+            # Step 1 (m <= 2, so start 0) is the whole mask, whose count is
+            # the cached pi less the prime 2: no copy, no count.
             start, step = odd
-            count += mask[start::step].count(1)
+            count += pi - 1 if step == 1 else mask[start::step].count(1)
     # Excluded elements lower the count only as sieved primes in the coset:
     # 2, or an odd p, whose own byte starts its class slice.
     count -= sum(

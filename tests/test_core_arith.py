@@ -27,7 +27,21 @@ from arithlab.core import (
     snf_diagonal,
     valuation,
 )
-from arithlab.core import _miller_rabin
+from arithlab import core
+from arithlab.core import _lucas_strong_probable_prime, _miller_rabin
+
+
+def chernick_numbers():
+    """Every (6k+1)(12k+1)(18k+1) < 2^64 whose three factors are prime."""
+    k_end = 1
+    while (6 * k_end + 1) * (12 * k_end + 1) * (18 * k_end + 1) < 2**64:
+        k_end += 1
+    sieve = bytearray_sieve(18 * k_end + 1)
+    return [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, k_end)
+        if sieve[6 * k + 1] and sieve[12 * k + 1] and sieve[18 * k + 1]
+    ]
 
 
 def trial_division_is_prime(n):
@@ -100,6 +114,9 @@ class TestIsPrime:
             (1_373_653, (2, 3)),
             (25_326_001, (2, 3, 5)),
             (3_215_031_751, (2, 3, 5, 7)),
+            # Strong pseudoprime to every prime base up to 29 (and 31): the
+            # twelve-base set stopped it only at 37; the top tier must too.
+            (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
         ):
             assert _miller_rabin(n, bases)
             assert is_prime(n) is False
@@ -111,10 +128,60 @@ class TestIsPrime:
             for n in range(edge - 1000, edge + 1001):
                 assert is_prime(n) == isprime(n), n
 
+    def test_chernick_numbers_agree_with_sympy(self):
+        # Every (6k+1)(12k+1)(18k+1) < 2^64 with three prime factors is a
+        # Carmichael number; 251 of them are base-2 strong pseudoprimes, so
+        # they test the top tier's other six bases.
+        from sympy import isprime
+
+        numbers = chernick_numbers()
+        assert len(numbers) == 1675
+        assert sum(_miller_rabin(n, (2,)) for n in numbers) == 251
+        assert [n for n in numbers if is_prime(n) != isprime(n)] == []
+
+    def test_small_factor_above_64_bits_is_refused_before_any_power(self, monkeypatch):
+        # The least prime factor lies in (47, 4096): trial division misses
+        # it, and the primorial gcd must refuse n before Baillie-PSW starts.
+        def no_power(*args):
+            raise AssertionError("a modular power was taken")
+
+        monkeypatch.setattr(core, "_miller_rabin", no_power)
+        monkeypatch.setattr(core, "_lucas_strong_probable_prime", no_power)
+        big_prime = 2**64 + 13
+        for p in (53, 97, 1009, 4091, 4093):
+            assert is_prime(p * big_prime) is False
+            assert is_prime(p * p * (2**89 - 1)) is False
+
     def test_big_prime_spot_witnesses(self):
         for n in (10**25 + 13, 2**64 + 13):
             for a in (2, 3, 5, 7, 11, 13):
                 assert pow(a, n - 1, n) == 1
+
+
+class TestLucasStrongProbablePrime:
+    def test_known_strong_lucas_pseudoprimes_pass(self):
+        for n in (5459, 5777, 10877):
+            assert not is_prime(n)
+            assert _lucas_strong_probable_prime(n) is True
+
+    def test_agrees_with_sympy_on_every_small_odd_n(self):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        assert [
+            n for n in range(3, 3 * 10**5, 2)
+            if _lucas_strong_probable_prime(n) != is_strong_lucas_prp(n)
+        ] == []
+
+    def test_agrees_with_sympy_on_random_big_n(self):
+        from sympy import nextprime
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        rng = random.Random(1980)
+        numbers = [rng.getrandbits(b) | (1 << (b - 1)) | 1 for b in range(65, 601, 3)]
+        numbers += [nextprime(rng.getrandbits(b) | (1 << (b - 1))) for b in range(65, 601, 45)]
+        for n in numbers:
+            assert _lucas_strong_probable_prime(n) == is_strong_lucas_prp(n), n
+        assert sum(map(_lucas_strong_probable_prime, numbers)) >= 12
 
 
 class TestFactor:
@@ -624,4 +691,48 @@ def test_snf_outputs_are_pinned():
         digest.update(repr(result).encode())
     assert digest.hexdigest() == (
         "67a48c7cab5ff51891a7ae94ce1fdebdce9747417d487aa124ae61d641600627"
+    )
+
+
+def primality_pin_corpus():
+    """Tier edges, seeded 64-bit odd n, seeded walks of 65-2048 bits that
+    stop at a prime or after 100 odd n, six Mersenne primes, and the
+    Chernick numbers."""
+    rng = random.Random(1809)
+    for edge in (53 * 53, 1_373_653, 3_215_031_751, 2**64):
+        yield from range(edge - 300, edge + 301)
+    yield from (rng.randrange(1, 2**64) | 1 for _ in range(3000))
+    for bits in (65, 66, 80, 96, 128, 160, 200, 256, 384, 512, 768, 1024, 1536, 2048):
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        for _ in range(100):
+            yield n
+            if is_prime(n):
+                break
+            n += 2
+    yield from (2**p - 1 for p in (89, 107, 127, 521, 607, 1279))
+    yield from chernick_numbers()
+
+
+def factor_pin_corpus():
+    """1..2000, one seeded n of each size from 8 to 64 bits, 150 seeded
+    n up to 2^64, and the 41 n up to 2^64 itself."""
+    rng = random.Random(1810)
+    yield from range(1, 2001)
+    for bits in range(8, 65):
+        yield rng.getrandbits(bits) | (1 << (bits - 1))
+    yield from (rng.randrange(1, 2**64 + 1) for _ in range(150))
+    yield from range(2**64 - 40, 2**64 + 1)
+
+
+def test_primality_outputs_are_pinned():
+    # Every is_prime verdict and factor output on a seeded corpus, as
+    # computed before the seven-base tier, the primorial gcd and the
+    # Lucas ladder without Q^k: a change of method must change no output.
+    digest = hashlib.sha256()
+    for n in primality_pin_corpus():
+        digest.update(f"{n} {is_prime(n):d}\n".encode())
+    for n in factor_pin_corpus():
+        digest.update(f"{n} {factor(n).factors}\n".encode())
+    assert digest.hexdigest() == (
+        "71803f49e59a0d9fcac6d743ddb2b0c46c1eaa645a6438e28095ec1f1896238b"
     )
