@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from functools import cache
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "factor",
     "valuation",
     "generating_set",
+    "cosets",
     "crt_solve",
     "next_prime_in_progression",
     "smith_normal_form",
@@ -146,6 +147,17 @@ def generating_set(
     S, so it is <K, x>, at least twice K: |S| <= log2 |<S>|.  Every coset
     must lie in elements, so on success elements = <S>, and a subgroup
     never fails.  Cost: O(|S|) products per element of <S>.
+
+    FiniteGroup calls it on its whole table before associativity is
+    known, and that is sound.  Every coset then lies in elements, so the
+    result is never None.  With `one` a two-sided identity, a
+    representative r outside the span joins it (one r = r lies in K r),
+    and only such an r adds representatives, so the loop ends after at
+    most |elements| of them.  Every element placed in the span is
+    mul(k, r) with k already in it and r = x or mul(r', g) for g in S: a
+    product of elements of S, in some bracketing.  So the span, which
+    ends as all of elements, lies in every set that holds S and `one`
+    and is closed under mul.
     """
     members = set(elements)
     if one not in members:
@@ -167,12 +179,37 @@ def generating_set(
     return tuple(gens)
 
 
+def cosets(
+    elements: Iterable[Hashable],
+    mul: Callable[[Hashable, Hashable], Hashable],
+    sub: Collection[Hashable],
+) -> tuple[list, dict]:
+    """The left cosets g H of the subgroup `sub` of the group `elements`.
+
+    mul is the group law and sub a subgroup under it.  Each coset is
+    found at the first of its elements in the order `elements` gives, so
+    for sorted elements that is its least.  Returns those elements, one
+    per coset in that order, and a map from every element to the index
+    of its coset, which lists the elements coset by coset in that order.
+    """
+    reps: list = []
+    index: dict = {}
+    for g in elements:
+        if g not in index:
+            for h in sub:
+                index[mul(g, h)] = len(reps)
+            reps.append(g)
+    return reps, index
+
+
 def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
+    """Strong probable-prime test of odd n > 2 to each base a, 1 < a < n.
+
+    No base is reduced mod n: every tier of _MR_TIERS holds bases below
+    its least n, and Baillie-PSW uses base 2 on n > 2^64.
+    """
     r, d = valuation(n - 1, 2)
     for a in bases:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -330,9 +367,11 @@ class Factorization(Record):
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of composite n (Brent's cycle variant).
+
+    n has no prime factor up to 47: its one caller, factor, strips those
+    first, so n is odd.
+    """
     seed = 1
     while True:
         seed += 1
@@ -362,7 +401,12 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor(n: int) -> Factorization:
-    """Factor n completely; desk-scale input range 1 <= n <= 2^64."""
+    """Factor n completely; desk-scale input range 1 <= n <= 2^64.
+
+    The stack holds only cofactors m > 1: the first is pushed only when
+    it exceeds 1, and _pollard_rho returns a factor 1 < d < m, so d and
+    m // d both exceed 1.
+    """
     if not 1 <= n <= FACTOR_LIMIT:
         raise ValueError(f"factor requires 1 <= n <= 2**64, got {n}")
     remaining = n
@@ -373,8 +417,6 @@ def factor(n: int) -> Factorization:
     stack = [remaining] if remaining > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

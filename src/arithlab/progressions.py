@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 
+from . import core
 from .core import Record, factor, generating_set
 
 __all__ = [
@@ -106,14 +107,11 @@ class AbelianExtensionDescriptor(Record):
     def cosets(self) -> list[frozenset[int]]:
         """The cosets of the subgroup, ordered by least element."""
         m = self.conductor
-        covered: set[int] = set()
-        out = []
-        for r in range(m):
-            if r not in covered and math.gcd(r, m) == 1:
-                c = frozenset(r * h % m for h in self.subgroup)
-                covered |= c
-                out.append(c)
-        return out
+        units = (r for r in range(m) if math.gcd(r, m) == 1)
+        _, index = core.cosets(units, lambda x, y: x * y % m, self.subgroup)
+        # index lists the units coset by coset, |H| of them each.
+        listed, k = list(index), len(self.subgroup)
+        return [frozenset(listed[i : i + k]) for i in range(0, len(listed), k)]
 
     @classmethod
     def rationals(cls) -> "AbelianExtensionDescriptor":
@@ -266,6 +264,11 @@ primes_up_to.cache_clear = _prime_mask.cache_clear
 primes_up_to.cache_info = _prime_mask.cache_info
 
 
+# Bytes of a class slice that natural_density_estimate copies at once; for
+# 1(4) at 10^8, pieces of 2^12 to 2^20 bytes count as fast as one 25 MB copy.
+_COUNT_CHUNK = 1 << 16
+
+
 def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     """pi(x; spec) / pi(x) from an exact sieve count.
 
@@ -281,9 +284,13 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     for r in coset:
         if odd := _odd_slice(r, m):
             # Step 1 (m <= 2, so start 0) is the whole mask, whose count is
-            # the cached pi less the prime 2: no copy, no count.
+            # the cached pi less the prime 2: no copy, no count.  Any other
+            # slice is counted _COUNT_CHUNK of its bytes at a time.
             start, step = odd
-            count += pi - 1 if step == 1 else mask[start::step].count(1)
+            span = step * _COUNT_CHUNK
+            count += pi - 1 if step == 1 else sum(
+                mask[i : i + span : step].count(1) for i in range(start, len(mask), span)
+            )
     # Excluded elements lower the count only as sieved primes in the coset:
     # 2, or an odd p, whose own byte starts its class slice.
     count -= sum(

@@ -14,6 +14,9 @@ the blocks of a generating set only), cocycle_matrix builds M and
 norm_matrix builds T.  is_valid_action is the reference for the
 GLattice constructor: it checks every pair of elements and every
 determinant, where the library checks a generating set only.
+is_associative is the reference for FiniteGroup's associativity check:
+it reads every one of the s^3 triples, where the library reads only the
+triples whose first element lies in its generating set.
 
 Completeness of the enumeration: if s annihilates a cohomology class
 [f], then s f = (g |-> g w - w) for some lattice vector w, and
@@ -185,6 +188,17 @@ def is_valid_action(group, rank, action):
             if mats[group.table[g][h]] != prod:
                 return False
     return all(abs(_determinant(m)) == 1 for m in mats)
+
+
+def is_associative(table):
+    """(a b) c == a (b c) for all s^3 triples of the table."""
+    s = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(s)
+        for b in range(s)
+        for c in range(s)
+    )
 
 
 def generating_set(group):

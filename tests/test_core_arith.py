@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -16,6 +17,7 @@ from arithlab.core import (
     Factorization,
     IntegerMatrix,
     Record,
+    cosets,
     crt_solve,
     determinant,
     factor,
@@ -270,6 +272,55 @@ class TestGeneratingSet:
     def test_subset_without_the_identity_returns_none(self):
         assert generating_set([], add_mod(12), 0) is None
         assert generating_set([3, 6, 9], add_mod(12), 0) is None
+
+
+def compose(p, q):
+    """The permutation k |-> p[q[k]]."""
+    return tuple(p[k] for k in q)
+
+
+def closure(gens, one):
+    """The subgroup generated by gens, by multiplying until nothing is new."""
+    span = {one}
+    while True:
+        grown = span | {compose(x, g) for x in span for g in gens}
+        if grown == span:
+            return span
+        span = grown
+
+
+S4 = sorted(itertools.permutations(range(4)))
+# The symmetries of a square with vertices 0, 1, 2, 3 in cyclic order.
+D4 = sorted(closure([(1, 2, 3, 0), (0, 3, 2, 1)], (0, 1, 2, 3)))
+
+
+class TestCosets:
+    @pytest.mark.parametrize("group", [S4, D4], ids=["S4", "D4"])
+    def test_matches_brute_force_left_cosets(self, group):
+        one = (0, 1, 2, 3)
+        subgroups = {
+            frozenset(closure(pair, one))
+            for pair in itertools.chain(
+                itertools.combinations(group, 1), itertools.combinations(group, 2)
+            )
+        }
+        for sub in subgroups:
+            reps, index = cosets(group, compose, sub)
+            brute = {frozenset(compose(g, h) for h in sub) for g in group}
+            found = [{g for g in group if index[g] == i} for i in range(len(reps))]
+            assert {frozenset(c) for c in found} == brute
+            assert reps == [min(c) for c in found] == sorted(reps)
+            assert set(index) == set(group) and len(reps) * len(sub) == len(group)
+        # Every subgroup of S4 (30 of them) and of D4 (10) has two generators.
+        assert len(subgroups) == {24: 30, 8: 10}[len(group)]
+
+    def test_representatives_follow_the_given_order(self):
+        reps, index = cosets([0, 3, 1, 4, 2, 5], add_mod(6), [0, 3])
+        assert reps == [0, 1, 2]
+        # Coset by coset: AbelianExtensionDescriptor.cosets() reads this order.
+        assert list(index.items()) == [(0, 0), (3, 0), (1, 1), (4, 1), (2, 2), (5, 2)]
+        reps, _ = cosets([5, 4, 3, 2, 1, 0], add_mod(6), [0, 3])
+        assert reps == [5, 4, 3]
 
 
 class TestCrtSolve:
