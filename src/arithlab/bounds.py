@@ -205,10 +205,25 @@ def gamma(d: int) -> int:
 
 
 def lam(d: int) -> int:
-    """Dimension bound for the kernel torus: lam(d) = d * (gamma(d) - 1)."""
+    """Dimension bound for the kernel torus: lam(d) = d * (gamma(d) - 1).
+
+    Held to the digit cap like every rung: gamma(d) may fit and lam(d)
+    not.
+    """
     if d < 1:
         raise ValueError(f"lam requires d >= 1, got {d}")
-    return d * (gamma(d) - 1)
+    factors = ((d, 1), (gamma(d) - 1, 1))
+    return _checked_product(f"lam({_compact_int(d)})", factors, None, "d * (gamma(d) - 1)")
+
+
+def _gamma_lam(d: int) -> tuple[int, int]:
+    """gamma(d) and the exponent d * (gamma(d) - 1), from one gamma(d).
+
+    The exponent is not held to the cap: psi and c_tilde_improved refuse
+    their whole value under their own names.
+    """
+    g = gamma(d)
+    return g, d * (g - 1)
 
 
 def psi(d: int, cap: int | None = None) -> int:
@@ -219,12 +234,12 @@ def psi(d: int, cap: int | None = None) -> int:
     """
     if d < 1:
         raise ValueError(f"psi requires d >= 1, got {d}")
-    return _checked_product(f"psi({d})", ((gamma(d), lam(d)),), cap)
+    return _checked_product(f"psi({d})", (_gamma_lam(d),), cap)
 
 
 def psi_size(d: int) -> PowerSize:
     """Size report for psi(d) without materializing it."""
-    return PowerSize.of(gamma(d), lam(d))
+    return PowerSize.of(*_gamma_lam(d))
 
 
 def c_tilde(d: int, n: int, cap: int | None = None) -> int:
@@ -245,7 +260,8 @@ def c_tilde_improved(d: int, n: int, cap: int | None = None) -> int:
         raise ValueError("c_tilde_improved requires d, n >= 1")
     name = f"c_tilde_improved({_compact_int(d)}, {_compact_int(n)})"
     formula = "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"
-    return _checked_product(name, ((n, d), (gamma(d), lam(d) * (gamma(d) - 1))), cap, formula)
+    g, lam_d = _gamma_lam(d)
+    return _checked_product(name, ((n, d), (g, lam_d * (g - 1))), cap, formula)
 
 
 def c_reductive(ell: int, n: int, r: int, cap: int | None = None) -> int:

@@ -243,7 +243,7 @@ def _lucas_strong_probable_prime(n: int) -> bool:
     128, 1024 and 2048 bits: 0.124 against 0.181 ms, 14.1 against 17.0
     ms, 83 against 87 ms.
     """
-    if _is_square_int(n):
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1, so the search below would not end
         return False
     # First D in 5, -7, 9, -11, ... with jacobi(D, n) == -1.
     d = 5
@@ -268,13 +268,6 @@ def _lucas_strong_probable_prime(n: int) -> bool:
         if v == 0:
             return True
     return False
-
-
-def _is_square_int(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def jacobi(a: int, n: int) -> int:

@@ -85,13 +85,14 @@ class AbelianExtensionDescriptor(Record):
 
     @staticmethod
     def _minimal_conductor(m: int, h: frozenset[int]) -> tuple[int, frozenset[int]]:
+        # The loop always returns: the kernel of div = m is {1}, and when
+        # m = 2 mod 4 skips m, the kernel of m/2 is {1} as well.
         for div in sorted(d for d in range(1, m + 1) if m % d == 0):
             if div % 4 == 2:
                 continue
             # The kernel of the reduction to Z/div lies in H.
             if all(r in h for r in range(1 % div, m, div) if math.gcd(r, m) == 1):
                 return div, frozenset(x % div for x in h)
-        return m, h
 
     @cached_property
     def phi(self) -> int:
@@ -112,6 +113,14 @@ class AbelianExtensionDescriptor(Record):
         # index lists the units coset by coset, |H| of them each.
         listed, k = list(index), len(self.subgroup)
         return [frozenset(listed[i : i + k]) for i in range(0, len(listed), k)]
+
+    def coset(self, r: int) -> frozenset[int]:
+        """The coset r * H of the unit r mod the conductor; a non-unit r
+        lies in no coset and is refused with RamifiedPrimeError."""
+        m = self.conductor
+        if math.gcd(r, m) > 1:
+            raise RamifiedPrimeError(f"{r} is not a unit mod the conductor {m}")
+        return frozenset(r * h % m for h in self.subgroup)
 
     @classmethod
     def rationals(cls) -> "AbelianExtensionDescriptor":
@@ -140,11 +149,7 @@ class FrobeniusDatum(Record):
 
 def frobenius(ext: AbelianExtensionDescriptor, p: int) -> FrobeniusDatum:
     """Frobenius class of p: the coset of p mod conductor."""
-    m = ext.conductor
-    if math.gcd(p, m) > 1:
-        raise RamifiedPrimeError(f"{p} divides the conductor {m}")
-    r = p % m
-    return FrobeniusDatum(p, frozenset(r * h % m for h in ext.subgroup))
+    return FrobeniusDatum(p, ext.coset(p))
 
 
 class ProgressionSpec(Record):
@@ -157,8 +162,10 @@ class ProgressionSpec(Record):
     def __init__(self, extension, coset: Iterable[int], excluded: Iterable[int] = ()):
         m = extension.conductor
         cset = frozenset(x % m for x in coset)
-        rep = min(cset)
-        if cset != frozenset(rep * h % m for h in extension.subgroup):
+        if not cset:
+            raise ValueError("class is empty")
+        # A class of non-units is refused by coset itself.
+        if cset != extension.coset(min(cset)):
             raise ValueError("class is not a coset of the subgroup")
         object.__setattr__(self, "extension", extension)
         object.__setattr__(self, "coset", cset)
@@ -227,16 +234,15 @@ def _prime_mask(bound: int) -> tuple[bytearray, int]:
     return mask, mask.count(1) + 1
 
 
-def _odd_slice(r: int, m: int) -> tuple[int, int] | None:
+def _odd_slice(r: int, m: int) -> tuple[int, int]:
     """The odd n = r (mod m) with n >= r, as mask[start::step] of the odd-only mask.
 
-    For odd m they are 2m apart (m bytes), from the odd one of r and
-    r + m.  For even m they are m apart (m/2 bytes), from r when r is
-    odd; an even r has none (None).  The mask holds no byte for 2.
+    r or m must be odd: every caller passes a unit r, odd when m is even,
+    or 0 mod 1.  For odd m the n are 2m apart (m bytes), from the odd one
+    of r and r + m.  For even m they are m apart (m/2 bytes), from r.
+    The mask holds no byte for 2.
     """
     if r % 2 == 0:
-        if m % 2 == 0:
-            return None
         r += m
     return r // 2, m if m % 2 else m // 2
 
@@ -246,10 +252,7 @@ def _primes_in_class(r: int, m: int, bound: int) -> tuple[int, ...]:
     if bound < 2:
         return ()
     two = (2,) if 2 % m == r else ()
-    odd = _odd_slice(r, m)
-    if odd is None:
-        return two
-    start, step = odd
+    start, step = _odd_slice(r, m)
     mask, _ = _prime_mask(bound)
     odd_primes = compress(range(2 * start + 1, bound + 1, 2 * step), memoryview(mask)[start::step])
     return tuple(chain(two, odd_primes))
@@ -282,19 +285,18 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     m, coset = spec.extension.conductor, spec.coset
     count = int(2 % m in coset)
     for r in coset:
-        if odd := _odd_slice(r, m):
-            # Step 1 (m <= 2, so start 0) is the whole mask, whose count is
-            # the cached pi less the prime 2: no copy, no count.  Any other
-            # slice is counted _COUNT_CHUNK of its bytes at a time.
-            start, step = odd
-            span = step * _COUNT_CHUNK
-            count += pi - 1 if step == 1 else sum(
-                mask[i : i + span : step].count(1) for i in range(start, len(mask), span)
-            )
+        # Step 1 (m <= 2, so start 0) is the whole mask, whose count is
+        # the cached pi less the prime 2: no copy, no count.  Any other
+        # slice is counted _COUNT_CHUNK of its bytes at a time.
+        start, step = _odd_slice(r, m)
+        span = step * _COUNT_CHUNK
+        count += pi - 1 if step == 1 else sum(
+            mask[i : i + span : step].count(1) for i in range(start, len(mask), span)
+        )
     # Excluded elements lower the count only as sieved primes in the coset:
-    # 2, or an odd p, whose own byte starts its class slice.
+    # 2, or an odd p, whose byte is p // 2.
     count -= sum(
-        p == 2 or p % 2 == 1 and mask[_odd_slice(p, m)[0]]
+        p == 2 or p % 2 == 1 and mask[p // 2]
         for p in spec.excluded
         if 0 < p <= x_bound and p % m in coset
     )

@@ -111,6 +111,38 @@ class TestLambda:
         with pytest.raises(ValueError):
             lam(0)
 
+    def test_held_to_the_digit_cap(self, monkeypatch):
+        # gamma(10) has 48 digits and lam(10) = 10 * (gamma(10) - 1) has 49.
+        monkeypatch.setenv("ASA_DIGIT_CAP", "48")
+        assert len(str(gamma(10))) == 48
+        with pytest.raises(DigitCapExceeded) as err:
+            lam(10)
+        assert err.value.name == "lam(10)"
+        assert err.value.size.formula == "d * (gamma(d) - 1)"
+        assert err.value.size.digits10 == "49"
+        # psi(10) is refused under its own name, with a power size report.
+        with pytest.raises(DigitCapExceeded) as err:
+            psi(10)
+        assert err.value.name == "psi(10)"
+        assert (err.value.size.base, err.value.size.exponent) == (gamma(10), 10 * (gamma(10) - 1))
+        monkeypatch.setenv("ASA_DIGIT_CAP", "49")
+        assert len(str(lam(10))) == 49
+
+
+class TestGammaFormedOnce:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: lam(3), lambda: psi(3), lambda: psi_size(3), lambda: c_tilde_improved(2, 1)],
+    )
+    def test_one_product_per_call(self, call, monkeypatch):
+        import arithlab.bounds as bounds
+
+        formed = []
+        product = bounds._gamma_product
+        monkeypatch.setattr(bounds, "_gamma_product", lambda d: formed.append(d) or product(d))
+        call()
+        assert len(formed) == 1
+
 
 class TestPsi:
     def test_psi_one(self):

@@ -235,6 +235,19 @@ class TestExitCodes:
         assert err.startswith("error: digit cap exceeded: gamma(1500) = prod_")
         assert "about 1073523 decimal digits" in err
 
+    def test_lambda_held_to_the_digit_cap(self, capsys, monkeypatch):
+        # gamma(10) has 48 digits and lambda(10) = 10 * (gamma(10) - 1) has 49.
+        monkeypatch.setenv("ASA_DIGIT_CAP", "48")
+        code, out, _ = run_in_process(["constants", "gamma", "10"], capsys)
+        assert code == 0 and len(json.loads(out)["outputs"]["value"]) == 48
+        code, out, err = run_in_process(["constants", "lambda", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: digit cap exceeded: lam(10) = d * (gamma(d) - 1)")
+        assert "about 49 decimal digits, beyond the 48-digit cap\n" in err
+        monkeypatch.setenv("ASA_DIGIT_CAP", "49")
+        code, out, _ = run_in_process(["constants", "lambda", "10"], capsys)
+        assert code == 0 and len(json.loads(out)["outputs"]["value"]) == 49
+
     def test_size_report_counts_digits_exactly(self, capsys):
         d = 10**50 - 1  # math.log10 rounds it up to 50
         code, out, err = run_in_process(["constants", "gamma", str(d)], capsys)

@@ -124,6 +124,17 @@ class TestCongruenceTarget:
             assert not self.accepted(conditions)
         assert time.monotonic() - start < 0.5
 
+    def test_contains(self):
+        target = CongruenceTarget(((2, 3, 3), (7, 1, 2)))
+        assert target.contains(-1, 5)
+        # -13 = 3 (mod 8) but -13 != 2 (mod 7); 13 = 1 (mod 4).
+        assert not target.contains(-1, 13)
+        # 5 != 3 (mod 8), the dyadic condition; 5 = 2 (mod 7) holds for -5 only.
+        assert not target.contains(1, 5)
+        # The prime 107 = 3 (mod 8) and 107 = 2 (mod 7), but 107 = 3 (mod 4).
+        assert (107 - 3) % 8 == 0 and (107 - 2) % 7 == 0 and is_prime(107)
+        assert not target.contains(1, 107)
+
 
 class TestDensityWitness:
     def test_frozen_example_negative_sign(self):

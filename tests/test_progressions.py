@@ -152,6 +152,37 @@ class TestInProgression:
             ProgressionSpec(ext, [1, 3])
 
 
+class TestClassIsACosetOfUnits:
+    @pytest.mark.parametrize(
+        "m,h,cls", [(4, [1], [2]), (4, [1], [0]), (15, [1, 4], [3, 12])]
+    )
+    def test_class_of_non_units_refused(self, m, h, cls):
+        ext = AbelianExtensionDescriptor(m, h)
+        assert ext.conductor == m
+        with pytest.raises(RamifiedPrimeError, match="is not a unit mod the conductor"):
+            ProgressionSpec(ext, cls)
+
+    def test_empty_class_refused(self):
+        with pytest.raises(ValueError, match="class is empty"):
+            ProgressionSpec(GAUSSIAN, [])
+
+    @pytest.mark.parametrize("m,h", [(1, [0]), (4, [1]), (8, [1, 7]), (15, [1, 4]), (21, [1, 4, 16])])
+    def test_every_coset_accepted(self, m, h):
+        ext = AbelianExtensionDescriptor(m, h)
+        for c in ext.cosets():
+            assert ext.coset(min(c)) == c
+            assert ProgressionSpec(ext, c).coset == c
+
+    def test_coset_is_the_frobenius_class(self):
+        ext = AbelianExtensionDescriptor(21, [1, 4, 16])
+        for p in primes_up_to(100):
+            if ext.conductor % p:
+                assert frobenius(ext, p).coset == ext.coset(p % ext.conductor)
+            else:
+                with pytest.raises(RamifiedPrimeError):
+                    ext.coset(p)
+
+
 class TestSplitsCompletely:
     @pytest.mark.parametrize("p,expected", [(5, True), (3, False), (2, False)])
     def test_gaussian(self, p, expected):
