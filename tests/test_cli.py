@@ -19,6 +19,7 @@ from arithlab import cli, progressions
 from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
+from test_cohomology import S4_C2, augmentation_dual_matrices
 
 SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
 2
@@ -142,6 +143,37 @@ class TestLatticeFile:
         assert code == 0
         assert report["outputs"]["elementary_divisors"] == ["2"]
         assert report["outputs"]["order"] == "2"
+
+    @staticmethod
+    def write_j_s4xc2(path, swap=()):
+        """J_{S4 x C2} (order 48, rank 47) as a lattice file; swap names
+        two elements whose action matrices trade places."""
+        mats = augmentation_dual_matrices(S4_C2)
+        if swap:
+            i, j = swap
+            mats[i], mats[j] = mats[j], mats[i]
+        tokens = [S4_C2.order, *(x for row in S4_C2.table for x in row), S4_C2.order - 1]
+        path.write_text(" ".join(map(str, tokens + [x for m in mats for x in m.entries])))
+
+    def test_order_48(self, tmp_path, capsys):
+        # H^1(G, J_G) is dual to G^ab, which is C2 x C2 for S4 x C2.
+        path = tmp_path / "j-s4xc2.txt"
+        self.write_j_s4xc2(path)
+        code, out, _ = run_in_process(["h1", str(path)], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["outputs"]["elementary_divisors"] == ["2", "2"]
+        assert (report["outputs"]["group_order"], report["outputs"]["rank"]) == ("48", "47")
+        assert report["certifications"] and all(c["passed"] for c in report["certifications"])
+
+    def test_order_48_swapped_matrices(self, tmp_path, capsys):
+        # Elements 1 and 2 (the central involution and a transposition)
+        # trade matrices; the identity's matrix stays in place.
+        path = tmp_path / "j-s4xc2-swapped.txt"
+        self.write_j_s4xc2(path, swap=(1, 2))
+        code, out, err = run_in_process(["h1", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "action does not respect the group table" in err
 
     def test_non_integer_token(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -406,6 +406,11 @@ def augmentation_dual(group):
 
     H^1(G, J_G) = H^2(G, Z), the dual of the abelianization of G.
     """
+    return GLattice(group, group.order - 1, augmentation_dual_matrices(group))
+
+
+def augmentation_dual_matrices(group):
+    """The action matrices of J_G, one per element, unchecked."""
     d = group.order - 1
     mats = []
     for g in group.elements():
@@ -418,7 +423,7 @@ def augmentation_dual(group):
                 for i in range(d):
                     m[i][j] = -1
         mats.append(IntegerMatrix.from_rows(m))
-    return GLattice(group, d, mats)
+    return mats
 
 
 class TestH1BeyondOrderSix:
@@ -426,8 +431,8 @@ class TestH1BeyondOrderSix:
 
     The elementary divisors are also checked against sympy's invariant
     factors of the generator stack C_S that h1 eliminates.  Lattices are
-    built inside the test, since J_G at order 48 takes up to about a
-    second.
+    built inside the test, not at import, since J_G at order 48 takes up
+    to about 0.15 s.
     """
 
     CASES = [

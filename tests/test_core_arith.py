@@ -413,6 +413,45 @@ class TestIntegerMatrixMul:
         product = IntegerMatrix.zero(0, 2).mul(b)
         assert product == IntegerMatrix.zero(0, 3)
 
+    # One entry kind per row: sparse {0, +-1}, dense small, or up to 2^400.
+    ROW_ENTRIES = [
+        st.sampled_from([0, 0, 0, 1, -1]),
+        st.one_of(st.integers(-9, -1), st.integers(1, 9)),
+        st.integers(-(2**400), 2**400),
+    ]
+
+    @staticmethod
+    @st.composite
+    def products(draw):
+        r, n, c = (draw(st.integers(0, 6)) for _ in range(3))
+
+        def matrix(rows, cols):
+            entries = []
+            for _ in range(rows):
+                kind = draw(st.sampled_from(TestIntegerMatrixMul.ROW_ENTRIES))
+                entries += draw(st.lists(kind, min_size=cols, max_size=cols))
+            return IntegerMatrix(rows, cols, tuple(entries))
+
+        return matrix(r, n), matrix(n, c)
+
+    @staticmethod
+    def triple_loop(a, b):
+        ra, rb = a.to_rows(), b.to_rows()
+        out = [[0] * b.cols for _ in range(a.rows)]
+        for i in range(a.rows):
+            for j in range(b.cols):
+                for k in range(a.cols):
+                    out[i][j] += ra[i][k] * rb[k][j]
+        return out
+
+    @settings(max_examples=300)
+    @given(pair=products())
+    def test_against_triple_loop(self, pair):
+        a, b = pair
+        product = a.mul(b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.to_rows() == self.triple_loop(a, b)
+
 
 # ---------------------------------------------------------------------------
 # Record: the frozen value classes without dataclasses
