@@ -104,50 +104,56 @@ def _beyond_cap(log_value: float, cap: int, exact) -> bool:
     return exact() >= 10**cap
 
 
-def _log_digits(factors: tuple[tuple[int, int], ...]) -> float:
+def _log_digits(factors: tuple[tuple[int, ...], ...]) -> float:
     """log10 of log10 of prod base**exponent, for bases >= 2 and exponents >= 1.
 
-    Each factor contributes log10(exponent) + log10(log10(base)), and the
-    terms are added as logarithms, so no exponent is too large.
+    A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...); it
+    contributes log10(e_1) + log10(e_2) + ... + log10(log10(base)), and
+    the terms are added as logarithms, so no exponent is too large and
+    none is multiplied out.
     """
-    logs = [math.log10(e) + math.log10(math.log10(b)) for b, e in factors]
+    logs = [sum(map(math.log10, es)) + math.log10(math.log10(b)) for b, *es in factors]
     top = max(logs)
     return top + math.log10(sum(10 ** (x - top) for x in logs))
 
 
-def _digits10(factors: tuple[tuple[int, int], ...]) -> str:
+def _digits10(factors: tuple[tuple[int, ...], ...]) -> str:
     """Approximate decimal digit count of prod base**exponent, rendered
-    in scientific notation when enormous."""
+    in scientific notation when enormous; factors as for _log_digits."""
     log_digits = _log_digits(factors)
     if log_digits < 15:
-        return str(int(sum(e * math.log10(b) for b, e in factors)) + 1)
+        return str(int(sum(math.prod(es) * math.log10(b) for b, *es in factors)) + 1)
     frac, whole = math.modf(log_digits)
     return f"{10 ** frac:.4f}e+{int(whole)}"
 
 
 def _checked_product(
-    name: str, factors: tuple[tuple[int, int], ...], cap: int | None, formula: str = ""
+    name: str, factors: tuple[tuple[int, ...], ...], cap: int | None, formula: str = ""
 ) -> int:
     """prod base**exponent over factors, refused before it is formed when
     it would have more than cap decimal digits.
 
-    log10 of the product is the sum of its factors' exponent *
-    log10(base), decided by _beyond_cap.  Once an exponent passes
-    10**12 the comparison happens on logarithms of logarithms, so
-    exponents may be astronomically large.  A refusal reports a lone
-    power as a PowerSize, and a product as a ProductSize of formula.
+    A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...), so
+    an exponent may be passed as its factors and is multiplied out only
+    when the value is formed or compared exactly.  log10 of the product
+    is the sum of its factors' exponent * log10(base), decided by
+    _beyond_cap.  Once an exponent passes 10**12 the comparison happens
+    on logarithms of logarithms, so exponents may be astronomically
+    large.  A refusal reports a lone power as a PowerSize, and a product
+    as a ProductSize of formula.
     """
     cap = default_digit_cap() if cap is None else cap
-    big = [(b, e) for b, e in factors if b > 1 and e > 0]
-    if max((e for _, e in big), default=0) <= 10**12:
-        log_value = sum(e * math.log10(b) for b, e in big)
-        exceeds = _beyond_cap(log_value, cap, lambda: math.prod(b**e for b, e in big))
+    big = [f for f in factors if f[0] > 1 and min(f[1:]) > 0]
+    if all(sum(map(math.log10, es)) <= 12 for _, *es in big):
+        exact = [(b, math.prod(es)) for b, *es in big]
+        log_value = sum(e * math.log10(b) for b, e in exact)
+        exceeds = _beyond_cap(log_value, cap, lambda: math.prod(b**e for b, e in exact))
     else:
         exceeds = _log_digits(big) > math.log10(cap)
     if exceeds:
         size = ProductSize(formula, _digits10(big)) if formula else PowerSize.of(*big[0])
         raise DigitCapExceeded(name, size, cap)
-    return math.prod(b**e for b, e in big)
+    return math.prod(b ** math.prod(es) for b, *es in big)
 
 
 class BoundReport(Record):
@@ -261,7 +267,10 @@ def c_tilde_improved(d: int, n: int, cap: int | None = None) -> int:
     name = f"c_tilde_improved({_compact_int(d)}, {_compact_int(n)})"
     formula = "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"
     g, lam_d = _gamma_lam(d)
-    return _checked_product(name, ((n, d), (g, lam_d * (g - 1))), cap, formula)
+    # The exponent goes in as its two factors: at d = 1447 their product,
+    # of two million-digit numbers, takes over a second, and only a
+    # value within the cap needs it.
+    return _checked_product(name, ((n, d), (g, lam_d, g - 1)), cap, formula)
 
 
 def c_reductive(ell: int, n: int, r: int, cap: int | None = None) -> int:

@@ -61,14 +61,14 @@ class Record:
 
     A subclass names its fields as class annotations, in order, each with
     an optional class-level default; under `from __future__ import
-    annotations` they are strings and none is evaluated.  At class
-    creation the subclass gets what @dataclass(frozen=True) would give
-    it: __init__ (positional or keyword arguments, then __post_init__ if
-    the class has one; a class that writes its own __init__ keeps it and
-    sets its fields with object.__setattr__), __eq__ (same class, equal
-    field tuples), __hash__ (of the field tuple) and __match_args__.
-    __repr__ and the refusal to assign or delete are shared.  Instances
-    keep a __dict__, so pickle and copy work as for any object.
+    annotations` they are strings and none is evaluated.  The subclass
+    gets what @dataclass(frozen=True) would give it: __init__ (positional
+    or keyword arguments, then __post_init__ if the class has one; a
+    class that writes its own __init__ keeps it and sets its fields with
+    object.__setattr__), __eq__ (same class, equal field tuples),
+    __hash__ (of the field tuple) and __match_args__.  __repr__ and the
+    refusal to assign or delete are shared.  Instances keep a __dict__,
+    so pickle and copy work as for any object.
 
     dataclasses is not used because importing it pulls in inspect, ast,
     dis and tokenize, about 11-14 ms of every cold CLI command.  The
@@ -77,39 +77,27 @@ class Record:
     that generic version made IntegerMatrix construction 50-80 % slower,
     hash 2x slower and artin_kernel_evidence(5, 10**6) 20-40 % slower,
     while the generated code runs level with dataclasses.
+
+    The methods are generated on first use, not when the class is
+    created: until then each is a stub that generates all three with
+    one exec, puts them on the class and calls its own.  Compiling them
+    costs 130-200 us per class, and a command uses few of the 21
+    classes (the benchmark's h1 corpus is built with 2 of the 8 that
+    core and cohomology define), so importing pays for none.  After
+    first use the class holds the generated methods themselves, so
+    their signatures, hash values and per-call speed do not depend on
+    when they were generated.  Threads that race to first use each
+    generate the same methods, and whichever is stored last is kept.
     """
 
     __match_args__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__match_args__ + tuple(cls.__dict__.get("__annotations__", ()))
-        cls.__match_args__ = names
-        mine = "".join(f"self.{n}, " for n in names)
-        theirs = "".join(f"other.{n}, " for n in names)
-        source = (
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            f"def __hash__(self):\n    return hash(({mine}))\n"
-        )
-        defaults = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
-        if "__init__" not in cls.__dict__:
-            params = "".join(
-                f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
-            )
-            # object.__setattr__, as dataclasses uses: a store through
-            # self.__dict__ would turn the instance's inline attribute values
-            # into a dict and slow every later field read.
-            stores = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
-            post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-            source += f"def __init__(self{params}):\n{stores}{post}"
-        methods = {}
-        exec(source, {"_setattr": object.__setattr__, **defaults}, methods)
-        for name, method in methods.items():
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
+        cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
+        own_init = "__init__" in cls.__dict__
+        for name in ("__eq__", "__hash__") if own_init else ("__eq__", "__hash__", "__init__"):
+            setattr(cls, name, _generated_on_first_use(cls, name, own_init))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
@@ -120,6 +108,48 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _generated_on_first_use(cls: type, name: str, own_init: bool) -> Callable:
+    """A stand-in for the generated method `name` of the Record subclass cls."""
+
+    def stub(self, *args, **kwargs):
+        if cls.__dict__[name] is stub:  # nothing generated yet
+            _generate_methods(cls, own_init)
+        return cls.__dict__[name](self, *args, **kwargs)
+
+    stub.__qualname__ = f"{cls.__qualname__}.{name}"
+    return stub
+
+
+def _generate_methods(cls: type, own_init: bool) -> None:
+    """Compile cls's __eq__ and __hash__, and its __init__ unless it wrote one."""
+    names = cls.__match_args__
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    source = (
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+    )
+    defaults = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
+    if not own_init:
+        params = "".join(
+            f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
+        )
+        # object.__setattr__, as dataclasses uses: a store through
+        # self.__dict__ would turn the instance's inline attribute values
+        # into a dict and slow every later field read.
+        stores = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        source += f"def __init__(self{params}):\n{stores}{post}"
+    methods = {}
+    exec(source, {"_setattr": object.__setattr__, **defaults}, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
 
 
 def valuation(n: int, p: int) -> tuple[int, int]:
@@ -515,11 +545,11 @@ class IntegerMatrix(Record):
         1978).  An r x n by n x c product costs r n zero tests and
         nnz(self) c element operations, against r n c for a dot-product
         loop.  Augmentation and permutation lattices have at most two
-        nonzero entries per row, so the 192 products of the action check
-        of J_{S4 x C2} (d = 47) take 0.11 s where a dot-product loop took
-        1.35 s.  Fully dense inputs pay instead, since each element
-        operation runs in bytecode where a dot product runs in C: the
-        same 192 products after conjugating J_{S4 x C2} to density 0.98
+        nonzero entries per row, so the 192 products A_x A_h of
+        J_{S4 x C2} (d = 47), for x in its generating set, take 0.11 s
+        where a dot-product loop took 1.35 s.  Fully dense inputs pay
+        instead, since each element operation runs in bytecode where a
+        dot product runs in C: the same 192 products after conjugating J_{S4 x C2} to density 0.98
         (entries up to 19 bits) take 2.8 s against 1.9 s, 1.45x
         (CPython 3.11, 2-core x86-64).
         """

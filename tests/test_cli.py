@@ -750,7 +750,7 @@ class TestImportFootprint:
         "constants": (["constants", "psi", "2"], {"bounds", "cli", "core"}),
         "density": (["density", "exact", "1(4)"], {"cli", "core", "progressions"}),
         "tractable": (["tractable", "1(4)", "4:1"], {"cli", "core", "progressions"}),
-        "h1": (["h1", "sign.txt"], {"bounds", "cli", "cohomology", "core"}),
+        "h1": (["h1", "sign.txt"], {"cli", "cohomology", "core"}),
         "example": (
             ["example", "2.5", "--height", "4"],
             {"cli", "core", "experiments", "progressions", "symbols"},

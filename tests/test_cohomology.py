@@ -5,6 +5,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Poly, cyclotomic_poly, factorint, symbols, totient
 from sympy.matrices.normalforms import invariant_factors
 
@@ -651,6 +653,121 @@ class TestActionCheckAgainstReference:
             assert not is_valid_action(group, 2, action)
             with pytest.raises(ValueError, match="group table"):
                 GLattice(group, 2, action)
+
+
+def dihedral4():
+    """D4 as the symmetries of a square's corners, composed as permutations."""
+    perms = sorted(
+        p for p in itertools.permutations(range(4))
+        if all((p[(i + 1) % 4] - p[i]) % 4 in (1, 3) for i in range(4))
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+
+
+def wide_conjugate(lattice, rng, bits=20):
+    """The action of lattice in a random basis, with entries of >= bits bits."""
+    u, u_inv = IntegerMatrix.identity(lattice.rank), IntegerMatrix.identity(lattice.rank)
+    while True:
+        mats = [u.mul(m).mul(u_inv) for m in lattice.action]
+        if max(abs(x) for m in mats for x in m.entries).bit_length() >= bits:
+            return mats
+        v, v_inv = random_unimodular_pair(lattice.rank, rng, steps=4 * lattice.rank)
+        u, u_inv = v.mul(u), u_inv.mul(v_inv)
+
+
+class TestPackedActionCheck:
+    """GLattice compares packed rows, one integer per row; the reference
+    multiplies every pair of action matrices with IntegerMatrix.mul,
+    which GLattice does not call."""
+
+    GROUPS = {
+        **{f"C{n}": FiniteGroup.cyclic(n) for n in range(2, 9)},
+        "C2xC2": V4,
+        "S3": S3,
+        "D4": dihedral4(),
+    }
+
+    @staticmethod
+    def reference(group, action):
+        return all(
+            action[group.mul(x, h)] == action[x].mul(action[h])
+            for x in group.elements()
+            for h in group.elements()
+        )
+
+    @staticmethod
+    def accepts(group, action):
+        try:
+            GLattice(group, action[0].rows, action)
+        except ValueError:
+            return False
+        return True
+
+    @staticmethod
+    def width(group, action):
+        """bit_length(R M) + 1: R the largest row 1-norm of a generator's
+        matrix, M the largest |entry| of any matrix."""
+        d = action[0].rows
+        norm = max(
+            sum(abs(action[x][i, j]) for j in range(d)) for x in group.generators for i in range(d)
+        )
+        size = max(abs(x) for m in action for x in m.entries)
+        return (norm * size).bit_length() + 1
+
+    @settings(max_examples=150)
+    @given(
+        name=st.sampled_from(sorted(GROUPS)),
+        seed=st.integers(0, 2**32),
+        tamper=st.sampled_from(["none", "swap", "one", "power"]),
+        sign=st.sampled_from([1, -1]),
+        shift=st.integers(-2, 1),
+    )
+    def test_accepts_exactly_when_the_reference_does(self, name, seed, tamper, sign, shift):
+        group = self.GROUPS[name]
+        rng = random.Random(seed)
+        action = wide_conjugate(induced_lattice(group, [group.identity]), rng)
+        d, b = action[0].rows, self.width(group, action)
+        g, h = rng.sample(range(group.order), 2)
+        if tamper == "swap":
+            action[g], action[h] = action[h], action[g]
+        elif tamper != "none":
+            entries = list(action[g].entries)
+            entries[rng.randrange(d * d)] += sign * (1 if tamper == "one" else 2 ** (b + shift))
+            action[g] = IntegerMatrix(d, d, tuple(entries))
+        expected = self.reference(group, action)
+        assert self.accepts(group, action) == expected
+        # Untampered, it is an action.  Tampered, it may still be one (a
+        # swap along an automorphism of G), so no refusal is asserted.
+        assert expected or tamper != "none"
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_digits_at_the_width_bound(self, k):
+        # C4 turning the plane, with the first row (-1, 0) of A_2 = -I
+        # changed to (2^k - 1, -1).  Then R = 1, M = 2^k - 1 and b = k + 1,
+        # and A_1 A_2 has the digit 2^k - 1 = R M.  The two rows differ by
+        # (2^k, -1), which packs to 0 at width k: a width one bit short
+        # takes this for an action, as every product then packs right.
+        action = list(ROT4.action)
+        action[2] = rows([2**k - 1, -1], [0, -1])
+        assert self.width(C4, action) == k + 1
+        assert max(map(abs, action[1].mul(action[2]).entries)) == 2**k - 1
+        assert not self.reference(C4, action)
+        with pytest.raises(ValueError, match="action does not respect the group table"):
+            GLattice(C4, 2, action)
+
+    def test_width_counts_the_row_norm(self):
+        # A has order 3, so C3 acts by I, A, A^2.  B replaces the last row
+        # (5, 4, -3) of A^2 by (-3, -3, -2): the two pack alike at width 3,
+        # which bit_length(M) + 1 would give with M = 3.  R = 4 sets b = 5.
+        a = rows([-2, -1, 1], [1, 2, -1], [-2, 1, 0])
+        b = rows([1, 1, -1], [2, 2, -1], [-3, -3, -2])
+        action = [IntegerMatrix.identity(3), a, b]
+        assert a.mul(a).mul(a).is_identity() and a.mul(a) != b
+        assert self.width(C3, action) == 5
+        assert not self.reference(C3, action)
+        with pytest.raises(ValueError, match="action does not respect the group table"):
+            GLattice(C3, 3, action)
 
 
 class TestBoundChecks:

@@ -1,7 +1,9 @@
+import builtins
 import copy
 import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import pickle
@@ -527,6 +529,7 @@ class TestRecord:
         values = record_samples()
         twins = [twin(x) for x in values]
         assert values[2] is not values[3] and values[2] == values[3]
+        assert hash(IntegerMatrix(2, 2, (1, -2, 3, 4))) == hash((2, 2, (1, -2, 3, 4)))
         for x, tx in zip(values, twins):
             assert hash(x) == hash(tx)
             for y, ty in zip(values, twins):
@@ -601,6 +604,50 @@ class TestRecord:
                 assert (r, c, e) == (1, 1, 7)
             case _:
                 pytest.fail("positional pattern did not match")
+
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The sources core compiles from here on, in order."""
+        sources = []
+
+        def counting_exec(source, *namespaces):
+            sources.append(source)
+            return builtins.exec(source, *namespaces)
+
+        monkeypatch.setattr(core, "exec", counting_exec, raising=False)
+        return sources
+
+    def test_methods_are_generated_on_first_use(self, compiled):
+        # Defining a class compiles nothing; its first instance compiles
+        # __init__, __eq__ and __hash__ together, with one exec.
+        class Point(Record):
+            x: int
+            y: int = 0
+
+        assert compiled == []
+        p = Point(1)
+        assert len(compiled) == 1
+        assert p == Point(1, 0) != Point(1, 1) and hash(p) == hash((1, 0))
+        assert str(inspect.signature(Point)) == "(x, y=0)"
+        assert len(compiled) == 1
+
+    def test_own_init_leaves_eq_and_hash_to_first_use(self, compiled):
+        # A class that writes its own __init__ builds instances with no
+        # generated method, so a copy can be made before any has run.
+        class Pair(Record):
+            a: int
+            b: int
+
+            def __init__(self, a):
+                object.__setattr__(self, "a", a)
+                object.__setattr__(self, "b", 2 * a)
+
+        q = Pair(3)
+        assert compiled == []
+        assert copy.copy(q) == q and copy.copy(q) != Pair(4)
+        assert len(compiled) == 1 and "def __init__" not in compiled[0]
+        assert hash(q) == hash((3, 6))
 
 
 # ---------------------------------------------------------------------------
