@@ -131,10 +131,8 @@ class CongruenceTarget(Record):
                 raise ValueError(f"residue {a} is not a unit at {p}")
 
     def dyadic(self) -> tuple[int, int]:
-        for p, alpha, a in self.conditions:
-            if p == 2:
-                return alpha, a
-        raise AssertionError("unreachable")
+        """(alpha, a) of the condition at 2, which __post_init__ requires."""
+        return next((alpha, a) for p, alpha, a in self.conditions if p == 2)
 
     def contains(self, sign: int, prime: int) -> bool:
         """Does sign * prime satisfy every condition (and stay a unit

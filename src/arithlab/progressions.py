@@ -42,7 +42,7 @@ class RamifiedPrimeError(ValueError):
 
 # Normalization and cosets() walk Z/m, and `density exact` builds every coset.
 # For the prime 99991, whose 99990 cosets are single residues, that command
-# takes 1.0 s; 1(10^6) took 6 s.
+# takes about 0.5 s from a cold interpreter (2-core x86-64, CPython 3.11).
 MAX_CONDUCTOR = 100_000
 
 

@@ -1,14 +1,18 @@
 """Quadratic symbols and Hilbert symbols over the rationals.
 
 Places of Q are the archimedean place and the finite places given by
-primes.  Elements of the completions are always handled as exact
-rationals: squareness at a finite place reduces to valuation parity
-plus a unit-residue test, so no p-adic precision policy is needed.
+primes.  Whether a is a square in Q_v, and the value of (a, b)_v,
+depend only on the square classes of a and b (Serre, A Course in
+Arithmetic, III §1-2).  A nonzero rational n/d = n·d / d^2 lies in the
+class of the integer n·d, so every local evaluation runs on integers:
+valuation parity plus a unit residue, with no p-adic precision policy
+and no modular inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .core import Record, factor, is_prime, jacobi, valuation
 
@@ -62,22 +66,17 @@ def legendre(a: int, p: int) -> int:
     return jacobi(a, p)
 
 
-def _as_fraction(a: Rational) -> Fraction:
-    f = Fraction(a)
-    if f == 0:
+def _square_class(a: Rational) -> int:
+    """The integer n·d, in the square class of the nonzero rational a = n/d.
+
+    An int or a Fraction is read as it stands; anything else goes
+    through Fraction(a), so every input Fraction accepts is accepted.
+    """
+    f = a if isinstance(a, (int, Fraction)) else Fraction(a)
+    c = f.numerator * f.denominator
+    if c == 0:
         raise ValueError("nonzero rational required")
-    return f
-
-
-def _valuation(f: Rational, p: int) -> tuple[int, int, int]:
-    """(v, u_num, u_den) with f = p^v * u_num/u_den and p dividing neither."""
-    v, num = valuation(f.numerator, p)
-    w, den = valuation(f.denominator, p)
-    return v - w, num, den
-
-
-def _unit_residue(num: int, den: int, modulus: int) -> int:
-    return num * pow(den, -1, modulus) % modulus
+    return c
 
 
 def is_square_in_qv(a: Rational, v: Place) -> bool:
@@ -87,10 +86,9 @@ def is_square_in_qv(a: Rational, v: Place) -> bool:
     part a quadratic residue mod p.  At 2: even valuation and unit part
     = 1 (mod 8).
     """
-    f = _as_fraction(a)
     if v.is_infinite:
-        return f > 0
-    return _is_square_at(f, v.prime)
+        return _square_class(a) > 0
+    return _is_square_at(a, v.prime)
 
 
 def _is_square_at(a: Rational, p: int) -> bool:
@@ -99,19 +97,17 @@ def _is_square_at(a: Rational, p: int) -> bool:
     Takes p without a Place, so callers that hold primes from the sieve
     do not prove them prime again.
     """
-    val, num, den = _valuation(a, p)
+    val, u = valuation(_square_class(a), p)
     if val % 2:
         return False
     if p == 2:
-        return _unit_residue(num, den, 8) == 1
-    return jacobi(_unit_residue(num, den, p), p) == 1
+        return u % 8 == 1
+    return jacobi(u, p) == 1
 
 
-def _hilbert_odd(a: Fraction, b: Fraction, p: int) -> int:
-    alpha, an, ad = _valuation(a, p)
-    beta, bn, bd = _valuation(b, p)
-    u = _unit_residue(an, ad, p)
-    w = _unit_residue(bn, bd, p)
+def _hilbert_odd(a: int, b: int, p: int) -> int:
+    alpha, u = valuation(a, p)
+    beta, w = valuation(b, p)
     sign = 1
     if alpha * beta * ((p - 1) // 2) % 2:
         sign = -sign
@@ -122,15 +118,23 @@ def _hilbert_odd(a: Fraction, b: Fraction, p: int) -> int:
     return sign
 
 
-def _hilbert_dyadic(a: Fraction, b: Fraction) -> int:
-    alpha, an, ad = _valuation(a, 2)
-    beta, bn, bd = _valuation(b, 2)
-    u = _unit_residue(an, ad, 8)
-    w = _unit_residue(bn, bd, 8)
+def _hilbert_dyadic(a: int, b: int) -> int:
+    alpha, u = valuation(a, 2)
+    beta, w = valuation(b, 2)
+    u, w = u % 8, w % 8
     eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
     omega_u, omega_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
     exponent = eps_u * eps_w + alpha * omega_w + beta * omega_u
     return -1 if exponent % 2 else 1
+
+
+def _hilbert(a: int, b: int, p: int | None) -> int:
+    """(a, b)_v for square-class integers a and b; p is None at the archimedean place."""
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    if p == 2:
+        return _hilbert_dyadic(a, b)
+    return _hilbert_odd(a, b, p)
 
 
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
@@ -140,12 +144,7 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     over the completion at v; computed by the standard closed forms on
     valuations and unit residues.
     """
-    fa, fb = _as_fraction(a), _as_fraction(b)
-    if v.is_infinite:
-        return -1 if fa < 0 and fb < 0 else 1
-    if v.prime == 2:
-        return _hilbert_dyadic(fa, fb)
-    return _hilbert_odd(fa, fb, v.prime)
+    return _hilbert(_square_class(a), _square_class(b), v.prime)
 
 
 class HilbertProductReport(Record):
@@ -170,14 +169,14 @@ def hilbert_product_check(a: Rational, b: Rational) -> HilbertProductReport:
 
     Those are the archimedean place, 2, and the primes dividing the
     numerator or denominator of a or b.  The product over all places is
-    1 (Hilbert reciprocity), which the report records.
+    1 (Hilbert reciprocity), which the report records.  The support is
+    factored per numerator and denominator, so each part may reach the
+    limit of factor.
     """
-    fa, fb = _as_fraction(a), _as_fraction(b)
-    places = [Place.infinite(), Place.finite(2)]
-    for p in sorted((_support(fa) | _support(fb)) - {2}):
-        places.append(Place.finite(p))
-    factors = tuple((str(v), hilbert_symbol(fa, fb, v)) for v in places)
-    product = 1
-    for _, s in factors:
-        product *= s
-    return HilbertProductReport(fa, fb, factors, product)
+    ca = _square_class(fa := Fraction(a))
+    cb = _square_class(fb := Fraction(b))
+    primes = sorted((_support(fa) | _support(fb)) - {2})
+    factors = tuple(
+        ("inf" if p is None else str(p), _hilbert(ca, cb, p)) for p in (None, 2, *primes)
+    )
+    return HilbertProductReport(fa, fb, factors, prod(s for _, s in factors))

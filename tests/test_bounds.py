@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,41 @@ class TestDividesPower:
 
     def test_one_divides_everything(self):
         assert divides_power(1, 2, 0)
+
+    def test_base_one_divides_only_one(self):
+        assert divides_power(1, 1, 5)
+        for m in (2, 3, 10**40):
+            assert not divides_power(m, 1, 5)
+
+
+DENSITY = "density must lie in (0, 1]"
+REFUSALS = {
+    "dirichlet-degree": (lambda: dirichlet_index_bound(0, Fraction(1)), "degree must be >= 1"),
+    "dirichlet-density": (lambda: dirichlet_index_bound(1, Fraction(0)), DENSITY),
+    "galois-degree": (lambda: galois_index_bound(0, 1), "both arguments must be >= 1"),
+    "galois-class-size": (lambda: galois_index_bound(2, 0), "both arguments must be >= 1"),
+    "spl0-density": (lambda: spl0_index_bound(Fraction(3, 2)), DENSITY),
+    "t1-dimension": (lambda: t1_density_bound(0, Fraction(1)), "d must be >= 1"),
+    "t1-density": (lambda: t1_density_bound(1, Fraction(-1, 2)), DENSITY),
+    "divides-power-modulus": (
+        lambda: divides_power(0, 2, 1),
+        "divides_power requires m, base >= 1 and exponent >= 0",
+    ),
+    "divides-power-base": (
+        lambda: divides_power(4, 0, 1),
+        "divides_power requires m, base >= 1 and exponent >= 0",
+    ),
+    "divides-power-exponent": (
+        lambda: divides_power(4, 2, -1),
+        "divides_power requires m, base >= 1 and exponent >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestPowerSize:

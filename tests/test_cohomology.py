@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
@@ -768,6 +769,40 @@ class TestPackedActionCheck:
         assert not self.reference(C3, action)
         with pytest.raises(ValueError, match="action does not respect the group table"):
             GLattice(C3, 3, action)
+
+
+REFUSALS = {
+    "matrix-count": (
+        lambda: GLattice(C2, 1, (I1,)),
+        "need one action matrix per group element",
+    ),
+    "matrix-shape": (
+        lambda: GLattice(C2, 1, (I1, I2)),
+        "action matrices must be rank x rank",
+    ),
+    "conjugate-non-inverse": (
+        lambda: NEG2.conjugate(rows([1, 1], [0, 1]), I2),
+        "u_inv is not the inverse of u",
+    ),
+    "direct-sum-groups": (
+        lambda: SIGN.direct_sum(C4_THROUGH_SIGN),
+        "direct sum needs a common group",
+    ),
+    "order-with-free-rank": (
+        lambda: AbelianGroupInvariants((2,), 1).order,
+        "infinite group has no order",
+    ),
+    "minkowski-shape": (
+        lambda: minkowski_check(IntegerMatrix.identity(3), 2),
+        "expected a 2 x 2 matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestBoundChecks:

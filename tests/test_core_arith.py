@@ -8,6 +8,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -453,6 +454,31 @@ class TestIntegerMatrixMul:
         product = a.mul(b)
         assert (product.rows, product.cols) == (a.rows, b.cols)
         assert product.to_rows() == self.triple_loop(a, b)
+
+
+REFUSALS = {
+    "crt-no-congruence": (lambda: crt_solve([]), "crt_solve needs at least one congruence"),
+    "crt-modulus-zero": (lambda: crt_solve([(1, 4), (2, 0)]), "modulus must be >= 1, got 0"),
+    "progression-modulus-zero": (
+        lambda: next_prime_in_progression(1, 0, 0),
+        "modulus must be >= 1, got 0",
+    ),
+    "ragged-rows": (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    "mul-shape": (
+        lambda: IntegerMatrix.zero(2, 3).mul(IntegerMatrix.zero(2, 3)),
+        "dimension mismatch in matrix product",
+    ),
+    "determinant-non-square": (
+        lambda: determinant(IntegerMatrix.zero(2, 3)),
+        "determinant of a non-square matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

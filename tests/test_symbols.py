@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,14 @@ class TestIsSquare:
                 for a in (-7, -1, 2, 5, Fraction(3, 4)):
                     assert _is_square_at(a, p) is is_square_in_qv(a, Place.finite(p))
 
+    def test_known_prime_route_takes_any_rational(self):
+        # Whatever Fraction accepts, as is_square_in_qv does; zero is refused.
+        for p in (2, 3, 5, 7):
+            for a in ("-20/9", Decimal("0.75"), 0.125, Fraction(18, 50)):
+                assert _is_square_at(a, p) is is_square_in_qv(Fraction(a), Place.finite(p))
+            with pytest.raises(ValueError, match="nonzero rational required"):
+                _is_square_at("0", p)
+
     def test_square_forces_trivial_symbol(self):
         rng = random.Random(3)
         places = [INF, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(13)]
@@ -166,6 +175,21 @@ def dyadic_square_class(value):
         v -= 1
     unit = num * pow(den, -1, 8) % 8
     return 2 ** (v % 2), unit
+
+
+def odd_square_class(value, p):
+    """(p-power part, unit residue mod p) of a nonzero rational, at an odd prime p."""
+    f = Fraction(value)
+    num, den = f.numerator, f.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    unit = num * pow(den, -1, p) % p
+    return p ** (v % 2), unit
 
 
 def solvable_oracle_dyadic(a, b):
@@ -240,6 +264,26 @@ class TestHilbertSymbol:
             assert hilbert_symbol(a, b, Place.finite(2)) == hilbert_symbol(
                 ra[0] * ra[1], rb[0] * rb[1], Place.finite(2)
             )
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_odd_class_reduction(self, p):
+        # Powers of p in numerators and denominators, reduced by inverting
+        # the denominator mod p.  For p = 3 every representative is one of
+        # the classes test_odd_against_solvability_oracle pins to brute force.
+        rng = random.Random(29 + p)
+
+        def sample():
+            num = (rng.randrange(-99, 100) or 11) * p ** rng.randrange(4)
+            return Fraction(num, rng.randrange(1, 60) * p ** rng.randrange(4))
+
+        for _ in range(200):
+            a, b = sample(), sample()
+            ra, rb = odd_square_class(a, p), odd_square_class(b, p)
+            ca, cb = ra[0] * ra[1], rb[0] * rb[1]
+            assert hilbert_symbol(a, b, Place.finite(p)) == hilbert_symbol(
+                ca, cb, Place.finite(p)
+            ), (a, b)
+            assert is_square_in_qv(a, Place.finite(p)) is is_square_in_qv(ca, Place.finite(p)), a
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_odd_against_solvability_oracle(self, p):
