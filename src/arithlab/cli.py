@@ -157,7 +157,8 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
     """Read a group lattice: order, table rows, rank, action matrices.
 
     Whitespace-separated integers; everything after # is a comment.  An
-    order outside 1..MAX_GROUP_ORDER is refused before the table is read.
+    order outside 1..MAX_GROUP_ORDER is refused before the table is read,
+    and a rank above MAX_LATTICE_RANK before any action matrix is read.
     """
     from . import cohomology
 
@@ -195,6 +196,11 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
         table = [take(s, "multiplication table") for _ in range(s)]
         group = cohomology.FiniteGroup(table)
         d = take(1, "rank")[0]
+        if d > cohomology.MAX_LATTICE_RANK:
+            raise UsageError(
+                f"malformed lattice file {path!r}: lattice rank must be at most "
+                f"{cohomology.MAX_LATTICE_RANK}, got {d}"
+            )
         mats = []
         for _ in range(s):
             rows = [take(d, "action matrix") for _ in range(d)]

@@ -17,6 +17,10 @@ determinant, where the library checks a generating set only.
 is_associative is the reference for FiniteGroup's associativity check:
 it reads every one of the s^3 triples, where the library reads only the
 triples whose first element lies in its generating set.
+permutation_action and norm_one_action are the references for
+induced_lattice and norm_one_lattice: they build each action matrix as
+nested lists, one entry at a time, from the definitions, where the
+library writes a flat entry tuple.
 
 Completeness of the enumeration: if s annihilates a cohomology class
 [f], then s f = (g |-> g w - w) for some lattice vector w, and
@@ -199,6 +203,56 @@ def is_associative(table):
         for b in range(s)
         for c in range(s)
     )
+
+
+def permutation_action(table, subgroup):
+    """Z[G/H] with G acting by left translation, as nested-list matrices.
+
+    The cosets g H are ordered by their least elements; column j of the
+    matrix of g holds a single 1, in the row of the coset g (g_j H).
+    """
+    s = len(table)
+    found = {frozenset(table[g][h] for h in subgroup) for g in range(s)}
+    cosets = sorted(found, key=min)
+    where = {c: i for i, c in enumerate(cosets)}
+    n = len(cosets)
+    mats = []
+    for g in range(s):
+        m = [[0] * n for _ in range(n)]
+        for j, c in enumerate(cosets):
+            m[where[frozenset(table[g][x] for x in c)]][j] = 1
+        mats.append(m)
+    return mats
+
+
+def norm_one_action(table, identity):
+    """Z[G] / Z.N for cyclic G, as nested-list matrices.
+
+    The basis is b_i = image of x^i for i < s - 1, x the least element of
+    order s, and b_(s-1) = -(b_0 + ... + b_(s-2)).  x^t sends b_i to
+    b_((i + t) mod s), so column i of its matrix is that image.
+    """
+    s = len(table)
+
+    def powers(x):
+        out, y = [identity], table[identity][x]
+        while y != identity:
+            out.append(y)
+            y = table[y][x]
+        return out
+
+    x = next(g for g in range(s) if len(powers(g)) == s)
+    exponent = {g: t for t, g in enumerate(powers(x))}
+    d = s - 1
+    mats = []
+    for g in range(s):
+        m = [[0] * d for _ in range(d)]
+        for i in range(d):
+            j = (i + exponent[g]) % s
+            for k in range(d):
+                m[k][i] = 1 if k == j else -1 if j == d else 0
+        mats.append(m)
+    return mats
 
 
 def generating_set(group):

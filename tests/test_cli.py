@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
-from arithlab import cli, progressions
+from arithlab import cli, cohomology, progressions
 from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
@@ -221,6 +221,31 @@ class TestLatticeFile:
         assert (code, out) == (2, "")
         assert err == (
             f"error: malformed lattice file {str(path)!r}: group order must be in 1..48, got {order}\n"
+        )
+
+    def test_rank_above_the_bound_refused(self, tmp_path, capsys, monkeypatch):
+        # The trivial group on Z^d with d one past the bound: a valid
+        # lattice but for its rank.  At the bound it is read and solved.
+        def trivial_file(d):
+            path = tmp_path / f"rank-{d}.txt"
+            path.write_text(f"1\n0\n{d}\n" + " ".join(map(str, IntegerMatrix.identity(d).entries)))
+            return path
+
+        bound = cohomology.MAX_LATTICE_RANK
+        code, out, _ = run_in_process(["h1", str(trivial_file(bound))], capsys)
+        assert code == 0 and json.loads(out)["outputs"]["rank"] == str(bound)
+
+        def no_matrix(*args):
+            raise AssertionError("an action matrix was read")
+
+        # Refused before any action matrix is read.
+        monkeypatch.setattr(IntegerMatrix, "from_rows", no_matrix)
+        path = trivial_file(bound + 1)
+        code, out, err = run_in_process(["h1", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed lattice file {str(path)!r}: lattice rank must be at most "
+            f"{bound}, got {bound + 1}\n"
         )
 
     def test_missing_file(self, capsys):

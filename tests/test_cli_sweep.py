@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from arithlab import cli
-from test_acceptance import LATTICE_FILES
+from lattice_files import LATTICE_FILES
 from test_cli import VALID_LATTICE_FILES
 
 PIN = Path(__file__).with_name("cli_sweep_sha256.json")

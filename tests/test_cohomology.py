@@ -39,6 +39,8 @@ from oracle_h1 import (
     membership_permutation,
     membership_rational,
     norm_matrix,
+    norm_one_action,
+    permutation_action,
 )
 
 C2 = FiniteGroup.cyclic(2)
@@ -164,6 +166,49 @@ class TestFiniteGroup:
                 verdicts[verdict if verdict.startswith(("group", "table")) else "inverse"] += 1
         assert verdicts == {"group": 887, "inverse": 1352, "table is not associative": 161}
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, -1], [1, 0]], "multiplication table is not s x s over 0..s-1"),
+            ([[0, 2], [1, 0]], "multiplication table is not s x s over 0..s-1"),
+            ([[0, 1], [1]], "multiplication table is not s x s over 0..s-1"),
+            # Rows 0 and 1 are both 0, 1, 2, but columns 0 and 1 are
+            # 0, 0, 2 and 1, 1, 0.
+            ([[0, 1, 2], [0, 1, 2], [2, 0, 1]], "table has no identity element"),
+            # Row 2 holds the identity twice: 2 * 1 = 0 with 1 * 2 = 1, and
+            # 2 * 2 = 0 both ways, so 2 has an inverse in its second
+            # candidate; (1 * 1) * 2 = 2 but 1 * (1 * 2) = 0.
+            ([[0, 1, 2], [1, 0, 1], [2, 0, 0]], "table is not associative"),
+        ],
+        ids=["entry-minus-one", "entry-equal-to-s", "short-row", "identity-row-only",
+             "identity-twice-in-a-row"],
+    )
+    def test_row_checks_keep_each_refusal(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FiniteGroup(table)
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [
+            (lambda: FiniteGroup.symmetric(12), 479001600),
+            (lambda: FiniteGroup.cyclic(49), 49),
+            (lambda: FiniteGroup.cyclic(10**12), 10**12),
+            (lambda: FiniteGroup.cyclic(0), 0),
+            (lambda: FiniteGroup.cyclic(-3), 0),
+            (lambda: FiniteGroup.direct_product(S4, C3), 72),
+        ],
+        ids=["S12", "C49", "C10^12", "C0", "C-3", "S4xC3"],
+    )
+    def test_constructors_refuse_before_building(self, build, order, monkeypatch):
+        # symmetric would list 12! permutations before the table; cyclic
+        # would start a list of 10^24 entries.
+        def no_permutations(*args):
+            raise AssertionError("permutations listed")
+
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        with pytest.raises(ValueError, match=f"^group order must be in 1\\.\\.48, got {order}$"):
+            build()
+
     def test_identity_found_at_any_index(self):
         grp = FiniteGroup([[1, 0], [0, 1]])
         assert grp.identity == 1
@@ -190,6 +235,77 @@ class TestFiniteGroup:
             for subset in itertools.combinations(elements, k):
                 closed = all(group.mul(a, b) in subset for a in subset for b in subset)
                 assert group.is_subgroup(subset) == (bool(subset) and closed), subset
+
+
+def subgroups(group):
+    """Every subgroup, by brute force over the subsets, for order <= 6;
+    the trivial group, the whole group and each cyclic subgroup otherwise."""
+    if group.order <= 6:
+        return [
+            subset
+            for k in range(1, group.order + 1)
+            for subset in itertools.combinations(group.elements(), k)
+            if group.identity in subset and all(group.mul(a, b) in subset for a in subset for b in subset)
+        ]
+    cyclic = set()
+    for g in group.elements():
+        span, x = {group.identity}, g
+        while x != group.identity:
+            span.add(x)
+            x = group.mul(x, g)
+        cyclic.add(frozenset(span))
+    return [(group.identity,), tuple(group.elements())] + sorted(sorted(c) for c in cyclic)
+
+
+class TestTablesAgainstOracles:
+    """Group tables and lattice actions against tables built from the definitions."""
+
+    @pytest.mark.parametrize("n", range(-2, 5))
+    def test_symmetric_composes_permutations(self, n):
+        perms = sorted(itertools.permutations(range(max(n, 0))))
+        index = {p: i for i, p in enumerate(perms)}
+        table = tuple(
+            tuple(index[tuple(p[q[k]] for k in range(len(p)))] for q in perms) for p in perms
+        )
+        assert FiniteGroup.symmetric(n).table == table
+
+    def test_cyclic_adds_mod_n(self):
+        for n in range(1, 49):
+            expected = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+            assert FiniteGroup.cyclic(n).table == expected, n
+
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [(S3, C2), (FiniteGroup.symmetric(4), C2), (FiniteGroup.cyclic(12), C2)],
+        ids=["S3xC2", "S4xC2", "C12xC2"],
+    )
+    def test_direct_product_multiplies_pairs(self, g1, g2):
+        pairs = [(a, b) for a in g1.elements() for b in g2.elements()]
+        index = {p: i for i, p in enumerate(pairs)}
+        table = tuple(
+            tuple(index[(g1.mul(a1, b1), g2.mul(a2, b2))] for b1, b2 in pairs) for a1, a2 in pairs
+        )
+        assert FiniteGroup.direct_product(g1, g2).table == table
+
+    @staticmethod
+    def groups():
+        corpus = {lattice.group: None for _, lattice, _ in CORPUS}
+        return [*corpus, FiniteGroup.cyclic(48), S4_C2]
+
+    def test_induced_lattice_entries(self):
+        for group in self.groups():
+            for sub in subgroups(group):
+                lattice = induced_lattice(group, sub)
+                expected = permutation_action(group.table, sub)
+                assert [m.to_rows() for m in lattice.action] == expected, (group.order, sub)
+
+    def test_norm_one_lattice_entries(self):
+        groups = [g for g in self.groups() if g.is_cyclic()] + [FiniteGroup.cyclic(1)]
+        assert sorted(g.order for g in groups) == [1, 2, 3, 4, 6, 48]
+        for group in groups:
+            lattice = norm_one_lattice(group)
+            expected = norm_one_action(group.table, group.identity)
+            assert [m.to_rows() for m in lattice.action] == expected, group.order
 
 
 class TestGLattice:
