@@ -201,10 +201,10 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
                 f"malformed lattice file {path!r}: lattice rank must be at most "
                 f"{cohomology.MAX_LATTICE_RANK}, got {d}"
             )
+        # A negative rank reads no matrix: GLattice refuses it below.
         mats = []
-        for _ in range(s):
-            rows = [take(d, "action matrix") for _ in range(d)]
-            mats.append(IntegerMatrix.from_rows(rows))
+        if d >= 0:
+            mats = [IntegerMatrix(d, d, tuple(take(d * d, "action matrix"))) for _ in range(s)]
         if pos < len(tokens):
             raise UsageError(
                 f"malformed lattice file {path!r}: {len(tokens) - pos} trailing tokens"

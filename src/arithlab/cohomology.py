@@ -45,7 +45,9 @@ integer combinations of the rows of A_h - I; every g is a product of
 generators, so induction on its length puts the rows of A_g - I in the
 span of the generators' rows.  h1 therefore eliminates C_S, the |S| d x d
 stack of those blocks with |S| <= log2 s, in place of the (s - 1) d x d
-matrix C, and gets the same torsion and free rank.
+matrix C, and gets the same torsion and free rank.  C_S is built as the
+row lists that core._eliminate reduces in place, so no IntegerMatrix,
+identity block or row copy is formed on the way.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import itemgetter, lshift, mul
 
-from .core import IntegerMatrix, Record, cosets, determinant, generating_set, is_prime, snf_diagonal
+from .core import IntegerMatrix, Record, _eliminate, cosets, determinant, generating_set, is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -78,6 +80,10 @@ MAX_GROUP_ORDER = 48
 # The time grows at least as d^3, faster once the Smith elimination's
 # entries grow: a dense d = 96 file takes about 11 s.
 MAX_LATTICE_RANK = 64
+
+
+# The largest n with n! <= MAX_GROUP_ORDER: 4! = 24 <= 48 < 120 = 5!.
+MAX_SYMMETRIC_DEGREE = 4
 
 
 def _check_order(s: int) -> None:
@@ -199,13 +205,15 @@ class FiniteGroup(Record):
         row(x y)[j] = row(x)[row(y)[j]]: both sides index
         p_x (p_y p_j) = (p_x p_y) p_j.  So the table is exactly the one
         that composing every pair would give, for 2 n! compositions
-        instead of (n!)^2; the other lookups run in C.  The order n! is
-        refused above MAX_GROUP_ORDER before any permutation is listed.
+        instead of (n!)^2; the other lookups run in C.  A degree above
+        MAX_SYMMETRIC_DEGREE is refused before n! is formed, so a huge n
+        costs nothing; n <= 0 gives the trivial group.
         """
         import itertools
 
+        if n > MAX_SYMMETRIC_DEGREE:
+            raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}!")
         s = math.factorial(max(n, 0))
-        _check_order(s)
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
@@ -356,19 +364,18 @@ class AbelianGroupInvariants(Record):
         return not self.divisors and not self.free_rank
 
 
-def _coboundary_matrix(lattice: GLattice) -> IntegerMatrix:
-    """C_S: the map a |-> (x.a - a for x in S), one d-row block per generator."""
-    gens, d = lattice.group.generators, lattice.rank
-    identity = IntegerMatrix.identity(d).entries
-    return IntegerMatrix(
-        len(gens) * d,
-        d,
-        tuple(
-            x - y
-            for g in gens
-            for x, y in zip(lattice.action[g].entries, identity)
-        ),
-    )
+def _coboundary_rows(lattice: GLattice) -> list[list[int]]:
+    """C_S as row lists: the map a |-> (x.a - a for x in S), one block of
+    d rows per generator x, the rows of A_x with 1 taken off the diagonal."""
+    d = lattice.rank
+    rows = []
+    for x in lattice.group.generators:
+        entries = lattice.action[x].entries
+        for k in range(d):
+            row = list(entries[k * d : (k + 1) * d])
+            row[k] -= 1
+            rows.append(row)
+    return rows
 
 
 def h1(lattice: GLattice) -> AbelianGroupInvariants:
@@ -377,13 +384,16 @@ def h1(lattice: GLattice) -> AbelianGroupInvariants:
     Following the module docstring, the elementary divisors of H^1 are
     those of the generator stack C_S above 1, and its free rank is
     d - rank T - rank C_S with rank T = (sum_g tr A_g) / s: one Smith
-    diagonal and one character count.  Finiteness of the result (free
+    diagonal and one character count.  C_S goes to the elimination
+    kernel as the row lists of _coboundary_rows, with nothing appended,
+    so the kernel builds no transform.  Finiteness of the result (free
     rank 0) is a theorem; the computed free rank is returned so that
     tests can confirm it.
     """
     d = lattice.rank
     rank_t = sum(sum(m.entries[:: d + 1]) for m in lattice.action) // lattice.group.order
-    diag = snf_diagonal(_coboundary_matrix(lattice))
+    rows = _coboundary_rows(lattice)
+    diag = _eliminate(rows, len(rows), d)
     rank_c = sum(1 for x in diag if x)
     return AbelianGroupInvariants(tuple(x for x in diag if x > 1), d - rank_t - rank_c)
 

@@ -9,6 +9,8 @@ kernel with one path.  The transforms ride along as identity blocks
 appended to the matrix: I_rows to its right becomes the left transform,
 I_cols below it the right one.  integer_kernel appends only I_cols, so it
 builds only the column transform, and snf_diagonal appends nothing.
+cohomology.h1 hands the kernel the row lists it builds itself, also with
+nothing appended.
 """
 
 from __future__ import annotations
@@ -570,7 +572,9 @@ class IntegerMatrix(Record):
         return IntegerMatrix(self.rows, c, tuple(out))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self.entries == IntegerMatrix.identity(self.rows).entries
+        """True for I_n: n ones on the diagonal and zeros everywhere else."""
+        n, e = self.rows, self.entries
+        return n == self.cols and e[:: n + 1] == (1,) * n and e.count(0) == n * n - n
 
 
 def determinant(m: IntegerMatrix) -> int:
@@ -644,6 +648,18 @@ def _eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     it as the right transform (the augmented-matrix method of Cohen, A
     Course in Computational Algebraic Number Theory, 2.4).  Zero entries
     take part in no operation, so skipping them changes no result.
+
+    Finished work is not revisited.  When round t starts, every row i < t
+    of the block is zero in the columns >= t, and every column j < t is
+    zero in the block rows >= t.  Round t keeps both: its row and column
+    swaps touch only indices >= t, its offender step adds a row > t to
+    row t, and its column operations change a row only where that row is
+    nonzero in column t, which rows < t are not.  So the column clear
+    runs over the rows > t, the column operations over the rows from t
+    down (the appended right transform included) and the columns > t,
+    and a unit pivot ends its round without the divisibility test.  Each
+    skipped step was a no-op, so every diagonal and transform is the one
+    that a full sweep gives.
     """
     for t in range(min(rows, cols)):
         while (pos := _pivot_search(a, t, rows, cols)) is not None:
@@ -659,18 +675,18 @@ def _eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
             # Clear column t, then row t, with the current pivot; a
             # remainder left in either means another round.
             remainder = False
-            for i in range(rows):
+            for i in range(t + 1, rows):
                 row = a[i]
-                if row[t] and i != t:
+                if row[t]:
                     q = row[t] // pivot
                     if q:
                         a[i] = [x - q * y for x, y in zip(row, top)]
                     remainder = remainder or a[i][t] != 0
             # Column t does not change here, so the rows that a column
             # operation touches are known in advance.
-            touched = [row for row in a if row[t]]
-            for j in range(cols):
-                if j != t and top[j]:
+            touched = [row for row in a[t:] if row[t]]
+            for j in range(t + 1, cols):
+                if top[j]:
                     q = top[j] // pivot
                     if q:
                         for row in touched:
@@ -678,7 +694,9 @@ def _eliminate(a: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
                     remainder = remainder or top[j] != 0
             if not remainder:
                 # Pivot must divide the rest of the submatrix; a unit does.
-                rest = range(t + 1, rows) if abs(pivot) != 1 else ()
+                if abs(pivot) == 1:
+                    break
+                rest = range(t + 1, rows)
                 offender = next(
                     (i for i in rest if math.gcd(pivot, *a[i][t + 1 : cols]) != abs(pivot)),
                     None,

@@ -239,14 +239,32 @@ class TestLatticeFile:
             raise AssertionError("an action matrix was read")
 
         # Refused before any action matrix is read.
-        monkeypatch.setattr(IntegerMatrix, "from_rows", no_matrix)
         path = trivial_file(bound + 1)
+        monkeypatch.setattr(IntegerMatrix, "__post_init__", no_matrix)
         code, out, err = run_in_process(["h1", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == (
             f"error: malformed lattice file {str(path)!r}: lattice rank must be at most "
             f"{bound}, got {bound + 1}\n"
         )
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [("-1\n", "rank must be nonnegative"), ("-2\n1 0 0 1 1 0 0 -1\n", "8 trailing tokens")],
+        ids=["no-tokens-after", "tokens-after"],
+    )
+    def test_negative_rank_refused(self, tail, message, tmp_path, capsys, monkeypatch):
+        # No action matrix is read for a negative rank (d * d is positive),
+        # so tokens after it are trailing ones.
+        def no_matrix(*args):
+            raise AssertionError("an action matrix was read")
+
+        monkeypatch.setattr(IntegerMatrix, "__post_init__", no_matrix)
+        path = tmp_path / "negative.txt"
+        path.write_text("2\n0 1\n1 0\n" + tail)
+        code, out, err = run_in_process(["h1", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed lattice file {str(path)!r}: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_in_process(["h1", "/nonexistent/lattice.txt"], capsys)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import re
 import time
@@ -23,10 +24,11 @@ from arithlab.cohomology import (
     induced_lattice,
     minkowski_check,
     norm_one_lattice,
-    _coboundary_matrix,
+    _coboundary_rows,
     _largest_finite_order,
 )
-from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form, snf_diagonal
+from arithlab import core
+from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
 
 from oracle_h1 import (
     brute_force_h1,
@@ -190,22 +192,28 @@ class TestFiniteGroup:
     @pytest.mark.parametrize(
         "build, order",
         [
-            (lambda: FiniteGroup.symmetric(12), 479001600),
+            (lambda: FiniteGroup.symmetric(5), "5!"),
+            (lambda: FiniteGroup.symmetric(12), "12!"),
+            (lambda: FiniteGroup.symmetric(2000), "2000!"),
+            (lambda: FiniteGroup.symmetric(10**5), "100000!"),
             (lambda: FiniteGroup.cyclic(49), 49),
             (lambda: FiniteGroup.cyclic(10**12), 10**12),
             (lambda: FiniteGroup.cyclic(0), 0),
             (lambda: FiniteGroup.cyclic(-3), 0),
             (lambda: FiniteGroup.direct_product(S4, C3), 72),
         ],
-        ids=["S12", "C49", "C10^12", "C0", "C-3", "S4xC3"],
+        ids=["S5", "S12", "S2000", "S10^5", "C49", "C10^12", "C0", "C-3", "S4xC3"],
     )
     def test_constructors_refuse_before_building(self, build, order, monkeypatch):
-        # symmetric would list 12! permutations before the table; cyclic
-        # would start a list of 10^24 entries.
-        def no_permutations(*args):
-            raise AssertionError("permutations listed")
+        # symmetric would list 12! permutations before the table, and it
+        # refuses by the degree alone: 2000! has more digits than int -> str
+        # converts by default, and (10^5)! takes about 0.1 s to form.
+        # cyclic would start a list of 10^24 entries.
+        def never(*args):
+            raise AssertionError("heavy work started")
 
-        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        monkeypatch.setattr(itertools, "permutations", never)
+        monkeypatch.setattr(math, "factorial", never)
         with pytest.raises(ValueError, match=f"^group order must be in 1\\.\\.48, got {order}$"):
             build()
 
@@ -501,14 +509,22 @@ class TestCocycleMatrices:
             traces = sum(m[i, i] for m in lat.action for i in range(lat.rank))
             assert traces == s * _rank(norm) == s * Matrix(norm.to_rows()).rank()
 
-    def test_h1_runs_one_smith_diagonal(self, monkeypatch):
+    def test_h1_runs_one_elimination(self, monkeypatch):
+        # One kernel call per h1, on C_S with nothing appended: |S| d rows
+        # of length d, so no transform is built.
         calls = []
-        monkeypatch.setattr(
-            cohomology, "snf_diagonal", lambda m: calls.append(m) or snf_diagonal(m)
-        )
+
+        def eliminate(a, rows, cols):
+            calls.append((rows, cols, {len(row) for row in a}))
+            return core._eliminate(a, rows, cols)
+
+        monkeypatch.setattr(cohomology, "_eliminate", eliminate)
         for k, lat in enumerate(self.LATTICES, 1):
             h1(lat)
             assert len(calls) == k
+            d = lat.rank
+            assert calls[-1][:2] == (len(lat.group.generators) * d, d)
+            assert calls[-1][2] <= {d}
 
 
 def _parity(perm):
@@ -594,7 +610,7 @@ class TestH1BeyondOrderSix:
     def test_against_theory_and_sympy(self, name, build, divisors):
         lattice = build()
         assert h1(lattice) == AbelianGroupInvariants(divisors, 0)
-        factors = invariant_factors(Matrix(_coboundary_matrix(lattice).to_rows()))
+        factors = invariant_factors(Matrix(_coboundary_rows(lattice)))
         assert tuple(int(x) for x in factors if x > 1) == divisors
 
 
@@ -661,7 +677,9 @@ class TestGeneratorStack:
 
     def test_same_rank_and_invariants_as_the_full_matrix(self):
         for lat in self.lattices():
-            stack, full = _coboundary_matrix(lat), coboundary_matrix(lat)
+            rows = _coboundary_rows(lat)
+            stack = IntegerMatrix(len(rows), lat.rank, tuple(x for row in rows for x in row))
+            full = coboundary_matrix(lat)
             assert stack.rows == len(lat.group.generators) * lat.rank
             invariants = _nonzero_invariants(full)
             assert _rank(stack) == len(invariants)

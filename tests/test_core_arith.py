@@ -10,6 +10,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -456,6 +457,37 @@ class TestIntegerMatrixMul:
         assert product.to_rows() == self.triple_loop(a, b)
 
 
+class TestIsIdentity:
+    def test_identities(self):
+        assert all(IntegerMatrix.identity(n).is_identity() for n in range(6))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            IntegerMatrix.zero(2, 2),
+            IntegerMatrix.zero(2, 3),
+            IntegerMatrix(2, 3, (1, 0, 0, 0, 1, 0)),
+            IntegerMatrix.from_rows([[1, 0], [0, 2]]),
+            IntegerMatrix.from_rows([[1, 0], [0, -1]]),
+            IntegerMatrix.from_rows([[1, 1], [0, 1]]),
+            IntegerMatrix.from_rows([[1, -1], [1, 1]]),
+            IntegerMatrix.from_rows([[0, 1], [1, 0]]),
+        ],
+    )
+    def test_non_identities(self, m):
+        assert not m.is_identity()
+
+    def test_agrees_with_the_identity_matrix(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            n = rng.randrange(4)
+            entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
+            if entries and rng.random() < 0.7:
+                entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+            m = IntegerMatrix(n, n, tuple(entries))
+            assert m.is_identity() == (m == IntegerMatrix.identity(n))
+
+
 REFUSALS = {
     "crt-no-congruence": (lambda: crt_solve([]), "crt_solve needs at least one congruence"),
     "crt-modulus-zero": (lambda: crt_solve([(1, 4), (2, 0)]), "modulus must be >= 1, got 0"),
@@ -799,6 +831,34 @@ class TestSnfDiagonal:
                 ]
             )
             assert snf_diagonal(m) == smith_normal_form(m).diagonal
+
+
+    def test_matrices_without_unit_entries(self, monkeypatch):
+        # No entry is +-1, so no round can open on a unit pivot: rounds
+        # reach the divisibility test and many add an offender row.
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        # (pivot, gcd of the pivot and a later row): an offender where they differ.
+        tests = []
+
+        def gcd(pivot, *rest):
+            g = math.gcd(pivot, *rest)
+            tests.append((abs(pivot), g))
+            return g
+
+        monkeypatch.setattr(core, "math", SimpleNamespace(gcd=gcd))
+        rng, entries = random.Random(4242), (0, 2, -2, 3, -3, 4, -4, 6, -6)
+        for _ in range(120):
+            r, c = rng.randrange(1, 7), rng.randrange(1, 7)
+            rows = [[rng.choice(entries) for _ in range(c)] for _ in range(r)]
+            m = IntegerMatrix.from_rows(rows)
+            expected = tuple(abs(int(x)) for x in invariant_factors(Matrix(rows)))
+            assert snf_diagonal(m) == expected
+            result = smith_normal_form(m)
+            assert result.diagonal == expected
+            snf_is_valid(m, result)
+        assert any(p == g for p, g in tests) and any(p != g for p, g in tests)
 
 
 class TestIntegerKernel:
