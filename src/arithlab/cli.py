@@ -72,8 +72,6 @@ def _fmt(value):
         if value.denominator == 1:
             return _decimal(value.numerator)
         return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
@@ -188,11 +186,7 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
 
     try:
         s = take(1, "group order")[0]
-        if not 1 <= s <= cohomology.MAX_GROUP_ORDER:
-            raise UsageError(
-                f"malformed lattice file {path!r}: group order must be in "
-                f"1..{cohomology.MAX_GROUP_ORDER}, got {s}"
-            )
+        cohomology._check_order(s)
         table = [take(s, "multiplication table") for _ in range(s)]
         group = cohomology.FiniteGroup(table)
         d = take(1, "rank")[0]
@@ -262,15 +256,17 @@ def _count_nth_powers(p: int, n: int) -> int:
     return order
 
 
-def _report(command, inputs, outputs, certifications, module, operation, formula):
-    status = "ok" if all(c["passed"] for c in certifications) else "certification-failure"
+def _report(args, argv):
+    """Compute the answer, certify it from the parsed input and the outputs, render it."""
+    inputs, outputs, operation, formula, parsed = args.compute(args)
+    certifications = args.certify(args, parsed, outputs)
     return {
-        "command": command,
+        "command": argv,
         "inputs": _fmt(inputs),
         "outputs": _fmt(outputs),
-        "provenance": {"module": f"arithlab.{module}", "operation": operation, "formula": formula},
+        "provenance": dict(module=f"arithlab.{args.module}", operation=operation, formula=formula),
         "certifications": certifications,
-        "status": status,
+        "status": "ok" if all(c["passed"] for c in certifications) else "certification-failure",
     }
 
 
@@ -279,66 +275,61 @@ def _cert(name: str, passed: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers, each returning a report dict.
+# Subcommand families.  Each has a compute function, which returns the
+# report's inputs, outputs, operation and formula plus the parsed objects its
+# checks need, and a certify function, which reads only the parsed arguments,
+# those objects and the outputs that will be printed.
 # ---------------------------------------------------------------------------
 
 
-def _run_constants(args, argv):
+# Each constant's bounds function, its arguments in order, and its formula.
+_CONSTANTS = {
+    "gamma": ("gamma", ("d",), "gamma(d) = prod_{i=0}^{d-1} (3^d - 3^i)"),
+    "lambda": ("lam", ("d",), "lambda(d) = d * (gamma(d) - 1)"),
+    "psi": ("psi", ("d",), "psi(d) = gamma(d)^(d * (gamma(d) - 1))"),
+    "ctilde": ("c_tilde", ("d", "n"), "ctilde(d, n) = n^d * psi(lambda(d))"),
+    "ctilde-improved": (
+        "c_tilde_improved",
+        ("d", "n"),
+        "ctilde_improved(d, n) = n^d * gamma(d)^(lambda(d) * (gamma(d) - 1))",
+    ),
+    "creductive": ("c_reductive", ("ell", "n", "r"), "c(ell, n, r) = 2^(ell * r) * ctilde(ell, n)"),
+}
+
+
+def _compute_constants(args):
     from . import bounds
 
-    which = args.constant
-    certs = []
-    if which == "gamma":
-        value = bounds.gamma(args.d)
-        if args.d <= 3:
-            certs.append(
-                _cert("matches-brute-force-count", _count_invertible_mod3(args.d) == value)
-            )
-        inputs = {"d": args.d}
-        formula = "gamma(d) = prod_{i=0}^{d-1} (3^d - 3^i)"
-    elif which == "lambda":
-        value = bounds.lam(args.d)
-        inputs = {"d": args.d}
-        formula = "lambda(d) = d * (gamma(d) - 1)"
-    elif which == "psi":
-        value = _decimal(bounds.psi(args.d))
+    function, names, formula = _CONSTANTS[args.constant]
+    inputs = {name: getattr(args, name) for name in names}
+    value = getattr(bounds, function)(*inputs.values())
+    if args.constant == "psi":
+        value = _decimal(value)
+    return inputs, {"value": value}, args.constant, formula, None
+
+
+def _certify_constants(args, parsed, outputs):
+    value = outputs["value"]
+    if args.constant == "gamma" and args.d <= 3:
+        return [_cert("matches-brute-force-count", _count_invertible_mod3(args.d) == value)]
+    if args.constant == "psi":
+        from . import bounds
+
         size = bounds.psi_size(args.d)
-        certs.append(
-            _cert("digit-count-matches-log-estimate", str(len(value)) == size.digits10)
-        )
-        inputs = {"d": args.d}
-        formula = "psi(d) = gamma(d)^(d * (gamma(d) - 1))"
-    elif which == "ctilde":
-        value = bounds.c_tilde(args.d, args.n)
-        inputs = {"d": args.d, "n": args.n}
-        formula = "ctilde(d, n) = n^d * psi(lambda(d))"
-    elif which == "ctilde-improved":
-        value = bounds.c_tilde_improved(args.d, args.n)
-        inputs = {"d": args.d, "n": args.n}
-        formula = "ctilde_improved(d, n) = n^d * gamma(d)^(lambda(d) * (gamma(d) - 1))"
-    else:  # creductive
-        value = bounds.c_reductive(args.ell, args.n, args.r)
-        inputs = {"ell": args.ell, "n": args.n, "r": args.r}
-        formula = "c(ell, n, r) = 2^(ell * r) * ctilde(ell, n)"
-    return _report(argv, inputs, {"value": value}, certs, "bounds", which, formula)
+        return [_cert("digit-count-matches-log-estimate", str(len(value)) == size.digits10)]
+    return []
 
 
-def _run_symbol(args, argv):
+def _compute_symbol(args):
     from . import symbols
 
-    which = args.symbol
+    which, parsed = args.symbol, None
     if which == "legendre":
         value = symbols.legendre(args.a, args.p)
-        euler = pow(args.a % args.p, (args.p - 1) // 2, args.p)
-        certs = [_cert("euler-criterion-agreement", euler == value % args.p)]
         inputs = {"a": args.a, "p": args.p}
         formula = "quadratic residue symbol via reciprocity"
     elif which == "jacobi":
         value = symbols.jacobi(args.a, args.n)
-        if args.a % args.n > FACTOR_LIMIT:
-            raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
-        prod = _jacobi_by_reciprocity(args.a, args.n)
-        certs = [_cert("multiplicative-over-factorization", prod == value)]
         inputs = {"a": args.a, "n": args.n}
         formula = "jacobi symbol, multiplicative extension of legendre"
     else:  # hilbert
@@ -350,122 +341,131 @@ def _run_symbol(args, argv):
                 "2**64, the limit of factor"
             )
         value = symbols.hilbert_symbol(a, b, place)
-        certs = [
-            _cert("reciprocity-product-is-one", symbols.hilbert_product_check(a, b).passed)
-        ]
-        inputs = {"a": a, "b": b, "place": str(place)}
+        inputs = parsed = {"a": a, "b": b, "place": str(place)}
         formula = "local solvability class of z^2 = a x^2 + b y^2"
-    return _report(argv, inputs, {"value": value}, certs, "symbols", which, formula)
+    return inputs, {"value": value}, which, formula, parsed
 
 
-def _run_density(args, argv):
+def _certify_symbol(args, parsed, outputs):
+    value = outputs["value"]
+    if args.symbol == "legendre":
+        euler = pow(args.a % args.p, (args.p - 1) // 2, args.p)
+        return [_cert("euler-criterion-agreement", euler == value % args.p)]
+    if args.symbol == "jacobi":
+        if args.a % args.n > FACTOR_LIMIT:
+            raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
+        prod = _jacobi_by_reciprocity(args.a, args.n)
+        return [_cert("multiplicative-over-factorization", prod == value)]
+    from . import symbols
+
+    # The product of the symbols at every place but the printed one: each is
+    # +-1, so taking a factor out multiplies by it again, and a place outside
+    # the support of a and b has symbol 1 and no factor.
+    report = symbols.hilbert_product_check(parsed["a"], parsed["b"])
+    others = report.product * dict(report.factors).get(parsed["place"], 1)
+    return [_cert("reciprocity-product-is-one", others * value == 1)]
+
+
+def _compute_density(args):
     from . import progressions
 
-    which = args.kind
-    spec = _parse_progression(args.spec)
-    if which == "exact":
-        value = progressions.chebotarev_density(spec)
-        # Each coset c, checked to be min(c) * H, has density |c| / phi(m),
-        # so the densities sum to 1 exactly when the sizes sum to phi(m).
-        ext = spec.extension
-        total = sum(len(c) for c in ext.cosets() if c == ext.coset(min(c)))
-        certs = [_cert("coset-densities-sum-to-one", total == ext.phi)]
-        outputs = {"density": value}
+    spec, inputs = _parse_progression(args.spec), {"spec": args.spec}
+    if args.kind == "exact":
+        outputs = {"density": progressions.chebotarev_density(spec)}
         formula = "|subgroup| / phi(conductor)"
-    elif which == "estimate":
+    elif args.kind == "estimate":
         exact = progressions.chebotarev_density(spec)
         value = progressions.natural_density_estimate(spec, args.bound)
-        certs = [_cert("within-0.02-of-exact", abs(value - float(exact)) <= 0.02)]
         outputs = {"estimate": value, "exact": exact, "x_bound": args.bound}
         formula = "pi(x; progression) / pi(x) by sieve"
     else:  # intersection
-        ext2 = _parse_extension(args.ext)
-        value = progressions.intersection_density(spec, ext2)
-        certs = [
-            _cert("bounded-by-progression-density", value <= progressions.chebotarev_density(spec))
-        ]
-        outputs = {"density": value}
-        formula = "residue count modulo lcm of conductors"
-    inputs = {"spec": args.spec}
-    if which == "intersection":
         inputs["ext"] = args.ext
-    return _report(argv, inputs, outputs, certs, "progressions", which, formula)
+        outputs = {"density": progressions.intersection_density(spec, _parse_extension(args.ext))}
+        formula = "residue count modulo lcm of conductors"
+    return inputs, outputs, args.kind, formula, spec
 
 
-def _run_tractable(args, argv):
+def _certify_density(args, spec, outputs):
     from . import progressions
 
-    spec = _parse_progression(args.spec)
-    target = _parse_extension(args.target)
-    value = progressions.tractable_condition(spec, target)
-    density = progressions.intersection_density(spec, target)
-    certs = [_cert("density-positivity-matches-condition", (density > 0) == value)]
-    inputs = {"spec": args.spec, "target": args.target}
-    outputs = {"tractable": value, "intersection_density": density}
+    if args.kind == "exact":
+        # The cosets c of H, each checked to be min(c) * H, partition the units
+        # exactly when their sizes sum to phi(m).  Each then has density
+        # |H| / phi(m), the printed density, and their number times it is 1.
+        ext = spec.extension
+        sizes = [len(c) for c in ext.cosets() if c == ext.coset(min(c))]
+        passed = sum(sizes) == ext.phi and outputs["density"] * len(sizes) == 1
+        return [_cert("coset-densities-sum-to-one", passed)]
+    if args.kind == "estimate":
+        error = abs(outputs["estimate"] - float(outputs["exact"]))
+        return [_cert("within-0.02-of-exact", error <= 0.02)]
+    bound = progressions.chebotarev_density(spec)
+    return [_cert("bounded-by-progression-density", outputs["density"] <= bound)]
+
+
+def _compute_tractable(args):
+    from . import progressions
+
+    spec, target = _parse_progression(args.spec), _parse_extension(args.target)
+    outputs = {
+        "tractable": progressions.tractable_condition(spec, target),
+        "intersection_density": progressions.intersection_density(spec, target),
+    }
     formula = "class restriction to the intersection field is trivial"
-    return _report(argv, inputs, outputs, certs, "progressions", "tractable_condition", formula)
+    return {"spec": args.spec, "target": args.target}, outputs, "tractable_condition", formula, None
 
 
-def _run_h1(args, argv):
+def _certify_tractable(args, parsed, outputs):
+    passed = (outputs["intersection_density"] > 0) == outputs["tractable"]
+    return [_cert("density-positivity-matches-condition", passed)]
+
+
+def _compute_h1(args):
     from . import cohomology
 
     lattice = _parse_lattice_file(args.lattice_file)
-    report = cohomology.h1_bound_check(lattice)
-    inv = report.invariants
-    certs = [
-        _cert("free-rank-zero", inv.free_rank == 0),
-        _cert("order-divides-power-bound", report.order_divides_bound),
-        _cert("annihilated-by-group-order", report.annihilated_by_group_order),
-    ]
+    inv = cohomology.h1(lattice)
     outputs = {
         "elementary_divisors": list(inv.divisors),
         "free_rank": inv.free_rank,
-        "order": inv.order,
-        "group_order": report.group_order,
-        "rank": report.rank,
+        "order": "infinite" if inv.free_rank else inv.order,
+        "group_order": lattice.group.order,
+        "rank": lattice.rank,
     }
-    inputs = {"lattice_file": args.lattice_file}
     formula = "cocycle kernel modulo coboundary image, by Smith normal form"
-    return _report(argv, inputs, outputs, certs, "cohomology", "h1", formula)
+    return {"lattice_file": args.lattice_file}, outputs, "h1", formula, lattice
 
 
-def _run_example(args, argv):
-    from . import experiments, symbols
+def _certify_h1(args, lattice, outputs):
+    s, r, order = lattice.group.order, lattice.rank, outputs["order"]
+    divides = order != "infinite" and s ** (r * (s - 1)) % order == 0
+    killed = all(s % d == 0 for d in outputs["elementary_divisors"])
+    return [
+        _cert("free-rank-zero", outputs["free_rank"] == 0),
+        _cert("order-divides-power-bound", divides),
+        _cert("annihilated-by-group-order", killed),
+    ]
 
-    which = args.which
+
+def _compute_example(args):
+    from . import experiments
+
+    which, parsed = args.which, None
     if which == "2.1":
         pair = experiments.build_biased_prime_sets(args.ell)
-        # BiasedPrimePair has checked that every q is prime.
-        crosses = [
-            symbols.jacobi(p, q) for p in pair.p_list for q in pair.q_list
-        ]
-        growth = all(
-            pair.p_list[i] > 5**i for i in range(len(pair.p_list))
-        )
-        certs = [
-            _cert("cross-symbols-all-one", all(x == 1 for x in crosses)),
-            _cert("sets-disjoint", not set(pair.p_list) & set(pair.q_list)),
-            _cert("all-one-mod-four", all(x % 4 == 1 for x in pair.p_list + pair.q_list)),
-            _cert("growth-beats-geometric", growth),
-        ]
         outputs = {"P": list(pair.p_list), "Q": list(pair.q_list)}
         inputs = {"ell": args.ell}
         operation = "build_biased_prime_sets"
         formula = "inductive smallest-prime choices in nested progressions"
     elif which == "2.3":
-        target = _parse_target(args.target)
-        eps, p = experiments.density_witness(target)
-        certs = [_cert("witness-satisfies-target", target.contains(eps, p))]
+        parsed = _parse_target(args.target)
+        eps, p = experiments.density_witness(parsed)
         outputs = {"epsilon": eps, "prime": p, "witness": eps * p}
         inputs = {"target": args.target}
         operation = "density_witness"
         formula = "sign choice + CRT + smallest prime in the class"
     elif which == "2.4":
         report = experiments.artin_kernel_evidence(args.q, args.bound)
-        certs = [
-            _cert("zero-failures", not report.failures),
-            _cert("sampled-symbols-trivial", all(s == 1 for _, s in report.sampled_symbols)),
-        ]
         outputs = {
             "checked_count": len(report.checked_primes),
             "first_checked": list(report.checked_primes[:3]),
@@ -476,26 +476,48 @@ def _run_example(args, argv):
         formula = "local squareness of q at split places"
     else:  # 2.5
         units = experiments.norm_one_constrained_units(args.height)
-        expected = sorted(experiments.GAUSSIAN_UNITS, key=lambda z: (z.a, z.b))
-        certs = [
-            _cert("exactly-four-units", len(units) == 4),
-            _cert("units-are-the-gaussian-units", units == expected),
-        ]
         outputs = {"units": [str(u) for u in units], "count": len(units)}
         inputs = {"height": args.height}
         operation = "norm_one_constrained_units"
         formula = "conjugate quotients with balanced split valuations"
-    return _report(argv, inputs, outputs, certs, "experiments", operation, formula)
+    return inputs, outputs, operation, formula, parsed
 
 
-def _run_section7(args, argv):
+def _certify_example(args, target, outputs):
+    from . import experiments, symbols
+
+    if args.which == "2.1":
+        ps, qs = outputs["P"], outputs["Q"]  # at primes q, jacobi is legendre
+        return [
+            _cert("cross-symbols-all-one", all(symbols.jacobi(p, q) == 1 for p in ps for q in qs)),
+            _cert("sets-disjoint", not set(ps) & set(qs)),
+            _cert("all-one-mod-four", all(x % 4 == 1 for x in ps + qs)),
+            _cert("growth-beats-geometric", all(p > 5**i for i, p in enumerate(ps))),
+        ]
+    if args.which == "2.3":
+        passed = target.contains(outputs["epsilon"], outputs["prime"])
+        return [_cert("witness-satisfies-target", passed)]
+    if args.which == "2.4":
+        sampled = [
+            symbols.hilbert_symbol(x, args.q, symbols.Place.finite(p))
+            for p in outputs["first_checked"]
+            for x in (Fraction(2), Fraction(-3, 7), Fraction(p), Fraction(1, 2))
+        ]
+        return [
+            _cert("zero-failures", not outputs["failures"]),
+            _cert("sampled-symbols-trivial", all(s == 1 for s in sampled)),
+        ]
+    units = sorted(experiments.GAUSSIAN_UNITS, key=lambda z: (z.a, z.b))
+    return [
+        _cert("exactly-four-units", outputs["count"] == 4),
+        _cert("units-are-the-gaussian-units", outputs["units"] == [str(u) for u in units]),
+    ]
+
+
+def _compute_section7(args):
     from . import experiments
 
     report = experiments.section7_index_bound(args.n, args.ell, args.primes)
-    certs = [
-        _cert("product-equals-n-to-ell", report.product == args.n**args.ell),
-        _cert("bounds-strictly-increasing", report.monotone),
-    ]
     outputs = {
         "local_indices": list(report.local_indices),
         "product": report.product,
@@ -504,20 +526,30 @@ def _run_section7(args, argv):
     }
     inputs = {"n": args.n, "ell": args.ell, "primes": list(args.primes)}
     formula = "product of local power indices; bound n^ell / 4"
-    return _report(argv, inputs, outputs, certs, "experiments", "section7_index_bound", formula)
+    return inputs, outputs, "section7_index_bound", formula, None
 
 
-def _run_local_index(args, argv):
+def _certify_section7(args, parsed, outputs):
+    partials = outputs["partial_bounds"]
+    return [
+        _cert("product-equals-n-to-ell", outputs["product"] == args.n**args.ell),
+        _cert("bounds-strictly-increasing", all(x < y for x, y in zip(partials, partials[1:]))),
+    ]
+
+
+def _compute_local_index(args):
     if args.p - 1 > FACTOR_LIMIT:
         raise UsageError(f"p - 1 must be <= 2**64 for the power-count certification, got {args.p}")
     from . import experiments
 
-    value = experiments.local_power_index(args.p, args.n)
-    count = _count_nth_powers(args.p, args.n)
-    certs = [_cert("power-count-agrees", count * value == args.p - 1)]
-    inputs, outputs = {"p": args.p, "n": args.n}, {"index": value}
+    outputs = {"index": experiments.local_power_index(args.p, args.n)}
     formula = "gcd(n, p - 1), cross-checked by counting n-th powers"
-    return _report(argv, inputs, outputs, certs, "experiments", "local_power_index", formula)
+    return {"p": args.p, "n": args.n}, outputs, "local_power_index", formula, None
+
+
+def _certify_local_index(args, parsed, outputs):
+    count = _count_nth_powers(args.p, args.n)
+    return [_cert("power-count-agrees", count * outputs["index"] == args.p - 1)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -541,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("ell", type=int)
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
-    constants.set_defaults(handler=_run_constants)
+    constants.set_defaults(compute=_compute_constants, certify=_certify_constants, module="bounds")
 
     symbol = sub.add_parser("symbol", help="quadratic and Hilbert symbols")
     ssub = symbol.add_subparsers(dest="symbol", required=True)
@@ -555,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("place")
-    symbol.set_defaults(handler=_run_symbol)
+    symbol.set_defaults(compute=_compute_symbol, certify=_certify_symbol, module="symbols")
 
     density = sub.add_parser("density", help="progression densities")
     dsub = density.add_subparsers(dest="kind", required=True)
@@ -567,16 +599,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("intersection")
     p.add_argument("spec")
     p.add_argument("ext")
-    density.set_defaults(handler=_run_density)
+    density.set_defaults(compute=_compute_density, certify=_certify_density, module="progressions")
 
-    tractable = sub.add_parser("tractable", help="class-restriction condition")
-    tractable.add_argument("spec")
-    tractable.add_argument("target")
-    tractable.set_defaults(handler=_run_tractable)
+    tr = sub.add_parser("tractable", help="class-restriction condition")
+    tr.add_argument("spec")
+    tr.add_argument("target")
+    tr.set_defaults(compute=_compute_tractable, certify=_certify_tractable, module="progressions")
 
     h1cmd = sub.add_parser("h1", help="lattice cohomology from a file")
     h1cmd.add_argument("lattice_file")
-    h1cmd.set_defaults(handler=_run_h1)
+    h1cmd.set_defaults(compute=_compute_h1, certify=_certify_h1, module="cohomology")
 
     example = sub.add_parser("example", help="worked experiments")
     esub = example.add_subparsers(dest="which", required=True)
@@ -589,18 +621,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=1000)
     p = esub.add_parser("2.5")
     p.add_argument("--height", type=int, required=True)
-    example.set_defaults(handler=_run_example)
+    example.set_defaults(compute=_compute_example, certify=_certify_example, module="experiments")
 
     s7 = sub.add_parser("section7", help="power-index growth report")
     s7.add_argument("n", type=int)
     s7.add_argument("ell", type=int)
     s7.add_argument("primes", type=int, nargs="*")
-    s7.set_defaults(handler=_run_section7)
+    s7.set_defaults(compute=_compute_section7, certify=_certify_section7, module="experiments")
 
     li = sub.add_parser("local-index", help="index of n-th powers mod p")
     li.add_argument("p", type=int)
     li.add_argument("n", type=int)
-    li.set_defaults(handler=_run_local_index)
+    li.set_defaults(
+        compute=_compute_local_index, certify=_certify_local_index, module="experiments"
+    )
 
     return parser
 
@@ -614,7 +648,7 @@ def run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(max(default_digit_cap() + 10, 20000))
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
-        report = args.handler(args, argv)
+        report = _report(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
 from arithlab import cli, cohomology, progressions
-from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
+from arithlab.cohomology import (
+    AbelianGroupInvariants, FiniteGroup, GLattice, induced_lattice, norm_one_lattice,
+)
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
 from test_cohomology import S4_C2, augmentation_dual_matrices
@@ -390,6 +393,93 @@ class TestExitCodes:
         )
         assert code == 1
         assert json.loads(out)["status"] == "certification-failure"
+
+
+class TestCertificationsCanFail:
+    """Each certification reads the printed answer, so a wrong one fails it."""
+
+    # Certification name: a command, and outputs that replace its correct ones.
+    WRONG_OUTPUTS = {
+        "matches-brute-force-count": (["constants", "gamma", "2"], {"value": 49}),
+        "digit-count-matches-log-estimate": (["constants", "psi", "1"], {"value": "20"}),
+        "euler-criterion-agreement": (["symbol", "legendre", "2", "7"], {"value": -1}),
+        "multiplicative-over-factorization": (["symbol", "jacobi", "2", "15"], {"value": -1}),
+        "reciprocity-product-is-one": (["symbol", "hilbert", "2", "3", "7"], {"value": -1}),
+        "coset-densities-sum-to-one": (["density", "exact", "1(5)"], {"density": Fraction(1, 3)}),
+        "within-0.02-of-exact": (
+            ["density", "estimate", "1(4)", "--bound", "100000"],
+            {"estimate": 0.9},
+        ),
+        "bounded-by-progression-density": (
+            ["density", "intersection", "1(4)", "3"],
+            {"density": Fraction(1)},
+        ),
+        "density-positivity-matches-condition": (["tractable", "1(4)", "4:1"], {"tractable": False}),
+        "free-rank-zero": (["h1", "sign.txt"], {"free_rank": 1}),
+        "order-divides-power-bound": (["h1", "sign.txt"], {"order": 3}),
+        "annihilated-by-group-order": (["h1", "sign.txt"], {"elementary_divisors": [4]}),
+        "cross-symbols-all-one": (["example", "2.1", "--ell", "2"], {"Q": [13, 16421]}),
+        "sets-disjoint": (["example", "2.1", "--ell", "2"], {"Q": [5, 16421]}),
+        "all-one-mod-four": (["example", "2.1", "--ell", "2"], {"Q": [41, 16423]}),
+        "growth-beats-geometric": (["example", "2.1", "--ell", "2"], {"P": [5, 5]}),
+        "witness-satisfies-target": (["example", "2.3", "--target", "2^2=1"], {"prime": 3}),
+        "zero-failures": (["example", "2.4", "--q", "5", "--bound", "100"], {"failures": [11]}),
+        "sampled-symbols-trivial": (
+            ["example", "2.4", "--q", "5", "--bound", "100"],
+            {"first_checked": [3]},
+        ),
+        "exactly-four-units": (["example", "2.5", "--height", "4"], {"count": 5}),
+        "units-are-the-gaussian-units": (
+            ["example", "2.5", "--height", "4"],
+            {"units": ["-1+0i", "0-1i", "0+1i", "2+0i"]},
+        ),
+        "product-equals-n-to-ell": (["section7", "3", "1", "13"], {"product": 4}),
+        "bounds-strictly-increasing": (
+            ["section7", "3", "2", "13", "37"],
+            {"partial_bounds": [Fraction(9, 4), Fraction(3, 4)]},
+        ),
+        "power-count-agrees": (["local-index", "13", "3"], {"index": 2}),
+    }
+
+    @pytest.mark.parametrize("name", WRONG_OUTPUTS)
+    def test_wrong_output_fails(self, name, tmp_path, monkeypatch):
+        argv, wrong = self.WRONG_OUTPUTS[name]
+        (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
+        monkeypatch.chdir(tmp_path)
+        args = cli._build_parser().parse_args(argv)
+        _, outputs, _, _, parsed = args.compute(args)
+        assert all(c["passed"] for c in args.certify(args, parsed, outputs))
+        certs = args.certify(args, parsed, {**outputs, **wrong})
+        assert {c["name"]: c["passed"] for c in certs}[name] is False
+
+    @pytest.mark.parametrize(
+        "argv,name,printed",
+        [
+            (["density", "exact", "1(5)"], "coset-densities-sum-to-one", {"density": "1/3"}),
+            (["symbol", "hilbert", "2", "3", "3"], "reciprocity-product-is-one", {"value": "1"}),
+            (["symbol", "hilbert", "2", "3", "7"], "reciprocity-product-is-one", {"value": "-1"}),
+            (["h1", "sign.txt"], "free-rank-zero", {"free_rank": "1", "order": "infinite"}),
+        ],
+        ids=["density-exact", "hilbert-at-3", "hilbert-at-7", "h1-free-rank"],
+    )
+    def test_wrong_answer_exits_one(self, argv, name, printed, tmp_path, capsys, monkeypatch):
+        # The density of 1(5) is 1/4, not 1/3; (2, 3)_3 = -1 and (2, 3)_7 = 1;
+        # H^1 of a finite group is finite.  Each command calls one of these.
+        from arithlab import symbols
+
+        hilbert, h1 = symbols.hilbert_symbol, cohomology.h1
+        monkeypatch.setattr(progressions, "chebotarev_density", lambda spec: Fraction(1, 3))
+        monkeypatch.setattr(symbols, "hilbert_symbol", lambda *args: -hilbert(*args))
+        monkeypatch.setattr(
+            cohomology, "h1", lambda lattice: AbelianGroupInvariants(h1(lattice).divisors, 1)
+        )
+        (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_in_process(argv, capsys)
+        report = json.loads(out)
+        assert code == 1 and report["status"] == "certification-failure"
+        assert printed.items() <= report["outputs"].items()
+        assert {"name": name, "passed": False} in report["certifications"]
 
 
 class TestBoundedWork:
