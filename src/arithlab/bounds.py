@@ -349,8 +349,6 @@ def divides_power(m: int, base: int, exponent: int) -> bool:
         raise ValueError("divides_power requires m, base >= 1 and exponent >= 0")
     if m == 1:
         return True
-    if base == 1:
-        return False
     for p, avail in factor(base).factors:
         need, m = valuation(m, p)
         if need > avail * exponent:

@@ -21,6 +21,7 @@ import argparse
 import decimal
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -389,11 +390,11 @@ def _certify_density(args, spec, outputs):
     from . import progressions
 
     if args.kind == "exact":
-        # The cosets c of H, each checked to be min(c) * H, partition the units
-        # exactly when their sizes sum to phi(m).  Each then has density
-        # |H| / phi(m), the printed density, and their number times it is 1.
+        # The cosets of H partition the units exactly when their sizes sum to
+        # phi(m).  Each then has density |H| / phi(m), the printed density,
+        # and their number times it is 1.
         ext = spec.extension
-        sizes = [len(c) for c in ext.cosets() if c == ext.coset(min(c))]
+        sizes = [len(c) for c in ext.cosets()]
         passed = sum(sizes) == ext.phi and outputs["density"] * len(sizes) == 1
         return [_cert("coset-densities-sum-to-one", passed)]
     if args.kind == "estimate":
@@ -438,7 +439,9 @@ def _compute_h1(args):
 
 def _certify_h1(args, lattice, outputs):
     s, r, order = lattice.group.order, lattice.rank, outputs["order"]
-    divides = order != "infinite" and s ** (r * (s - 1)) % order == 0
+    # The printed group order and rank are the lattice's s and r, which form the bound.
+    echoed = (outputs["group_order"], outputs["rank"]) == (s, r)
+    divides = echoed and order != "infinite" and s ** (r * (s - 1)) % order == 0
     killed = all(s % d == 0 for d in outputs["elementary_divisors"])
     return [
         _cert("free-rank-zero", outputs["free_rank"] == 0),
@@ -495,7 +498,8 @@ def _certify_example(args, target, outputs):
             _cert("growth-beats-geometric", all(p > 5**i for i, p in enumerate(ps))),
         ]
     if args.which == "2.3":
-        passed = target.contains(outputs["epsilon"], outputs["prime"])
+        eps, p = outputs["epsilon"], outputs["prime"]
+        passed = target.contains(eps, p) and outputs["witness"] == eps * p
         return [_cert("witness-satisfies-target", passed)]
     if args.which == "2.4":
         sampled = [
@@ -530,9 +534,11 @@ def _compute_section7(args):
 
 
 def _certify_section7(args, parsed, outputs):
-    partials = outputs["partial_bounds"]
+    product, partials = outputs["product"], outputs["partial_bounds"]
+    # The printed local indices multiply to the product, and the bound is a quarter of it.
+    consistent = math.prod(outputs["local_indices"]) == product == 4 * outputs["lower_bound"]
     return [
-        _cert("product-equals-n-to-ell", outputs["product"] == args.n**args.ell),
+        _cert("product-equals-n-to-ell", consistent and product == args.n**args.ell),
         _cert("bounds-strictly-increasing", all(x < y for x, y in zip(partials, partials[1:]))),
     ]
 

@@ -354,10 +354,7 @@ class AbelianGroupInvariants(Record):
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group has no order")
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return math.prod(self.divisors)
 
     @property
     def is_trivial(self) -> bool:

@@ -221,7 +221,7 @@ def cosets(
     found at the first of its elements in the order `elements` gives, so
     for sorted elements that is its least.  Returns those elements, one
     per coset in that order, and a map from every element to the index
-    of its coset, which lists the elements coset by coset in that order.
+    of its coset.
     """
     reps: list = []
     index: dict = {}

@@ -6,15 +6,11 @@ per-test PASSED lines of pytest -v carry the same information).
 
 import hashlib
 import json
-import os
 import random
 import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import arithlab
 
 from arithlab.bounds import c_reductive, divides_power, gamma, lam, psi
 from arithlab.cohomology import h1, h1_bound_check, induced_lattice
@@ -49,6 +45,7 @@ from oracle_h1 import brute_force_h1
 from test_bounds import count_invertible_matrices_mod3, pow_by_squaring
 from test_cohomology import CORPUS, MIXED
 from test_symbols import ODD_PRIMES_UNDER_200, euler_criterion
+from tree_python import run_python
 
 
 def announce(n, message):
@@ -241,15 +238,7 @@ def determinism_commands() -> list[list[str]]:
 
 
 def run_cli(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    # cwd is not the repository root, so put arithlab's own tree on the path.
-    src = str(Path(arithlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "arithlab", *command],
-        capture_output=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return run_python(["-m", "arithlab", *command], cwd=cwd)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

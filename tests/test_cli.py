@@ -2,14 +2,12 @@ import io
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +21,7 @@ from arithlab.cohomology import (
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
 from test_cohomology import S4_C2, augmentation_dual_matrices
+from tree_python import run_python, tree_env
 
 SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
 2
@@ -35,11 +34,7 @@ SIGN_LATTICE = """# order-2 group acting on a rank-1 lattice by negation
 
 
 def run_cli(args):
-    return subprocess.run(
-        [sys.executable, "-m", "arithlab", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_python(["-m", "arithlab", *args], text=True)
 
 
 def run_in_process(args, capsys):
@@ -395,55 +390,79 @@ class TestExitCodes:
         assert json.loads(out)["status"] == "certification-failure"
 
 
+def _case_ids(cases):
+    """Each case's test id: its certification name, followed by the
+    replaced fields for every case of that name after the first."""
+    ids, seen = [], set()
+    for name, _, wrong in cases:
+        ids.append("-".join([name, *wrong]) if name in seen else name)
+        seen.add(name)
+    return ids
+
+
 class TestCertificationsCanFail:
     """Each certification reads the printed answer, so a wrong one fails it."""
 
-    # Certification name: a command, and outputs that replace its correct ones.
-    WRONG_OUTPUTS = {
-        "matches-brute-force-count": (["constants", "gamma", "2"], {"value": 49}),
-        "digit-count-matches-log-estimate": (["constants", "psi", "1"], {"value": "20"}),
-        "euler-criterion-agreement": (["symbol", "legendre", "2", "7"], {"value": -1}),
-        "multiplicative-over-factorization": (["symbol", "jacobi", "2", "15"], {"value": -1}),
-        "reciprocity-product-is-one": (["symbol", "hilbert", "2", "3", "7"], {"value": -1}),
-        "coset-densities-sum-to-one": (["density", "exact", "1(5)"], {"density": Fraction(1, 3)}),
-        "within-0.02-of-exact": (
+    # Cases: a certification name, a command, and outputs that replace its
+    # correct ones.  A name with several cases has one per printed field it reads.
+    WRONG_OUTPUTS = [
+        ("matches-brute-force-count", ["constants", "gamma", "2"], {"value": 49}),
+        ("digit-count-matches-log-estimate", ["constants", "psi", "1"], {"value": "20"}),
+        ("euler-criterion-agreement", ["symbol", "legendre", "2", "7"], {"value": -1}),
+        ("multiplicative-over-factorization", ["symbol", "jacobi", "2", "15"], {"value": -1}),
+        ("reciprocity-product-is-one", ["symbol", "hilbert", "2", "3", "7"], {"value": -1}),
+        ("coset-densities-sum-to-one", ["density", "exact", "1(5)"], {"density": Fraction(1, 3)}),
+        (
+            "within-0.02-of-exact",
             ["density", "estimate", "1(4)", "--bound", "100000"],
             {"estimate": 0.9},
         ),
-        "bounded-by-progression-density": (
+        (
+            "bounded-by-progression-density",
             ["density", "intersection", "1(4)", "3"],
             {"density": Fraction(1)},
         ),
-        "density-positivity-matches-condition": (["tractable", "1(4)", "4:1"], {"tractable": False}),
-        "free-rank-zero": (["h1", "sign.txt"], {"free_rank": 1}),
-        "order-divides-power-bound": (["h1", "sign.txt"], {"order": 3}),
-        "annihilated-by-group-order": (["h1", "sign.txt"], {"elementary_divisors": [4]}),
-        "cross-symbols-all-one": (["example", "2.1", "--ell", "2"], {"Q": [13, 16421]}),
-        "sets-disjoint": (["example", "2.1", "--ell", "2"], {"Q": [5, 16421]}),
-        "all-one-mod-four": (["example", "2.1", "--ell", "2"], {"Q": [41, 16423]}),
-        "growth-beats-geometric": (["example", "2.1", "--ell", "2"], {"P": [5, 5]}),
-        "witness-satisfies-target": (["example", "2.3", "--target", "2^2=1"], {"prime": 3}),
-        "zero-failures": (["example", "2.4", "--q", "5", "--bound", "100"], {"failures": [11]}),
-        "sampled-symbols-trivial": (
+        ("density-positivity-matches-condition", ["tractable", "1(4)", "4:1"], {"tractable": False}),
+        ("free-rank-zero", ["h1", "sign.txt"], {"free_rank": 1}),
+        ("order-divides-power-bound", ["h1", "sign.txt"], {"order": 3}),
+        ("order-divides-power-bound", ["h1", "sign.txt"], {"group_order": 4}),
+        ("order-divides-power-bound", ["h1", "sign.txt"], {"rank": 2}),
+        ("annihilated-by-group-order", ["h1", "sign.txt"], {"elementary_divisors": [4]}),
+        ("cross-symbols-all-one", ["example", "2.1", "--ell", "2"], {"Q": [13, 16421]}),
+        ("sets-disjoint", ["example", "2.1", "--ell", "2"], {"Q": [5, 16421]}),
+        ("all-one-mod-four", ["example", "2.1", "--ell", "2"], {"Q": [41, 16423]}),
+        ("growth-beats-geometric", ["example", "2.1", "--ell", "2"], {"P": [5, 5]}),
+        ("witness-satisfies-target", ["example", "2.3", "--target", "2^2=1"], {"prime": 3}),
+        ("witness-satisfies-target", ["example", "2.3", "--target", "2^2=1"], {"witness": 7}),
+        ("zero-failures", ["example", "2.4", "--q", "5", "--bound", "100"], {"failures": [11]}),
+        (
+            "sampled-symbols-trivial",
             ["example", "2.4", "--q", "5", "--bound", "100"],
             {"first_checked": [3]},
         ),
-        "exactly-four-units": (["example", "2.5", "--height", "4"], {"count": 5}),
-        "units-are-the-gaussian-units": (
+        ("exactly-four-units", ["example", "2.5", "--height", "4"], {"count": 5}),
+        (
+            "units-are-the-gaussian-units",
             ["example", "2.5", "--height", "4"],
             {"units": ["-1+0i", "0-1i", "0+1i", "2+0i"]},
         ),
-        "product-equals-n-to-ell": (["section7", "3", "1", "13"], {"product": 4}),
-        "bounds-strictly-increasing": (
+        ("product-equals-n-to-ell", ["section7", "3", "1", "13"], {"product": 4}),
+        (
+            "product-equals-n-to-ell",
+            ["section7", "3", "2", "13", "37"],
+            {"local_indices": [3, 9]},
+        ),
+        ("product-equals-n-to-ell", ["section7", "3", "0"], {"lower_bound": Fraction(9, 4)}),
+        (
+            "bounds-strictly-increasing",
             ["section7", "3", "2", "13", "37"],
             {"partial_bounds": [Fraction(9, 4), Fraction(3, 4)]},
         ),
-        "power-count-agrees": (["local-index", "13", "3"], {"index": 2}),
-    }
+        ("power-count-agrees", ["local-index", "13", "3"], {"index": 2}),
+    ]
 
-    @pytest.mark.parametrize("name", WRONG_OUTPUTS)
-    def test_wrong_output_fails(self, name, tmp_path, monkeypatch):
-        argv, wrong = self.WRONG_OUTPUTS[name]
+    @pytest.mark.parametrize("name,argv,wrong", WRONG_OUTPUTS, ids=_case_ids(WRONG_OUTPUTS))
+    def test_wrong_output_fails(self, name, argv, wrong, tmp_path, monkeypatch):
         (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
         monkeypatch.chdir(tmp_path)
         args = cli._build_parser().parse_args(argv)
@@ -451,6 +470,20 @@ class TestCertificationsCanFail:
         assert all(c["passed"] for c in args.certify(args, parsed, outputs))
         certs = args.certify(args, parsed, {**outputs, **wrong})
         assert {c["name"]: c["passed"] for c in certs}[name] is False
+
+    @pytest.mark.parametrize(
+        "walk", [lambda cs: cs[1:], lambda cs: cs + cs[:1]], ids=["dropped", "repeated"]
+    )
+    def test_coset_walk_that_drops_or_repeats_a_coset_fails(self, walk, monkeypatch):
+        cosets = progressions.AbelianExtensionDescriptor.cosets
+        monkeypatch.setattr(
+            progressions.AbelianExtensionDescriptor, "cosets", lambda ext: walk(cosets(ext))
+        )
+        args = cli._build_parser().parse_args(["density", "exact", "1(12)"])
+        _, outputs, _, _, spec = args.compute(args)
+        assert outputs == {"density": Fraction(1, 4)}
+        certs = args.certify(args, spec, outputs)
+        assert certs == [{"name": "coset-densities-sum-to-one", "passed": False}]
 
     @pytest.mark.parametrize(
         "argv,name,printed",
@@ -862,7 +895,7 @@ class TestStartup:
             "assert cli.run(['density', 'estimate', '1(8)', '--bound', '100000']) == 0\n"
             "assert cli.run(['example', '2.4', '--q', '13', '--bound', '100000']) == 0\n"
         )
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        result = run_python(["-c", probe], text=True)
         assert result.returncode == 0, result.stderr
 
 
@@ -902,15 +935,7 @@ class TestImportFootprint:
     def test_modules_loaded(self, family, tmp_path):
         argv, expected = self.FAMILIES[family]
         (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        result = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        result = run_python(["-c", self.PROBE, *argv], text=True, cwd=tmp_path)
         loaded, heavy = result.stdout.splitlines()
         code, *modules = loaded.split()
         assert code == "0", result.stderr
@@ -928,6 +953,7 @@ class TestClosedPipe:
             [sys.executable, "-m", "arithlab", "constants", "psi", "3"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=tree_env(),
         )
         assert proc.stdout.read(20)
         proc.stdout.close()

@@ -321,7 +321,6 @@ class TestCosets:
     def test_representatives_follow_the_given_order(self):
         reps, index = cosets([0, 3, 1, 4, 2, 5], add_mod(6), [0, 3])
         assert reps == [0, 1, 2]
-        # Coset by coset: AbelianExtensionDescriptor.cosets() reads this order.
         assert list(index.items()) == [(0, 0), (3, 0), (1, 1), (4, 1), (2, 2), (5, 2)]
         reps, _ = cosets([5, 4, 3, 2, 1, 0], add_mod(6), [0, 3])
         assert reps == [5, 4, 3]

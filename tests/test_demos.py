@@ -10,27 +10,18 @@ copy the digest from its failure message into the pin file.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import arithlab
+from tree_python import run_python
 
 PIN = Path(__file__).with_name("demos_sha256.json")
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def demo_stdout(script: Path) -> bytes:
-    src = str(Path(arithlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    result = run_python([str(script)])
     assert result.returncode == 0, result.stderr.decode()
     return result.stdout
 

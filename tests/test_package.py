@@ -2,8 +2,6 @@
 
 import ast
 import importlib
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +9,7 @@ import pytest
 
 import arithlab
 from arithlab import bounds, core
+from tree_python import run_python
 
 # `from arithlab import *` before names were resolved lazily: 61 re-exported
 # functions and classes and the six submodules.
@@ -31,18 +30,6 @@ PUBLIC_NAMES = [
     "splits_completely", "symbols", "t1_density_bound", "tractable_condition",
 ]
 SUBMODULES = ["bounds", "cohomology", "core", "experiments", "progressions", "symbols"]
-
-
-def python(args, env=None):
-    """Run a fresh interpreter that imports arithlab from this tree."""
-    src = str(Path(arithlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, **(env or {})},
-    )
 
 
 def test_star_import_lists_the_pinned_names():
@@ -74,7 +61,7 @@ def test_import_loads_no_submodule_and_each_resolves():
         "    assert module.__name__ == 'arithlab.' + name\n"
         "assert len(arithlab.progressions.primes_up_to(100)) == 25\n"
     )
-    result = python(["-c", probe])
+    result = run_python(["-c", probe], text=True)
     assert result.returncode == 0, result.stderr
 
 
@@ -93,7 +80,9 @@ def test_digit_cap_guard_is_shared_by_core_and_bounds():
 
 
 def test_cli_digit_cap_refusal_is_unchanged():
-    result = python(["-m", "arithlab", "constants", "psi", "3"], env={"ASA_DIGIT_CAP": "100"})
+    result = run_python(
+        ["-m", "arithlab", "constants", "psi", "3"], env={"ASA_DIGIT_CAP": "100"}, text=True
+    )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
         "error: digit cap exceeded: psi(3) = 11232^33693 with about 136473 decimal digits, "

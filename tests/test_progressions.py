@@ -469,6 +469,16 @@ class TestAgainstEnumerationOracle:
             for c in ext.cosets():
                 assert chebotarev_density(ProgressionSpec(ext, c)) == oracle.density(m0, h0)
 
+    def test_descriptor_cosets_at_a_large_conductor(self):
+        # 12617 = 11 * 31 * 37, and 2 has order 180 mod 12617; its subgroup
+        # keeps the whole conductor and has 60 cosets.
+        m = 12617
+        h = frozenset(pow(2, k, m) for k in range(180))
+        ext = AbelianExtensionDescriptor(m, h)
+        assert oracle.minimal_conductor(m, h) == (ext.conductor, ext.subgroup) == (m, h)
+        assert ext.cosets() == oracle.cosets(m, h)
+        assert len(ext.cosets()) == 60
+
     def test_intersection_and_tractability(self):
         # Every field against every target, each pair with one coset of the
         # first field, turning through all of its cosets as the target moves.
