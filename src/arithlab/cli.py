@@ -568,17 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     constants = sub.add_parser("constants", help="evaluate the constant ladder")
     csub = constants.add_subparsers(dest="constant", required=True)
-    for name in ("gamma", "lambda", "psi"):
+    for name, (_, arg_names, _) in _CONSTANTS.items():
         p = csub.add_parser(name)
-        p.add_argument("d", type=int)
-    for name in ("ctilde", "ctilde-improved"):
-        p = csub.add_parser(name)
-        p.add_argument("d", type=int)
-        p.add_argument("n", type=int)
-    p = csub.add_parser("creductive")
-    p.add_argument("ell", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
+        for arg in arg_names:
+            p.add_argument(arg, type=int)
     constants.set_defaults(compute=_compute_constants, certify=_certify_constants, module="bounds")
 
     symbol = sub.add_parser("symbol", help="quadratic and Hilbert symbols")

@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import compress
 from operator import itemgetter, lshift, mul
 
-from .core import IntegerMatrix, Record, _eliminate, cosets, determinant, generating_set, is_prime
+from .core import IntegerMatrix, Record, _eliminate, cosets, generating_set
 
 __all__ = [
     "FiniteGroup",
@@ -506,36 +507,30 @@ class MinkowskiReport(Record):
         return self.order_divides_gamma and (self.order == 1 or self.nontrivial_mod_3)
 
 
-def _is_identity_mod_3(m: IntegerMatrix) -> bool:
-    return all(m[i, j] % 3 == (i == j) for i in range(m.rows) for j in range(m.cols))
+def _char_poly(m: IntegerMatrix) -> list[int]:
+    """det(x I - m) over Z, coefficients from x^d down, by Faddeev-LeVerrier.
 
-
-def _largest_finite_order(d: int) -> int:
-    """L(d), the largest order of a finite-order element of GL_d(Z).
-
-    GL_d(Z) has an element of order n exactly when D(n) <= d, where D(n)
-    sums phi(p^a) over the prime powers p^a exactly dividing n, less 1
-    when n = 2 (mod 4) and n > 2 (Kuzmanovich and Pavlichenkov, *Finite
-    groups of matrices whose entries are integers*, Amer. Math. Monthly
-    109 (2002)).  A knapsack over the odd prime powers with phi(p^a) <= d
-    (so p^a <= 2d + 2) gives the largest odd n of each cost; the 2-part
-    is then free as a factor 2, or 2^a at cost 2^(a-1).
+    With M_1 = I and M_(k+1) = m M_k + c_k I, the coefficient of x^(d-k)
+    is c_k = -tr(m M_k) / k, and each division is exact (Faddeev and
+    Sominsky; Householder, *The Theory of Matrices in Numerical
+    Analysis*, 1964, section 6.7).  The products run through
+    IntegerMatrix.mul with m on the left, so m's zero entries are skipped.
     """
-    odd = [1] * (d + 1)  # odd[c]: the largest odd n with D(n) <= c
-    for p in range(3, 2 * d + 3, 2):
-        if not is_prime(p):
-            continue
-        grown, q = odd[:], p
-        while (cost := q - q // p) <= d:
-            for c in range(cost, d + 1):
-                grown[c] = max(grown[c], q * odd[c - cost])
-            q *= p
-        odd = grown
-    largest, q = (2 * odd[d] if d else 1), 4
-    while q // 2 <= d:
-        largest = max(largest, q * odd[d - q // 2])
-        q *= 2
-    return largest
+    d, poly, product = m.rows, [1], m
+    for k in range(1, d + 1):
+        poly.append(c := -sum(product.entries[:: d + 1]) // k)
+        if k < d:  # m M_(k+1) = m (m M_k) + c_k m
+            step = zip(m.mul(product).entries, m.entries)
+            product = IntegerMatrix(d, d, tuple(x + c * y for x, y in step))
+    return poly
+
+
+def _divide(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for a monic b that divides a, else None; coefficients from the top degree down."""
+    a, k = list(a), len(a) - len(b) + 1
+    for i in range(k):
+        a[i + 1 : i + len(b)] = [x - a[i] * y for x, y in zip(a[i + 1 : i + len(b)], b[1:])]
+    return None if k < 1 or any(a[k:]) else a[:k]
 
 
 def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
@@ -545,33 +540,47 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     and reduction mod 3 is injective on finite subgroups, so a
     nonidentity finite-order matrix cannot reduce to the identity mod 3.
 
-    The same fact decides finiteness.  Let k be the first exponent with
-    m^k = I (mod 3).  If m has finite order, m^k lies in a finite subgroup
-    and reduces to I, so m^k = I and k is the order, at most
-    _largest_finite_order(d).  So m is refused exactly when its
-    determinant is not a unit, k exceeds that bound (the walk stops
-    there, not at k, which can reach 3^d - 1), or m^k is not I.
+    Finiteness is read off the characteristic polynomial.  If m has
+    order L, it is diagonalizable over C with roots of unity as
+    eigenvalues, so its characteristic polynomial is a product of
+    cyclotomic polynomials Phi_n, one per eigenvalue orbit, and L is the
+    lcm of those n.  Conversely, when the polynomial is such a product,
+    m has finite order exactly when m^L = I, and then L is its order
+    (Phi_1^2 = (x - 1)^2 is the polynomial of [[1, 1], [0, 1]], of
+    infinite order).  Each Phi_n is stripped with its multiplicity.
+    Every n here has phi(n) <= d, and phi(n) >= sqrt(n) for n > 6, so
+    n <= d^2 + 6.  Phi_n is (x^n - 1) / prod Phi_e over the proper
+    divisors e of n; n is skipped when n less the degrees of its stored
+    divisors' Phi_e exceeds the degree left, which bounds phi(n) from
+    below.  So n is built only when all its proper divisors were, and
+    every division is exact.  m is powered only once the polynomial is
+    used up: a leftover factor with a root of modulus above 1 would make
+    m^L astronomically large.
     """
     from .bounds import gamma  # only here: h1 and the lattice layer never load bounds
 
     if m.rows != d or m.cols != d:
         raise ValueError(f"expected a {d} x {d} matrix")
     g = gamma(d)
-    refusal = f"matrix has no finite order dividing gamma({d}) = {g}"
-    if determinant(m) not in (1, -1):
-        raise ValueError(refusal)
-    order, power, limit = 1, m, _largest_finite_order(d)
-    while not _is_identity_mod_3(power):
-        if order == limit:
-            raise ValueError(refusal)
-        power = power.mul(m)
-        order += 1
-    if not power.is_identity():
-        raise ValueError(refusal)
+    poly, phis, order = _char_poly(m), {}, 1
+    for n in range(1, d * d + 7):
+        if len(poly) == 1:
+            break
+        divisors = [f for e, f in phis.items() if n % e == 0]
+        if n - sum(len(f) - 1 for f in divisors) > len(poly) - 1:
+            continue
+        phis[n] = phi_n = reduce(_divide, divisors, [1] + [0] * (n - 1) + [-1])
+        while (quotient := _divide(poly, phi_n)) is not None:
+            poly, order = quotient, math.lcm(order, n)
+    power = m  # m^L by squaring, after the leading bit of L; only once poly is used up
+    for bit in bin(order)[3:] if len(poly) == 1 else "":
+        power = m.mul(power.mul(power)) if bit == "1" else power.mul(power)
+    if len(poly) > 1 or not power.is_identity():
+        raise ValueError(f"matrix has no finite order dividing gamma({d}) = {g}")
     return MinkowskiReport(
         dimension=d,
         order=order,
         gamma_bound=g,
         order_divides_gamma=(g % order == 0),
-        nontrivial_mod_3=not _is_identity_mod_3(m),
+        nontrivial_mod_3=not all(m[i, j] % 3 == (i == j) for i in range(d) for j in range(d)),
     )

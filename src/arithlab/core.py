@@ -547,14 +547,16 @@ class IntegerMatrix(Record):
         1978).  An r x n by n x c product costs r n zero tests and
         nnz(self) c element operations, against r n c for a dot-product
         loop.  Its callers are GLattice.conjugate (u A_g u^-1 for every g)
-        and the power walk of minkowski_check.  Augmentation and
-        permutation lattices have at most two nonzero entries per row, so
-        192 products A_x A_h of J_{S4 x C2} (d = 47) take 0.11 s where a
-        dot-product loop took 1.35 s.  Fully dense inputs pay instead,
-        since each element operation runs in bytecode where a dot product
-        runs in C: the same 192 products after conjugating J_{S4 x C2} to
-        density 0.98 (entries up to 19 bits) take 2.8 s against 1.9 s,
-        1.45x (CPython 3.11, 2-core x86-64).
+        and minkowski_check, whose characteristic polynomial puts m on
+        the left of every product and whose check m^L = I powers m by
+        squaring.  Augmentation and permutation lattices have at most two
+        nonzero entries per row, so 192 products A_x A_h of J_{S4 x C2}
+        (d = 47) take 0.11 s where a dot-product loop took 1.35 s.  Fully
+        dense inputs pay instead, since each element operation runs in
+        bytecode where a dot product runs in C: the same 192 products
+        after conjugating J_{S4 x C2} to density 0.98 (entries up to 19
+        bits) take 2.8 s against 1.9 s, 1.45x (CPython 3.11, 2-core
+        x86-64).
         """
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")

@@ -316,7 +316,9 @@ def section7_index_bound(n: int, ell: int, primes: Sequence[int]) -> PowerIndexR
 
     The primes must be distinct and lie in 1 mod 4n, so each local index
     equals n; the report records the per-prime indices, their product,
-    the bound, and the growth of the bound across 1..ell.
+    the bound, and the growth of the bound across 1..ell.  Each index is
+    gcd(n, p - 1), as in local_power_index, whose checks the validation
+    here already covers: each prime is proved once.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
@@ -330,7 +332,7 @@ def section7_index_bound(n: int, ell: int, primes: Sequence[int]) -> PowerIndexR
             raise ValueError(f"list element {p} is not prime")
         if p % (4 * n) != 1:
             raise ValueError(f"list element {p} is not 1 mod {4 * n}")
-    local = tuple(local_power_index(p, n) for p in primes)
+    local = tuple(math.gcd(n, p - 1) for p in primes)
     product = math.prod(local)
     partials = tuple(Fraction(n**j, 4) for j in range(1, ell + 1))
     monotone = all(x < y for x, y in zip(partials, partials[1:]))

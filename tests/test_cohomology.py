@@ -24,8 +24,8 @@ from arithlab.cohomology import (
     induced_lattice,
     minkowski_check,
     norm_one_lattice,
+    _char_poly,
     _coboundary_rows,
-    _largest_finite_order,
 )
 from arithlab import core
 from arithlab.core import IntegerMatrix, integer_kernel, smith_normal_form
@@ -1117,19 +1117,9 @@ class TestMinkowskiCheck:
         with pytest.raises(ValueError, match="no finite order"):
             minkowski_check(m, d)
 
-    def test_largest_finite_order_against_brute_force(self):
-        # L(d) = max {n : D(n) <= d}.  Each prime power q exactly dividing
-        # n has q <= 2 phi(q), so their sum is at most 2 (D(n) + 1), and a
-        # product of positive numbers of sum S is at most e^(S/e): for
-        # d <= 10, every n with D(n) <= d is below e^(22/e) < 3300.
-        dims = {n: min_dimension(n) for n in range(1, 3300)}
-        for d in range(11):
-            assert _largest_finite_order(d) == max(n for n, dn in dims.items() if dn <= d)
-        assert [_largest_finite_order(d) for d in (8, 10, 16, 20)] == [60, 120, 840, 2520]
-
     def test_every_finite_order_up_to_the_bound_is_found(self):
         orders = [n for n in range(1, 61) if min_dimension(n) <= 8]
-        assert max(orders) == 60 == _largest_finite_order(8)
+        assert max(orders) == 60
         for n in orders:
             report = minkowski_check(block_diagonal(order_n_blocks(n), 8), 8)
             assert report.order == n and report.passed
@@ -1143,9 +1133,9 @@ class TestMinkowskiCheck:
     )
     def test_long_walk_mod_3_refused_at_once(self, coeffs):
         # Both polynomials are primitive mod 3, so the first power of the
-        # companion matrix that is I mod 3 is the (3^d - 1)-th: 6,560 and
-        # 59,048 products with growing entries.  The walk stops at
-        # L(8) = 60 and L(10) = 120.
+        # companion matrix that is I mod 3 is the (3^d - 1)-th: a walk to
+        # it would take 6,560 and 59,048 products with growing entries.
+        # Neither polynomial is cyclotomic, so m is never powered.
         d = len(coeffs)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^matrix has no finite order dividing gamma\({d}\)"):
@@ -1158,3 +1148,52 @@ class TestMinkowskiCheck:
         report = minkowski_check(cycle, 7)
         assert report.gamma_bound == gamma(7) > 2**64
         assert report.order == 7 and report.passed
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_char_poly_against_sympy(self, d):
+        rng = random.Random(d)
+        general = [[rng.randrange(-4, 5) for _ in range(d)] for _ in range(d)]
+        # The last row is the sum of the others (0 when d = 1), so det = 0.
+        singular = general[:-1] + [[sum(col) for col in zip(*general[:-1])] or [0]]
+        unimodular, _ = random_unimodular_pair(d, rng, steps=4 * d)
+        for m in (rows(*general), rows(*singular), unimodular):
+            expected = [int(c) for c in Matrix(m.to_rows()).charpoly().all_coeffs()]
+            assert _char_poly(m) == expected
+        assert _char_poly(rows(*singular))[-1] == 0
+
+    @pytest.mark.parametrize("n, d", [(60, 8), (2520, 20), (27720, 30), (720720, 47)])
+    def test_dense_conjugate_of_order_n(self, n, d):
+        # D(n) <= d, so the cyclotomic blocks of order_n_blocks fit; a
+        # random base change fills most entries.  At d = 47 a walk of
+        # powers would take 720,720 products.
+        u, u_inv = random_unimodular_pair(d, random.Random(n), steps=4 * d)
+        m = u.mul(block_diagonal(order_n_blocks(n), d)).mul(u_inv)
+        assert sum(map(bool, m.entries)) > 3 * d * d // 4
+        report = minkowski_check(m, d)
+        assert report.order == n and report.passed
+
+    @pytest.mark.parametrize("d", [20, 30, 47])
+    def test_random_unimodular_refused_quickly(self, d):
+        # A walk of powers up to L(20) = 2,520, with growing entries, takes
+        # seconds here.  The characteristic polynomial costs d - 1 products
+        # and is not a product of cyclotomic polynomials, so m is never
+        # powered.
+        m, _ = random_unimodular_pair(d, random.Random(d), steps=4 * d)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^matrix has no finite order dividing gamma\({d}\)"):
+            minkowski_check(m, d)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize(
+        "m, d",
+        [
+            # Phi_3^2, with one Jordan block per eigenvalue.
+            (companion([1, 2, 3, 2]), 4),
+            # Phi_5 Phi_1^4 in a random basis: L = 5, but m^5 != I.
+            (block_diagonal([companion([1, 1, 1, 1]), rows([1, 1], [0, 1])], 8), 8),
+        ],
+    )
+    def test_cyclotomic_polynomial_of_infinite_order_refused(self, m, d):
+        u, u_inv = random_unimodular_pair(d, random.Random(d), steps=4 * d)
+        with pytest.raises(ValueError, match="no finite order"):
+            minkowski_check(u.mul(m).mul(u_inv), d)

@@ -343,3 +343,19 @@ class TestSection7IndexBound:
             section7_index_bound(3, 2, [13])
         with pytest.raises(ValueError):
             section7_index_bound(3, 2, [13, 13])
+
+    def test_each_prime_is_proved_once(self, monkeypatch):
+        # The validation proves each prime and checks p = 1 mod 4n, so the
+        # local index gcd(n, p - 1) needs no second primality proof.
+        from arithlab import experiments
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(experiments, "is_prime", counted)
+        report = section7_index_bound(5, 2, [41, 61])
+        assert sorted(calls) == [41, 61]
+        assert report.local_indices == (5, 5) and report.passed
