@@ -331,7 +331,7 @@ def _odd_primorial() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n >= 1.
+    """Deterministic primality test; every n < 2 is not prime.
 
     Trial division by the primes up to 47 settles every n < 53^2.  Up
     to 2^64 a Miller-Rabin witness set proven exact below the size of n
@@ -350,9 +350,7 @@ def is_prime(n: int) -> bool:
     was twice as slow as at 4096, as the gcd with a 94,000-bit product
     outweighs the powers it saves.
     """
-    if n < 1:
-        raise ValueError(f"is_prime requires n >= 1, got {n}")
-    if n == 1:
+    if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n == p:

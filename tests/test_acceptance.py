@@ -216,8 +216,10 @@ DETERMINISM_COMMANDS = [
     ["symbol", "legendre", "11", "5"],
     ["symbol", "jacobi", "2", "15"],
     ["symbol", "hilbert", "--", "-1", "-1", "inf"],
+    ["symbol", "hilbert", "--", "-3/7", "5/11", "inf"],
     ["density", "exact", "1(4)"],
     ["density", "estimate", "1(4)", "--bound", "100000"],
+    ["density", "estimate", "1(8)", "--bound", "100000"],
     ["density", "intersection", "1(4)", "5"],
     ["tractable", "1(4)", "4:1"],
     ["example", "2.1", "--ell", "2"],

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -113,16 +112,6 @@ class TestCongruenceTarget:
         # Two primes, each within the budget alone.
         assert not self.accepted(((2, 600, 1), (3, 300, 2)))
         assert self.accepted(((2, 600, 1), (3, 260, 2)))
-
-    def test_huge_targets_refused_before_any_power_or_primality_test(self):
-        start = time.monotonic()
-        for conditions in (
-            ((2, 10**12, 1),),
-            ((2, 1, 1), (7, 10**15, 2)),
-            ((2, 1, 1), (10**30000 + 3, 1, 2)),  # too big to test for primality
-        ):
-            assert not self.accepted(conditions)
-        assert time.monotonic() - start < 0.5
 
     def test_contains(self):
         target = CongruenceTarget(((2, 3, 3), (7, 1, 2)))
