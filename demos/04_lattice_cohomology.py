@@ -13,7 +13,6 @@ from arithlab import (
     faithful_quotient,
     gamma,
     h1,
-    h1_bound_check,
     induced_lattice,
     minkowski_check,
     norm_one_lattice,
@@ -39,8 +38,12 @@ for n in (2, 3, 4, 6):
     print(f"norm-one lattice, cyclic group of order {n}: H^1 =", h1(lat))
 
 # The generic bound |H^1| | s^(r(s-1)), plus annihilation by |G|.
-report = h1_bound_check(norm_one_lattice(C3))
-print("bound report:", report.invariants, "divides", report.bound, "->", report.passed)
+lattice = norm_one_lattice(C3)
+inv = h1(lattice)
+s, r = C3.order, lattice.rank
+bound = s ** (r * (s - 1))
+holds = bound % inv.order == 0 and all(s % d == 0 for d in inv.divisors)
+print("bound report:", inv, "divides", bound, "->", holds)
 
 # Unfaithful actions factor through their kernel without changing H^1.
 C4 = FiniteGroup.cyclic(4)

@@ -23,12 +23,11 @@ _EXPORTS = {
     ),
     "cohomology": (
         "AbelianGroupInvariants", "FiniteGroup", "GLattice", "faithful_quotient", "h1",
-        "h1_bound_check", "induced_lattice", "minkowski_check", "norm_one_lattice",
+        "induced_lattice", "minkowski_check", "norm_one_lattice",
     ),
     "core": (
         "Factorization", "IntegerMatrix", "SnfResult", "crt_solve", "determinant", "factor",
         "integer_kernel", "is_prime", "next_prime_in_progression", "smith_normal_form",
-        "snf_diagonal",
     ),
     "experiments": (
         "BiasedPrimePair", "CongruenceTarget", "GaussianInteger", "artin_kernel_evidence",

@@ -643,8 +643,10 @@ def run(argv: list[str]) -> int:
     try:
         # Exact values may run to hundreds of thousands of digits; lift the
         # interpreter's decimal-rendering guard up to the digit cap before
-        # argparse converts any integer argument.
-        sys.set_int_max_str_digits(max(default_digit_cap() + 10, 20000))
+        # argparse converts any integer argument.  The guard is a C int, and
+        # _decimal renders exact outputs without str(int), so a larger cap
+        # loses nothing by the clamp.
+        sys.set_int_max_str_digits(min(max(default_digit_cap() + 10, 20000), 2**31 - 1))
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
         report = _report(args, argv)

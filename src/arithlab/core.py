@@ -4,13 +4,12 @@ guards materializing huge exact values.
 
 Everything here is exact -- Python ints throughout, no floating point.
 
-smith_normal_form, snf_diagonal and integer_kernel share one elimination
+smith_normal_form, integer_kernel and cohomology.h1 share one elimination
 kernel with one path.  The transforms ride along as identity blocks
 appended to the matrix: I_rows to its right becomes the left transform,
 I_cols below it the right one.  integer_kernel appends only I_cols, so it
-builds only the column transform, and snf_diagonal appends nothing.
-cohomology.h1 hands the kernel the row lists it builds itself, also with
-nothing appended.
+builds only the column transform, and cohomology.h1 hands the kernel the
+row lists it builds itself with nothing appended.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "crt_solve",
     "next_prime_in_progression",
     "smith_normal_form",
-    "snf_diagonal",
     "integer_kernel",
     "determinant",
     "DigitCapExceeded",
@@ -83,8 +81,8 @@ class Record:
     The methods are generated on first use, not when the class is
     created: until then each is a stub that generates all three with
     one exec, puts them on the class and calls its own.  Compiling them
-    costs 130-200 us per class, and a command uses few of the 21
-    classes (the benchmark's h1 corpus is built with 2 of the 8 that
+    costs 130-200 us per class, and a command uses few of the 20
+    classes (the benchmark's h1 corpus is built with 2 of the 7 that
     core and cohomology define), so importing pays for none.  After
     first use the class holds the generated methods themselves, so
     their signatures, hash values and per-call speed do not depend on
@@ -730,16 +728,6 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
         IntegerMatrix.from_rows([row[c:] for row in a[:r]]),
         IntegerMatrix.from_rows(a[r:]),
     )
-
-
-def snf_diagonal(m: IntegerMatrix) -> tuple[int, ...]:
-    """The diagonal of smith_normal_form(m), without the transforms.
-
-    Same elimination, same padded divisor chain; no identity block is
-    appended, so callers that read only ranks and divisors pay for
-    neither transform.
-    """
-    return _eliminate(m.to_rows(), m.rows, m.cols)
 
 
 def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:

@@ -155,10 +155,6 @@ class HilbertProductReport(Record):
     factors: tuple[tuple[str, int], ...]
     product: int
 
-    @property
-    def passed(self) -> bool:
-        return self.product == 1
-
 
 def _support(f: Fraction) -> set[int]:
     return set(factor(abs(f.numerator)).primes()) | set(factor(f.denominator).primes())

@@ -4,16 +4,12 @@ Each test prints a PASS line on success (visible with pytest -s; the
 per-test PASSED lines of pytest -v carry the same information).
 """
 
-import hashlib
-import json
 import random
-import subprocess
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from arithlab.bounds import c_reductive, divides_power, gamma, lam, psi
-from arithlab.cohomology import h1, h1_bound_check, induced_lattice
+from arithlab.cohomology import h1, induced_lattice
 from arithlab.core import is_prime
 from arithlab.experiments import (
     GAUSSIAN_UNITS,
@@ -40,12 +36,11 @@ from arithlab.symbols import (
     legendre,
 )
 
-from lattice_files import LATTICE_FILES
 from oracle_h1 import brute_force_h1
 from test_bounds import count_invertible_matrices_mod3, pow_by_squaring
 from test_cohomology import CORPUS, MIXED
 from test_symbols import ODD_PRIMES_UNDER_200, euler_criterion
-from tree_python import run_python
+from stdout_pins import determinism_commands, stdout_mismatches
 
 
 def announce(n, message):
@@ -97,9 +92,9 @@ def test_criterion_03_cohomology():
         assert lattice.group.order <= 6 and lattice.rank <= 3, name
         inv = h1(lattice)
         assert (inv.order, inv.divisors) == brute_force_h1(lattice, membership), name
-        report = h1_bound_check(lattice)
-        assert report.passed, name
-        order = inv.order
+        s, order = lattice.group.order, inv.order
+        assert divides_power(order, s, lattice.rank * (s - 1)), name
+        assert all(s % d == 0 for d in inv.divisors), name
         kernel_trivial = all(
             not lattice.action[g].is_identity()
             for g in lattice.group.elements()
@@ -205,57 +200,7 @@ def test_criterion_09_densities():
     announce(9, "sieve estimates within 0.02; intersection and condition exact")
 
 
-DETERMINISM_COMMANDS = [
-    ["constants", "gamma", "2"],
-    ["constants", "gamma", "3"],
-    ["constants", "lambda", "2"],
-    ["constants", "psi", "2"],
-    ["constants", "ctilde", "1", "2"],
-    ["constants", "ctilde-improved", "1", "3"],
-    ["constants", "creductive", "1", "2", "1"],
-    ["symbol", "legendre", "11", "5"],
-    ["symbol", "jacobi", "2", "15"],
-    ["symbol", "hilbert", "--", "-1", "-1", "inf"],
-    ["symbol", "hilbert", "--", "-3/7", "5/11", "inf"],
-    ["density", "exact", "1(4)"],
-    ["density", "estimate", "1(4)", "--bound", "100000"],
-    ["density", "estimate", "1(8)", "--bound", "100000"],
-    ["density", "intersection", "1(4)", "5"],
-    ["tractable", "1(4)", "4:1"],
-    ["example", "2.1", "--ell", "2"],
-    ["example", "2.3", "--target", "2^2=3"],
-    ["example", "2.4", "--q", "5", "--bound", "1000"],
-    ["example", "2.5", "--height", "10"],
-    ["section7", "3", "2", "13", "37"],
-    ["local-index", "13", "3"],
-]
-
-
-# sha256 of each command's stdout, keyed by the space-joined command.
-PINNED_STDOUT = Path(__file__).with_name("cli_stdout_sha256.json")
-
-
-def determinism_commands() -> list[list[str]]:
-    return DETERMINISM_COMMANDS + [["h1", name] for name in LATTICE_FILES]
-
-
-def run_cli(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    return run_python(["-m", "arithlab", *command], cwd=cwd)
-
-
 def test_criterion_10_cli_determinism(tmp_path):
-    for name, text in LATTICE_FILES.items():
-        (tmp_path / name).write_text(text)
-    pinned = json.loads(PINNED_STDOUT.read_text())
-    commands = determinism_commands()
-    assert sorted(pinned) == sorted(" ".join(c) for c in commands)
-    for command in commands:
-        runs = [run_cli(command, tmp_path) for _ in range(2)]
-        assert runs[0].returncode == runs[1].returncode == 0, command
-        assert runs[0].stdout == runs[1].stdout, command
-        json.loads(runs[0].stdout)
-        digest = hashlib.sha256(runs[0].stdout).hexdigest()
-        assert digest == pinned[" ".join(command)], command
-    announce(
-        10, f"{len(commands)} subcommands byte-identical across runs and to pinned digests"
-    )
+    assert not stdout_mismatches(tmp_path)
+    count = len(determinism_commands())
+    announce(10, f"{count} subcommands byte-identical across runs and to pinned digests")

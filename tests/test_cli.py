@@ -15,11 +15,10 @@ from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
 from arithlab import cli, cohomology, progressions
-from arithlab.cohomology import (
-    AbelianGroupInvariants, FiniteGroup, GLattice, induced_lattice, norm_one_lattice,
-)
+from arithlab.cohomology import AbelianGroupInvariants
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
+from stdout_pins import VALID_LATTICE_FILES
 from test_cohomology import S4_C2, augmentation_dual_matrices
 from tree_python import run_python, tree_env
 
@@ -294,6 +293,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: digit cap exceeded: c_reductive(1, 1, ")
         assert ("<1001-digit integer>" in err) == (r > 10**40)
+
+    @pytest.mark.parametrize("cap", [str(2**31 - 10), str(10**20)])
+    def test_cap_beyond_a_c_int_works(self, cap, capsys, monkeypatch):
+        # The interpreter's rendering guard takes a C int; cap + 10 would overflow it.
+        code, default_out, _ = run_in_process(["constants", "gamma", "2"], capsys)
+        assert code == 0
+        guard = sys.get_int_max_str_digits()
+        monkeypatch.setenv("ASA_DIGIT_CAP", cap)
+        try:
+            code, out, _ = run_in_process(["constants", "gamma", "2"], capsys)
+        finally:
+            sys.set_int_max_str_digits(guard)
+        assert (code, out) == (0, default_out)
 
     @pytest.mark.parametrize("cap", ["0", "abc"])
     def test_bad_digit_cap_refused(self, cap, capsys, monkeypatch):
@@ -623,35 +635,6 @@ class TestFuzzedArguments:
     @given(a=RATIONAL, b=RATIONAL, place=PLACE)
     def test_rationals_and_places(self, a, b, place):
         self.exits_cleanly(["symbol", "hilbert", "--", a, b, place])
-
-
-def _lattice_tokens(lattice):
-    """The lattice-file tokens of a lattice: order, table, rank, matrices."""
-    grp = lattice.group
-    tokens = [grp.order, *(x for row in grp.table for x in row), lattice.rank]
-    return tokens + [x for m in lattice.action for x in m.entries]
-
-
-def _valid_lattice_files():
-    """Token tuples of eight small lattices, rank 0 to 6."""
-    c1, c2, c3 = (FiniteGroup.cyclic(n) for n in (1, 2, 3))
-    sign = GLattice(c2, 1, (IntegerMatrix.identity(1), IntegerMatrix.from_rows([[-1]])))
-    v4 = FiniteGroup.direct_product(c2, c2)
-    s3 = FiniteGroup.symmetric(3)
-    lattices = [
-        GLattice.trivial(c1, 0),
-        GLattice.trivial(c1, 2),
-        sign,
-        sign.direct_sum(GLattice.trivial(c2, 1)),
-        norm_one_lattice(c3),
-        induced_lattice(c3, [0]),
-        induced_lattice(v4, [0, 1]),
-        induced_lattice(s3, [0, 1]),
-    ]
-    return [tuple(_lattice_tokens(lat)) for lat in lattices]
-
-
-VALID_LATTICE_FILES = _valid_lattice_files()
 
 
 class TestFuzzedLatticeFiles:

@@ -165,11 +165,11 @@ class TestArtinKernelEvidence:
     def test_q5_sample(self):
         report = artin_kernel_evidence(5, 1000)
         assert report.checked_primes[:3] == (11, 31, 41)
-        assert report.passed and not report.failures
+        assert not report.failures and all(s == 1 for _, s in report.sampled_symbols)
 
     def test_q13_sample(self):
         report = artin_kernel_evidence(13, 1000)
-        assert report.passed
+        assert not report.failures and all(s == 1 for _, s in report.sampled_symbols)
         assert all(p % 13 == 1 for p in report.checked_primes)
 
     def test_two_routes_agree(self):
@@ -199,7 +199,7 @@ class TestArtinKernelEvidence:
         assert len(calls) <= 13
         expected = [p for p in primes_up_to(10**6) if p % 5 == 1]
         assert report.checked_primes == tuple(expected) and len(expected) == 19617
-        assert report.failures == () and report.passed
+        assert report.failures == () and all(s == 1 for _, s in report.sampled_symbols)
         assert [s for s, _ in report.sampled_symbols[:4]] == [
             "(2, 5)_11", "(-3/7, 5)_11", "(11, 5)_11", "(1/2, 5)_11",
         ]
@@ -305,7 +305,8 @@ class TestSection7IndexBound:
         report = section7_index_bound(3, 3, [13, 37, 61])
         assert report.product == 27
         assert report.lower_bound == Fraction(27, 4)
-        assert report.passed
+        partials = report.partial_bounds
+        assert all(x < y for x, y in zip(partials, partials[1:]))
 
     def test_n_five(self):
         report = section7_index_bound(5, 2, [41, 61])
@@ -317,7 +318,8 @@ class TestSection7IndexBound:
         assert report.partial_bounds == tuple(
             Fraction(3**j, 4) for j in (1, 2, 3, 4)
         )
-        assert report.monotone
+        partials = report.partial_bounds
+        assert all(x < y for x, y in zip(partials, partials[1:]))
 
     def test_rejects_bad_prime_with_message(self):
         with pytest.raises(ValueError, match="17"):
@@ -347,4 +349,4 @@ class TestSection7IndexBound:
         monkeypatch.setattr(experiments, "is_prime", counted)
         report = section7_index_bound(5, 2, [41, 61])
         assert sorted(calls) == [41, 61]
-        assert report.local_indices == (5, 5) and report.passed
+        assert report.local_indices == (5, 5) and report.product == 25

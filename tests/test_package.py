@@ -11,8 +11,8 @@ import arithlab
 from arithlab import bounds, core
 from tree_python import run_python
 
-# `from arithlab import *` before names were resolved lazily: 61 re-exported
-# functions and classes and the six submodules.
+# `from arithlab import *`: 59 re-exported functions and classes and the six
+# submodules.
 PUBLIC_NAMES = [
     "AbelianExtensionDescriptor", "AbelianGroupInvariants", "BiasedPrimePair", "BoundReport",
     "CongruenceTarget", "DigitCapExceeded", "Factorization", "FiniteGroup", "FrobeniusDatum",
@@ -21,12 +21,12 @@ PUBLIC_NAMES = [
     "c_tilde", "c_tilde_improved", "chebotarev_density", "cohomology", "core", "crt_solve",
     "density_witness", "determinant", "dirichlet_index_bound", "divides_power", "experiments",
     "factor", "faithful_quotient", "frobenius", "galois_index_bound", "gamma", "h1",
-    "h1_bound_check", "hilbert_product_check", "hilbert_symbol", "in_progression",
+    "hilbert_product_check", "hilbert_symbol", "in_progression",
     "induced_lattice", "integer_kernel", "intersection_density", "is_prime", "is_square_in_qv",
     "jacobi", "lam", "legendre", "local_power_index", "minkowski_check",
     "natural_density_estimate", "next_prime_in_progression", "norm_one_constrained_units",
     "norm_one_lattice", "primes_up_to", "progressions", "psi", "psi_size",
-    "section7_index_bound", "smith_normal_form", "snf_diagonal", "spl0_index_bound",
+    "section7_index_bound", "smith_normal_form", "spl0_index_bound",
     "splits_completely", "symbols", "t1_density_bound", "tractable_condition",
 ]
 SUBMODULES = ["bounds", "cohomology", "core", "experiments", "progressions", "symbols"]
