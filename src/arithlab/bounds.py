@@ -1,12 +1,13 @@
 """The explicit constant ladder and index-bound evaluators.
 
 All returned values are exact integers or exact rationals.  Some rungs
-of the ladder are astronomically large; a configurable decimal-digit
-cap (environment variable ASA_DIGIT_CAP, default one million digits)
-guards materialization.  Above the cap the evaluators raise
-DigitCapExceeded carrying a size report whose digit counts come from
-logarithms and are flagged as approximate -- never a silently truncated
-value.
+of the ladder are astronomically large; a decimal-digit cap guards
+materialization.  Its one setting is the environment variable
+ASA_DIGIT_CAP (default one million digits), and it holds every rung.
+Above the cap the evaluators raise DigitCapExceeded carrying a size
+report whose digit counts come from logarithms and are flagged as
+approximate -- never a silently truncated value.  psi alone keeps a
+cap keyword, for the benchmark, and it holds only psi's own power.
 
 The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
 that the CLI reads it without importing this module; the names are
@@ -128,10 +129,11 @@ def _digits10(factors: tuple[tuple[int, ...], ...]) -> str:
 
 
 def _checked_product(
-    name: str, factors: tuple[tuple[int, ...], ...], cap: int | None, formula: str = ""
+    name: str, factors: tuple[tuple[int, ...], ...], formula: str = "", *, cap: int | None = None
 ) -> int:
     """prod base**exponent over factors, refused before it is formed when
-    it would have more than cap decimal digits.
+    it would have more than cap decimal digits (default_digit_cap() unless
+    psi passes its own).
 
     A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...), so
     an exponent may be passed as its factors and is multiplied out only
@@ -201,9 +203,9 @@ def gamma(d: int) -> int:
         log_value = _gamma_log10(d)
         exceeds = _beyond_cap(log_value, cap, lambda: _gamma_product(d))
         digits = str(int(log_value) + 1)
-    else:  # compare logarithms of logarithms, as in _checked_product
-        exceeds = 2 * math.log10(d) + math.log10(math.log10(3)) > math.log10(cap)
-        digits = PowerSize.of(3, d * d).digits10
+    else:  # gamma(d) < 3^(d^2): compare logarithms of logarithms, as in _checked_product
+        exceeds = _log_digits(((3, d, d),)) > math.log10(cap)
+        digits = _digits10(((3, d * d),))
     if exceeds:
         size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {_compact_int(d)}", digits)
         raise DigitCapExceeded(f"gamma({_compact_int(d)})", size, cap)
@@ -219,7 +221,7 @@ def lam(d: int) -> int:
     if d < 1:
         raise ValueError(f"lam requires d >= 1, got {d}")
     factors = ((d, 1), (gamma(d) - 1, 1))
-    return _checked_product(f"lam({_compact_int(d)})", factors, None, "d * (gamma(d) - 1)")
+    return _checked_product(f"lam({_compact_int(d)})", factors, "d * (gamma(d) - 1)")
 
 
 def _gamma_lam(d: int) -> tuple[int, int]:
@@ -237,10 +239,15 @@ def psi(d: int, cap: int | None = None) -> int:
 
     Exact big integer; raises DigitCapExceeded when the value would
     exceed the digit cap (d = 4 already needs about 7 * 10^8 digits).
+
+    The cap keyword holds only this power; gamma(d) stays held to
+    ASA_DIGIT_CAP, so psi(1448, cap=10**9) is refused as gamma(1448).
+    It stays for the benchmark task psi-2-cap159, which calls
+    psi(2, cap=159); no other rung takes a cap.
     """
     if d < 1:
         raise ValueError(f"psi requires d >= 1, got {d}")
-    return _checked_product(f"psi({d})", (_gamma_lam(d),), cap)
+    return _checked_product(f"psi({d})", (_gamma_lam(d),), cap=cap)
 
 
 def psi_size(d: int) -> PowerSize:
@@ -248,7 +255,7 @@ def psi_size(d: int) -> PowerSize:
     return PowerSize.of(*_gamma_lam(d))
 
 
-def c_tilde(d: int, n: int, cap: int | None = None) -> int:
+def c_tilde(d: int, n: int) -> int:
     """Index bound for d-dimensional tori: n^d * psi(lam(d)).
 
     Already for d = 2 the psi factor is psi(94), far beyond any digit
@@ -257,10 +264,10 @@ def c_tilde(d: int, n: int, cap: int | None = None) -> int:
     if d < 1 or n < 1:
         raise ValueError("c_tilde requires d, n >= 1")
     name = f"c_tilde({_compact_int(d)}, {_compact_int(n)})"
-    return _checked_product(name, ((n, d), (psi(lam(d), cap), 1)), cap, "n^d * psi(lam(d))")
+    return _checked_product(name, ((n, d), (psi(lam(d)), 1)), "n^d * psi(lam(d))")
 
 
-def c_tilde_improved(d: int, n: int, cap: int | None = None) -> int:
+def c_tilde_improved(d: int, n: int) -> int:
     """Sharper torus index bound: n^d * gamma(d)^(lam(d) * (gamma(d) - 1))."""
     if d < 1 or n < 1:
         raise ValueError("c_tilde_improved requires d, n >= 1")
@@ -270,18 +277,18 @@ def c_tilde_improved(d: int, n: int, cap: int | None = None) -> int:
     # The exponent goes in as its two factors: at d = 1447 their product,
     # of two million-digit numbers, takes over a second, and only a
     # value within the cap needs it.
-    return _checked_product(name, ((n, d), (g, lam_d, g - 1)), cap, formula)
+    return _checked_product(name, ((n, d), (g, lam_d, g - 1)), formula)
 
 
-def c_reductive(ell: int, n: int, r: int, cap: int | None = None) -> int:
+def c_reductive(ell: int, n: int, r: int) -> int:
     """Reductive-group index bound: 2^(ell * r) * c_tilde(ell, n)."""
     if ell < 1 or n < 1:
         raise ValueError("c_reductive requires ell, n >= 1")
     if r < 0:
         raise ValueError("real-place count must be nonnegative")
     name = f"c_reductive({_compact_int(ell)}, {_compact_int(n)}, {_compact_int(r)})"
-    factors = ((2, ell * r), (c_tilde(ell, n, cap), 1))
-    return _checked_product(name, factors, cap, "2^(ell * r) * c_tilde(ell, n)")
+    factors = ((2, ell * r), (c_tilde(ell, n), 1))
+    return _checked_product(name, factors, "2^(ell * r) * c_tilde(ell, n)")
 
 
 def dirichlet_index_bound(f_degree: int, density: Fraction) -> Fraction:
@@ -311,7 +318,7 @@ def spl0_index_bound(density: Fraction) -> Fraction:
     return 1 / density
 
 
-def t1_density_bound(d: int, density: Fraction, cap: int | None = None) -> BoundReport:
+def t1_density_bound(d: int, density: Fraction) -> BoundReport:
     """Torus index bound density^(-d) * psi(lam(d)), as an exact report.
 
     The digit cap holds b^d * psi(lam(d)) for density = a/b in lowest
@@ -323,10 +330,10 @@ def t1_density_bound(d: int, density: Fraction, cap: int | None = None) -> Bound
         raise ValueError("d must be >= 1")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
-    factors = ((density.denominator, d), (psi(lam(d), cap), 1))
+    factors = ((density.denominator, d), (psi(lam(d)), 1))
     a, b = (_compact_int(x) for x in density.as_integer_ratio())
     name = f"t1_density_bound({_compact_int(d)}, {a}/{b})"
-    numerator = _checked_product(name, factors, cap, "denominator(density)^d * psi(lam(d))")
+    numerator = _checked_product(name, factors, "denominator(density)^d * psi(lam(d))")
     value = Fraction(numerator, density.numerator**d)
     if value.denominator == 1:
         value = int(value)

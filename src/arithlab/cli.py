@@ -330,6 +330,10 @@ def _compute_symbol(args):
         inputs = {"a": args.a, "p": args.p}
         formula = "quadratic residue symbol via reciprocity"
     elif which == "jacobi":
+        # Refused before the symbol, for the certification's factoring; an
+        # even n (0 too) or a negative one (a mod n <= 0) gets jacobi's refusal.
+        if args.n % 2 and args.a % args.n > FACTOR_LIMIT:
+            raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
         value = symbols.jacobi(args.a, args.n)
         inputs = {"a": args.a, "n": args.n}
         formula = "jacobi symbol, multiplicative extension of legendre"
@@ -353,8 +357,6 @@ def _certify_symbol(args, parsed, outputs):
         euler = pow(args.a % args.p, (args.p - 1) // 2, args.p)
         return [_cert("euler-criterion-agreement", euler == value % args.p)]
     if args.symbol == "jacobi":
-        if args.a % args.n > FACTOR_LIMIT:
-            raise UsageError("cannot certify (a/n): a mod n exceeds 2**64, the limit of factor")
         prod = _jacobi_by_reciprocity(args.a, args.n)
         return [_cert("multiplicative-over-factorization", prod == value)]
     from . import symbols
@@ -639,7 +641,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.
+
+    The interpreter's decimal-rendering guard is lifted for the call and
+    handed back to the caller on every exit path.
+    """
+    guard = sys.get_int_max_str_digits()
     try:
         # Exact values may run to hundreds of thousands of digits; lift the
         # interpreter's decimal-rendering guard up to the digit cap before
@@ -661,10 +668,13 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - start
-    print(json.dumps(report, indent=2))
-    print(f"wall-time: {elapsed:.3f}s", file=sys.stderr)
-    return 0 if report["status"] == "ok" else 1
+    else:
+        elapsed = time.monotonic() - start
+        print(json.dumps(report, indent=2))
+        print(f"wall-time: {elapsed:.3f}s", file=sys.stderr)
+        return 0 if report["status"] == "ok" else 1
+    finally:
+        sys.set_int_max_str_digits(guard)
 
 
 def main() -> None:

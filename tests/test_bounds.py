@@ -236,9 +236,10 @@ class TestCTildeImproved:
         assert value == pow_by_squaring(48, 94 * 47)
         assert len(str(value)) == 7428
 
-    def test_cap_still_enforced(self):
+    def test_cap_still_enforced(self, monkeypatch):
+        monkeypatch.setenv("ASA_DIGIT_CAP", "1000")
         with pytest.raises(DigitCapExceeded):
-            c_tilde_improved(2, 1, cap=1000)
+            c_tilde_improved(2, 1)
 
 
 class TestCReductive:
@@ -252,11 +253,12 @@ class TestCReductive:
         with pytest.raises(ValueError):
             c_reductive(1, 1, -1)
 
-    def test_whole_value_held_to_the_cap(self):
+    def test_whole_value_held_to_the_cap(self, monkeypatch):
         # 2^331 * 2 has 100 digits and 2^332 * 2 has 101.
-        assert c_reductive(1, 1, 331, cap=100) == 2**332
+        monkeypatch.setenv("ASA_DIGIT_CAP", "100")
+        assert c_reductive(1, 1, 331) == 2**332
         with pytest.raises(DigitCapExceeded) as err:
-            c_reductive(1, 1, 332, cap=100)
+            c_reductive(1, 1, 332)
         assert err.value.name == "c_reductive(1, 1, 332)"
         assert err.value.size.formula == "2^(ell * r) * c_tilde(ell, n)"
         assert err.value.size.digits10 == "101"
@@ -295,11 +297,12 @@ class TestIndexBounds:
         assert report.value == 3
         assert report.inputs == (("d", "1"), ("density", "2/3"))
 
-    def test_t1_digit_cap_holds_the_whole_value(self):
+    def test_t1_digit_cap_holds_the_whole_value(self, monkeypatch):
+        monkeypatch.setenv("ASA_DIGIT_CAP", "100")
         with pytest.raises(DigitCapExceeded) as err:
-            t1_density_bound(1, Fraction(1, 10**150), cap=100)
+            t1_density_bound(1, Fraction(1, 10**150))
         assert "about 151 decimal digits" in str(err.value)
-        assert t1_density_bound(1, Fraction(1, 10**98), cap=100).value == 2 * 10**98
+        assert t1_density_bound(1, Fraction(1, 10**98)).value == 2 * 10**98
 
     def test_t1_dimension_two_refused(self):
         with pytest.raises(DigitCapExceeded):
@@ -332,6 +335,13 @@ class TestDividesPower:
 
 DENSITY = "density must lie in (0, 1]"
 REFUSALS = {
+    "psi-dimension": (lambda: psi(0), "psi requires d >= 1, got 0"),
+    "c-tilde-dimension": (lambda: c_tilde(0, 1), "c_tilde requires d, n >= 1"),
+    "c-tilde-improved-dimension": (
+        lambda: c_tilde_improved(0, 1),
+        "c_tilde_improved requires d, n >= 1",
+    ),
+    "c-reductive-rank": (lambda: c_reductive(0, 1, 0), "c_reductive requires ell, n >= 1"),
     "dirichlet-degree": (lambda: dirichlet_index_bound(0, Fraction(1)), "degree must be >= 1"),
     "dirichlet-density": (lambda: dirichlet_index_bound(1, Fraction(0)), DENSITY),
     "galois-degree": (lambda: galois_index_bound(0, 1), "both arguments must be >= 1"),

@@ -95,6 +95,7 @@ BUDGETS = [
             "experiments.is_prime": ALWAYS,
             "cli._count_nth_powers": ALWAYS,
             "cli._jacobi_by_reciprocity": ALWAYS,
+            "symbols.jacobi": ALWAYS,
             "symbols.hilbert_symbol": ALWAYS,
         },
         outside={

@@ -299,13 +299,35 @@ class TestExitCodes:
         # The interpreter's rendering guard takes a C int; cap + 10 would overflow it.
         code, default_out, _ = run_in_process(["constants", "gamma", "2"], capsys)
         assert code == 0
-        guard = sys.get_int_max_str_digits()
         monkeypatch.setenv("ASA_DIGIT_CAP", cap)
+        code, out, _ = run_in_process(["constants", "gamma", "2"], capsys)
+        assert (code, out) == (0, default_out)
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["constants", "gamma", "2"], 0),
+            (["constants", "gamma"], 2),  # argparse exits
+            (["symbol", "hilbert", "--", "x", "1", "5"], 2),  # UsageError
+            (["constants", "gamma", "1448"], 2),  # digit-cap refusal
+        ],
+        ids=["success", "argparse-exit", "usage-error", "digit-cap"],
+    )
+    def test_run_hands_back_the_int_string_guard(self, args, expected, capsys):
+        guard = sys.get_int_max_str_digits()
         try:
-            code, out, _ = run_in_process(["constants", "gamma", "2"], capsys)
+            sys.set_int_max_str_digits(5000)
+            code, _, _ = run_in_process(args, capsys)
+            assert (code, sys.get_int_max_str_digits()) == (expected, 5000)
         finally:
             sys.set_int_max_str_digits(guard)
-        assert (code, out) == (0, default_out)
+
+    @pytest.mark.parametrize("n", [0, 2**70, -(2**70 + 1)])
+    def test_jacobi_bad_modulus_refused_by_jacobi_beyond_factor(self, n, capsys):
+        # The FACTOR_LIMIT refusal on a mod n must not preempt, or divide by, a bad n.
+        code, out, err = run_in_process(["symbol", "jacobi", "--", str(2**100 - 1), str(n)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid input: jacobi requires odd n >= 1, got {n}\n"
 
     @pytest.mark.parametrize("cap", ["0", "abc"])
     def test_bad_digit_cap_refused(self, cap, capsys, monkeypatch):

@@ -294,6 +294,10 @@ class TestLocalPowerIndex:
         with pytest.raises(ValueError):
             local_power_index(5, 10)
 
+    def test_rejects_nonpositive_exponent(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            local_power_index(5, 0)
+
 
 class TestSection7IndexBound:
     def test_single_prime(self):
