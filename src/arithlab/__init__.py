@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 # Submodule -> the public names the package re-exports from it.
 _EXPORTS = {
     "bounds": (
-        "BoundReport", "DigitCapExceeded", "PowerSize", "c_reductive", "c_tilde",
-        "c_tilde_improved", "dirichlet_index_bound", "divides_power", "galois_index_bound",
-        "gamma", "lam", "psi", "psi_size", "spl0_index_bound", "t1_density_bound",
+        "DigitCapExceeded", "c_reductive", "c_tilde", "c_tilde_improved",
+        "dirichlet_index_bound", "divides_power", "galois_index_bound", "gamma", "lam", "psi",
+        "psi_size", "spl0_index_bound", "t1_density_bound",
     ),
     "cohomology": (
         "AbelianGroupInvariants", "FiniteGroup", "GLattice", "faithful_quotient", "h1",

@@ -1,13 +1,15 @@
 """The explicit constant ladder and index-bound evaluators.
 
-All returned values are exact integers or exact rationals.  Some rungs
-of the ladder are astronomically large; a decimal-digit cap guards
-materialization.  Its one setting is the environment variable
-ASA_DIGIT_CAP (default one million digits), and it holds every rung.
-Above the cap the evaluators raise DigitCapExceeded carrying a size
-report whose digit counts come from logarithms and are flagged as
-approximate -- never a silently truncated value.  psi alone keeps a
-cap keyword, for the benchmark, and it holds only psi's own power.
+Every rung answers in one of two shapes: its exact value (an integer,
+or an exact rational), or DigitCapExceeded carrying a ProductSize.  A
+decimal-digit cap guards materialization.  Its one setting is the
+environment variable ASA_DIGIT_CAP (default one million digits), and it
+holds every rung.  Above the cap a rung is refused before it is formed,
+with a size report whose digit counts come from logarithms and are
+flagged as approximate -- never a silently truncated value.  The rungs
+over gamma(d) size it from its logarithm too, and form it only when
+they may fit.  psi alone keeps a cap keyword, for the benchmark, and it
+holds only psi's own power.
 
 The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
 that the CLI reads it without importing this module; the names are
@@ -23,9 +25,7 @@ from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_di
 from .core import Record, factor, valuation
 
 __all__ = [
-    "BoundReport",
     "DigitCapExceeded",
-    "PowerSize",
     "ProductSize",
     "default_digit_cap",
     "gamma",
@@ -45,40 +45,17 @@ __all__ = [
 def _compact_int(n: int) -> str:
     """Decimal rendering that never explodes: huge values become a
     digit-count description."""
-    if n < 10**40:
-        return str(n)
+    return str(n) if n < 10**40 else _compact_log(math.log10(n), lambda: n)
+
+
+def _compact_log(log_value: float, exact) -> str:
+    """_compact_int of a value of at least 10**40 known by its
+    floating-point log10; exact() forms it only near a power of ten."""
     # With k the integer nearest log10(n), n has k + 1 digits exactly when
     # n >= 10^k; near a power of ten _beyond_cap compares exactly.
-    log_value = math.log10(n)
     k = round(log_value)
-    digits = k + 1 if _beyond_cap(log_value, k, lambda: n) else k
+    digits = k + 1 if _beyond_cap(log_value, k, exact) else k
     return f"<{digits}-digit integer>"
-
-
-class PowerSize(Record):
-    """Size report for base**exponent without materializing it.
-
-    digits10 is floor(exponent * log10(base)) + 1 computed in floating
-    point, hence approximate; for readability it is also rendered in
-    scientific notation when enormous.
-    """
-
-    base: int
-    exponent: int
-    digits10: str
-    approximate: bool = True
-
-    @classmethod
-    def of(cls, base: int, exponent: int) -> "PowerSize":
-        if base < 2 or exponent < 1:
-            raise ValueError("size reports are for base >= 2, exponent >= 1")
-        return cls(base, exponent, _digits10(((base, exponent),)))
-
-    def describe(self) -> str:
-        return (
-            f"{_compact_int(self.base)}^{_compact_int(self.exponent)} "
-            f"with about {self.digits10} decimal digits"
-        )
 
 
 class ProductSize(Record):
@@ -105,15 +82,17 @@ def _beyond_cap(log_value: float, cap: int, exact) -> bool:
     return exact() >= 10**cap
 
 
-def _log_digits(factors: tuple[tuple[int, ...], ...]) -> float:
+def _log_digits(factors: tuple[tuple[int, ...], ...], logged: tuple[float, ...] = ()) -> float:
     """log10 of log10 of prod base**exponent, for bases >= 2 and exponents >= 1.
 
     A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...); it
     contributes log10(e_1) + log10(e_2) + ... + log10(log10(base)), and
     the terms are added as logarithms, so no exponent is too large and
-    none is multiplied out.
+    none is multiplied out.  logged holds further factors by that term
+    alone, for a base such as gamma(d) known by its logarithm.
     """
     logs = [sum(map(math.log10, es)) + math.log10(math.log10(b)) for b, *es in factors]
+    logs += logged
     top = max(logs)
     return top + math.log10(sum(10 ** (x - top) for x in logs))
 
@@ -124,8 +103,17 @@ def _digits10(factors: tuple[tuple[int, ...], ...]) -> str:
     log_digits = _log_digits(factors)
     if log_digits < 15:
         return str(int(sum(math.prod(es) * math.log10(b) for b, *es in factors)) + 1)
+    return _scientific_digits(log_digits)
+
+
+def _scientific_digits(log_digits: float) -> str:
+    """A digit count of at least 10**15 from its log10, in scientific notation."""
     frac, whole = math.modf(log_digits)
     return f"{10 ** frac:.4f}e+{int(whole)}"
+
+
+def _power_formula(base: int, exponent: int) -> str:
+    return f"{_compact_int(base)}^{_compact_int(exponent)}"
 
 
 def _checked_product(
@@ -141,8 +129,8 @@ def _checked_product(
     is the sum of its factors' exponent * log10(base), decided by
     _beyond_cap.  Once an exponent passes 10**12 the comparison happens
     on logarithms of logarithms, so exponents may be astronomically
-    large.  A refusal reports a lone power as a PowerSize, and a product
-    as a ProductSize of formula.
+    large.  A refusal reports a ProductSize of formula, which for a lone
+    power defaults to base^exponent.
     """
     cap = default_digit_cap() if cap is None else cap
     big = [f for f in factors if f[0] > 1 and min(f[1:]) > 0]
@@ -153,18 +141,9 @@ def _checked_product(
     else:
         exceeds = _log_digits(big) > math.log10(cap)
     if exceeds:
-        size = ProductSize(formula, _digits10(big)) if formula else PowerSize.of(*big[0])
+        size = ProductSize(formula or _power_formula(*big[0]), _digits10(big))
         raise DigitCapExceeded(name, size, cap)
     return math.prod(b ** math.prod(es) for b, *es in big)
-
-
-class BoundReport(Record):
-    """A named exact value together with its inputs and formula."""
-
-    name: str
-    inputs: tuple[tuple[str, str], ...]
-    value: int | Fraction
-    formula: str
 
 
 def _gamma_log10(d: int) -> float:
@@ -196,6 +175,16 @@ def gamma(d: int) -> int:
     forming the product when it would exceed the digit cap (with the
     default cap, from d = 1448 on).
     """
+    _sized_gamma(d)
+    return _gamma_product(d)
+
+
+def _sized_gamma(d: int) -> float:
+    """gamma's refusal, then log10 gamma(d) in floating point.
+
+    gamma(d) is formed only where _beyond_cap compares it exactly with
+    the cap, so a rung over it can be sized, and refused, from this.
+    """
     if d < 1:
         raise ValueError(f"gamma requires d >= 1, got {d}")
     cap = default_digit_cap()
@@ -209,7 +198,7 @@ def gamma(d: int) -> int:
     if exceeds:
         size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {_compact_int(d)}", digits)
         raise DigitCapExceeded(f"gamma({_compact_int(d)})", size, cap)
-    return _gamma_product(d)
+    return _gamma_log10(d)
 
 
 def lam(d: int) -> int:
@@ -225,20 +214,34 @@ def lam(d: int) -> int:
 
 
 def _gamma_lam(d: int) -> tuple[int, int]:
-    """gamma(d) and the exponent d * (gamma(d) - 1), from one gamma(d).
+    """gamma(d) and the exponent d * (gamma(d) - 1), from one gamma(d),
+    once _sized_gamma(d) has passed.
 
     The exponent is not held to the cap: psi and c_tilde_improved refuse
     their whole value under their own names.
     """
-    g = gamma(d)
+    g = _gamma_product(d)
     return g, d * (g - 1)
+
+
+def _refused_unformed(log_g: float, log_digits: float, cap: int) -> bool:
+    """Is a rung over gamma(d) refused from logarithms, gamma(d) unformed?
+
+    log_g is log10 gamma(d), and log_digits log10 of the rung's digit
+    count.  A gamma(d) below 10**40 is formed, for the refusal prints it
+    in full, and so is one whose rung lies within 1e-9 (relative, as in
+    _beyond_cap) of the cap or below it: _checked_product decides those.
+    """
+    return log_g >= 40 and log_digits - math.log10(cap) > 1e-9 * (log_digits + 1)
 
 
 def psi(d: int, cap: int | None = None) -> int:
     """The H^1 order bound psi(d) = gamma(d)^(d * (gamma(d) - 1)).
 
     Exact big integer; raises DigitCapExceeded when the value would
-    exceed the digit cap (d = 4 already needs about 7 * 10^8 digits).
+    exceed the digit cap (d = 4 already needs about 7 * 10^8 digits),
+    with psi_size(d) as its size report.  gamma(d) is refused first, and
+    formed only when psi(d) may fit or psi_size prints it.
 
     The cap keyword holds only this power; gamma(d) stays held to
     ASA_DIGIT_CAP, so psi(1448, cap=10**9) is refused as gamma(1448).
@@ -247,12 +250,28 @@ def psi(d: int, cap: int | None = None) -> int:
     """
     if d < 1:
         raise ValueError(f"psi requires d >= 1, got {d}")
-    return _checked_product(f"psi({d})", (_gamma_lam(d),), cap=cap)
+    name = f"psi({_compact_int(d)})"
+    cap = default_digit_cap() if cap is None else cap
+    log_g = _sized_gamma(d)
+    if _refused_unformed(log_g, math.log10(d) + log_g + math.log10(log_g), cap):
+        raise DigitCapExceeded(name, psi_size(d), cap)
+    return _checked_product(name, (_gamma_lam(d),), cap=cap)
 
 
-def psi_size(d: int) -> PowerSize:
-    """Size report for psi(d) without materializing it."""
-    return PowerSize.of(*_gamma_lam(d))
+def psi_size(d: int) -> ProductSize:
+    """Size report for psi(d) without materializing it.
+
+    gamma(d) is formed only below 10**40, where the report prints it in
+    full, or where a digit count lies near a power of ten.
+    """
+    log_g = _sized_gamma(d)
+    if log_g < 40:
+        g, lam_d = _gamma_lam(d)
+        return ProductSize(_power_formula(g, lam_d), _digits10(((g, lam_d),)))
+    log_lam = math.log10(d) + log_g
+    base = _compact_log(log_g, lambda: _gamma_product(d))
+    exponent = _compact_log(log_lam, lambda: d * (_gamma_product(d) - 1))
+    return ProductSize(f"{base}^{exponent}", _scientific_digits(log_lam + math.log10(log_g)))
 
 
 def c_tilde(d: int, n: int) -> int:
@@ -273,6 +292,13 @@ def c_tilde_improved(d: int, n: int) -> int:
         raise ValueError("c_tilde_improved requires d, n >= 1")
     name = f"c_tilde_improved({_compact_int(d)}, {_compact_int(n)})"
     formula = "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"
+    log_g = _sized_gamma(d)
+    # log10 of log10 of gamma(d)^(lam(d) * (gamma(d) - 1)); _log_digits adds n^d.
+    power = math.log10(d) + log_g + log_g + math.log10(log_g)
+    log_digits = _log_digits([(n, d)] if n > 1 else [], (power,))
+    cap = default_digit_cap()
+    if _refused_unformed(log_g, log_digits, cap):
+        raise DigitCapExceeded(name, ProductSize(formula, _scientific_digits(log_digits)), cap)
     g, lam_d = _gamma_lam(d)
     # The exponent goes in as its two factors: at d = 1447 their product,
     # of two million-digit numbers, takes over a second, and only a
@@ -318,8 +344,9 @@ def spl0_index_bound(density: Fraction) -> Fraction:
     return 1 / density
 
 
-def t1_density_bound(d: int, density: Fraction) -> BoundReport:
-    """Torus index bound density^(-d) * psi(lam(d)), as an exact report.
+def t1_density_bound(d: int, density: Fraction) -> int | Fraction:
+    """Torus index bound density^(-d) * psi(lam(d)): an int when its
+    denominator is 1, else a Fraction.
 
     The digit cap holds b^d * psi(lam(d)) for density = a/b in lowest
     terms, an upper bound on the reduced numerator of the value, and a
@@ -335,14 +362,7 @@ def t1_density_bound(d: int, density: Fraction) -> BoundReport:
     name = f"t1_density_bound({_compact_int(d)}, {a}/{b})"
     numerator = _checked_product(name, factors, "denominator(density)^d * psi(lam(d))")
     value = Fraction(numerator, density.numerator**d)
-    if value.denominator == 1:
-        value = int(value)
-    return BoundReport(
-        name="t1_density_bound",
-        inputs=(("d", str(d)), ("density", str(density))),
-        value=value,
-        formula="density^(-d) * psi(lam(d))",
-    )
+    return int(value) if value.denominator == 1 else value
 
 
 def divides_power(m: int, base: int, exponent: int) -> bool:

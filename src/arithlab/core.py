@@ -771,7 +771,7 @@ def default_digit_cap() -> int:
 class DigitCapExceeded(ArithmeticError):
     """An exact value would exceed the digit cap; carries the size report."""
 
-    def __init__(self, name: str, size: PowerSize | ProductSize, cap: int):
+    def __init__(self, name: str, size: ProductSize, cap: int):
         self.name = name
         self.size = size
         self.cap = cap

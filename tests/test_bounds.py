@@ -1,13 +1,13 @@
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from arithlab.bounds import (
     DigitCapExceeded,
-    PowerSize,
     c_reductive,
     c_tilde,
     c_tilde_improved,
@@ -121,11 +121,13 @@ class TestLambda:
         assert err.value.name == "lam(10)"
         assert err.value.size.formula == "d * (gamma(d) - 1)"
         assert err.value.size.digits10 == "49"
-        # psi(10) is refused under its own name, with a power size report.
+        # psi(10) is refused under its own name, its power rendered from
+        # log10 gamma(10) as _compact_int renders the formed values.
         with pytest.raises(DigitCapExceeded) as err:
             psi(10)
         assert err.value.name == "psi(10)"
-        assert (err.value.size.base, err.value.size.exponent) == (gamma(10), 10 * (gamma(10) - 1))
+        power = f"{_compact_int(gamma(10))}^{_compact_int(10 * (gamma(10) - 1))}"
+        assert err.value.size.formula == power == "<48-digit integer>^<49-digit integer>"
         monkeypatch.setenv("ASA_DIGIT_CAP", "49")
         assert len(str(lam(10))) == 49
 
@@ -164,8 +166,33 @@ class TestPsi:
     def test_psi_four_refused(self):
         with pytest.raises(DigitCapExceeded) as err:
             psi(4)
-        assert err.value.size.base == gamma(4)
+        assert err.value.size.formula == f"{gamma(4)}^{lam(4)}"
         assert int(err.value.size.digits10) == 716664804
+
+    def test_names_itself_compactly(self):
+        # Under the interpreter's default guard on str(int), a huge d must
+        # not be rendered in full: gamma(d) refuses first, with d compact.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(DigitCapExceeded) as err:
+                psi(10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert err.value.name == "gamma(<5001-digit integer>)"
+
+    def test_gamma_refused_before_the_own_cap(self, monkeypatch):
+        # The cap keyword holds psi's power only: gamma(1448) is over the
+        # default cap, and is refused unformed.
+        import arithlab.bounds as bounds
+
+        def formed(d):
+            raise AssertionError(f"gamma({d}) formed")
+
+        monkeypatch.setattr(bounds, "_gamma_product", formed)
+        with pytest.raises(DigitCapExceeded) as err:
+            psi(1448, cap=10**9)
+        assert err.value.name == "gamma(1448)"
 
     def test_explicit_cap(self):
         with pytest.raises(DigitCapExceeded):
@@ -203,7 +230,7 @@ class TestPsi:
 
     def test_size_report(self):
         size = psi_size(2)
-        assert (size.base, size.exponent) == (48, 94)
+        assert size.formula == "48^94"
         assert size.digits10 == "159" and size.approximate
 
 
@@ -291,18 +318,17 @@ class TestIndexBounds:
         assert spl0_index_bound(Fraction(1, 2)) == 2
 
     def test_t1(self):
-        assert t1_density_bound(1, Fraction(1)).value == 2
-        assert t1_density_bound(1, Fraction(1, 2)).value == 4
-        report = t1_density_bound(1, Fraction(2, 3))
-        assert report.value == 3
-        assert report.inputs == (("d", "1"), ("density", "2/3"))
+        assert t1_density_bound(1, Fraction(1)) == 2
+        assert t1_density_bound(1, Fraction(1, 2)) == 4
+        assert t1_density_bound(1, Fraction(2, 3)) == 3
+        assert t1_density_bound(1, Fraction(3, 4)) == Fraction(8, 3)
 
     def test_t1_digit_cap_holds_the_whole_value(self, monkeypatch):
         monkeypatch.setenv("ASA_DIGIT_CAP", "100")
         with pytest.raises(DigitCapExceeded) as err:
             t1_density_bound(1, Fraction(1, 10**150))
         assert "about 151 decimal digits" in str(err.value)
-        assert t1_density_bound(1, Fraction(1, 10**98)).value == 2 * 10**98
+        assert t1_density_bound(1, Fraction(1, 10**98)) == 2 * 10**98
 
     def test_t1_dimension_two_refused(self):
         with pytest.raises(DigitCapExceeded):
@@ -311,7 +337,8 @@ class TestIndexBounds:
     def test_exactness_of_types(self):
         assert isinstance(dirichlet_index_bound(2, Fraction(1, 4)), Fraction)
         assert isinstance(c_reductive(1, 2, 1), int)
-        assert isinstance(t1_density_bound(1, Fraction(1, 3)).value, (int, Fraction))
+        assert type(t1_density_bound(1, Fraction(1, 3))) is int
+        assert type(t1_density_bound(1, Fraction(3, 4))) is Fraction
 
 
 class TestDividesPower:
@@ -370,15 +397,16 @@ def test_refusals(call, message):
         call()
 
 
-class TestPowerSize:
+class TestPsiSize:
     def test_enormous_exponent(self):
-        size = PowerSize.of(gamma(94), 94 * (gamma(94) - 1))
+        size = psi_size(94)
         assert "e+" in size.digits10
         assert size.describe().startswith("<4216-digit integer>^")
+        assert size.formula == f"{_compact_int(gamma(94))}^{_compact_int(lam(94))}"
 
     def test_rejects_trivial(self):
-        with pytest.raises(ValueError):
-            PowerSize.of(1, 5)
+        with pytest.raises(ValueError, match="^gamma requires d >= 1, got 0$"):
+            psi_size(0)
 
 
 class TestCompactInt:

@@ -129,6 +129,19 @@ BUDGETS = [
                 ("gamma", 1500, 1073523),
                 ("lambda", 1500, 1073523),
             ]
+        }
+        # gamma(1447) fits, but the rungs over it do not: each is refused
+        # from log10 gamma(1447), before gamma(1447) is formed.
+        | {
+            "constants psi 1447": (
+                "error: digit cap exceeded: psi(1447) = <999001-digit integer>^<999004-digit "
+                "integer> with about 4.8478e+999009 decimal digits, beyond the 1000000-digit cap\n"
+            ),
+            "constants ctilde-improved 1447 1": (
+                "error: digit cap exceeded: c_tilde_improved(1447, 1) = n^d * gamma(d)^(lam(d) * "
+                "(gamma(d) - 1)) with about 1.6257e+1998010 decimal digits, beyond the "
+                "1000000-digit cap\n"
+            ),
         },
         inside=("constants gamma 1447",),
         check=_gamma_1447_digits,

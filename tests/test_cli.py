@@ -723,25 +723,6 @@ class TestFuzzedLatticeFiles:
         self.exits_cleanly(tmp_path_factory.getbasetemp() / "noise-lattice.txt", content)
 
 
-class TestDeterminism:
-    COMMANDS = [
-        ["constants", "gamma", "3"],
-        ["constants", "psi", "2"],
-        ["symbol", "hilbert", "--", "-3/7", "5/11", "inf"],
-        ["density", "estimate", "1(8)", "--bound", "100000"],
-        ["example", "2.5", "--height", "10"],
-        ["section7", "3", "2", "13", "37"],
-    ]
-
-    @pytest.mark.parametrize("command", COMMANDS, ids=[" ".join(c) for c in COMMANDS])
-    def test_byte_identical_stdout(self, command):
-        first = run_cli(command)
-        second = run_cli(command)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        assert first.stdout.encode() == second.stdout.encode()
-
-
 class TestStartup:
     def test_runs_without_numpy(self):
         # numpy is not a dependency: with it made unimportable, the sieve,

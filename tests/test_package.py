@@ -11,12 +11,12 @@ import arithlab
 from arithlab import bounds, core
 from tree_python import run_python
 
-# `from arithlab import *`: 59 re-exported functions and classes and the six
+# `from arithlab import *`: 57 re-exported functions and classes and the six
 # submodules.
 PUBLIC_NAMES = [
-    "AbelianExtensionDescriptor", "AbelianGroupInvariants", "BiasedPrimePair", "BoundReport",
+    "AbelianExtensionDescriptor", "AbelianGroupInvariants", "BiasedPrimePair",
     "CongruenceTarget", "DigitCapExceeded", "Factorization", "FiniteGroup", "FrobeniusDatum",
-    "GLattice", "GaussianInteger", "IntegerMatrix", "Place", "PowerSize", "ProgressionSpec",
+    "GLattice", "GaussianInteger", "IntegerMatrix", "Place", "ProgressionSpec",
     "SnfResult", "artin_kernel_evidence", "bounds", "build_biased_prime_sets", "c_reductive",
     "c_tilde", "c_tilde_improved", "chebotarev_density", "cohomology", "core", "crt_solve",
     "density_witness", "determinant", "dirichlet_index_bound", "divides_power", "experiments",
