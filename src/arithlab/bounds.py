@@ -6,10 +6,13 @@ decimal-digit cap guards materialization.  Its one setting is the
 environment variable ASA_DIGIT_CAP (default one million digits), and it
 holds every rung.  Above the cap a rung is refused before it is formed,
 with a size report whose digit counts come from logarithms and are
-flagged as approximate -- never a silently truncated value.  The rungs
-over gamma(d) size it from its logarithm too, and form it only when
-they may fit.  psi alone keeps a cap keyword, for the benchmark, and it
-holds only psi's own power.
+flagged as approximate -- never a silently truncated value.  One
+comparator, _over_cap, makes every such decision from log10 of the
+digit count, and forms a value only when that lies too near log10 of
+the cap for the logarithms to decide.  The rungs over gamma(d) size it
+from its logarithm too, and those over lam(d) size lam(d) so, and each
+forms what it sizes only when the rung may fit.  psi alone keeps a cap
+keyword, for the benchmark, and it holds only psi's own power.
 
 The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
 that the CLI reads it without importing this module; the names are
@@ -52,9 +55,9 @@ def _compact_log(log_value: float, exact) -> str:
     """_compact_int of a value of at least 10**40 known by its
     floating-point log10; exact() forms it only near a power of ten."""
     # With k the integer nearest log10(n), n has k + 1 digits exactly when
-    # n >= 10^k; near a power of ten _beyond_cap compares exactly.
+    # n >= 10^k; near a power of ten _over_cap compares exactly.
     k = round(log_value)
-    digits = k + 1 if _beyond_cap(log_value, k, exact) else k
+    digits = k + 1 if _over_cap(math.log10(log_value), k, exact) else k
     return f"<{digits}-digit integer>"
 
 
@@ -70,16 +73,20 @@ class ProductSize(Record):
         return f"{self.formula} with about {self.digits10} decimal digits"
 
 
-def _beyond_cap(log_value: float, cap: int, exact) -> bool:
-    """Is a value with floating-point log10 log_value at least 10**cap?
+def _over_cap(log_digits: float, cap: int, exact) -> bool:
+    """Has a value of at least 2 more than cap decimal digits?  log_digits
+    is the floating-point log10 of its log10.
 
-    The logarithm decides unless it lies within 1e-9 (relative, far
-    above its rounding error) of the cap; there exact() materializes the
-    value and the comparison is made exactly.
+    The logarithms decide unless log_digits lies within 1e-9 / ln 10 of
+    log10(cap), a relative 1e-9 on the value's log10 and far above its
+    rounding error.  There exact() forms the value and compares it with
+    10**cap; with exact None the answer is False, not clearly over, and
+    the caller decides.  Below a cap of 1 every value is over.
     """
-    if abs(log_value - cap) > 1e-9 * (log_value + 1):
-        return log_value > cap
-    return exact() >= 10**cap
+    bound = math.log10(cap) if cap > 0 else -math.inf
+    if abs(log_digits - bound) > 1e-9 / math.log(10):
+        return log_digits > bound
+    return exact is not None and exact() >= 10**cap
 
 
 def _log_digits(factors: tuple[tuple[int, ...], ...], logged: tuple[float, ...] = ()) -> float:
@@ -125,25 +132,19 @@ def _checked_product(
 
     A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...), so
     an exponent may be passed as its factors and is multiplied out only
-    when the value is formed or compared exactly.  log10 of the product
-    is the sum of its factors' exponent * log10(base), decided by
-    _beyond_cap.  Once an exponent passes 10**12 the comparison happens
-    on logarithms of logarithms, so exponents may be astronomically
-    large.  A refusal reports a ProductSize of formula, which for a lone
-    power defaults to base^exponent.
+    when the value is formed or compared exactly.  _over_cap decides from
+    the product's _log_digits, which adds logarithms of logarithms, so
+    exponents may be astronomically large.  A refusal reports a
+    ProductSize of formula, which for a lone power defaults to
+    base^exponent.
     """
     cap = default_digit_cap() if cap is None else cap
     big = [f for f in factors if f[0] > 1 and min(f[1:]) > 0]
-    if all(sum(map(math.log10, es)) <= 12 for _, *es in big):
-        exact = [(b, math.prod(es)) for b, *es in big]
-        log_value = sum(e * math.log10(b) for b, e in exact)
-        exceeds = _beyond_cap(log_value, cap, lambda: math.prod(b**e for b, e in exact))
-    else:
-        exceeds = _log_digits(big) > math.log10(cap)
-    if exceeds:
+    value = lambda: math.prod(b ** math.prod(es) for b, *es in big)
+    if big and _over_cap(_log_digits(big), cap, value):
         size = ProductSize(formula or _power_formula(*big[0]), _digits10(big))
         raise DigitCapExceeded(name, size, cap)
-    return math.prod(b ** math.prod(es) for b, *es in big)
+    return value()
 
 
 def _gamma_log10(d: int) -> float:
@@ -180,25 +181,40 @@ def gamma(d: int) -> int:
 
 
 def _sized_gamma(d: int) -> float:
-    """gamma's refusal, then log10 gamma(d) in floating point.
-
-    gamma(d) is formed only where _beyond_cap compares it exactly with
-    the cap, so a rung over it can be sized, and refused, from this.
-    """
+    """gamma's refusal, then log10 gamma(d) in floating point."""
     if d < 1:
         raise ValueError(f"gamma requires d >= 1, got {d}")
+    return _gamma_sized(math.log10(d), lambda: d)
+
+
+def _gamma_sized(log_d: float, exact_d) -> float:
+    """gamma's refusal for a d >= 1 known by log_d = log10 d, then
+    log10 gamma(d) in floating point.
+
+    Up to d = 10**7 gamma(d) is sized by _gamma_log10, beyond by its
+    bound 3^(d^2) from log_d alone.  exact_d() forms d only for
+    _gamma_log10, for a refusal that prints d or the digit count in
+    full, where _over_cap compares gamma(d) exactly, or once gamma(d)
+    fits; gamma(d) itself only in that exact comparison.  So a rung over
+    gamma(d) is sized, and refused, from this, and c_tilde refuses
+    gamma(lam(d)) with lam(d) unformed.
+    """
+    if log_d <= 7:
+        log_g = _gamma_log10(exact_d())
+        log_digits, digits = math.log10(log_g), str(int(log_g) + 1)
+    else:  # gamma(d) < 3^(d^2)
+        log_digits = 2 * log_d + math.log10(math.log10(3))
+        digits = (
+            _digits10(((3, exact_d() ** 2),)) if log_digits < 15 else _scientific_digits(log_digits)
+        )
     cap = default_digit_cap()
-    if d <= 10**7:
-        log_value = _gamma_log10(d)
-        exceeds = _beyond_cap(log_value, cap, lambda: _gamma_product(d))
-        digits = str(int(log_value) + 1)
-    else:  # gamma(d) < 3^(d^2): compare logarithms of logarithms, as in _checked_product
-        exceeds = _log_digits(((3, d, d),)) > math.log10(cap)
-        digits = _digits10(((3, d * d),))
-    if exceeds:
-        size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {_compact_int(d)}", digits)
-        raise DigitCapExceeded(f"gamma({_compact_int(d)})", size, cap)
-    return _gamma_log10(d)
+    if _over_cap(log_digits, cap, lambda: _gamma_product(exact_d())):
+        # log_d rounds up to 40 just below 10**40; a d below 10**41 is short
+        # enough to form, and _compact_int names it exactly.
+        d = _compact_int(exact_d()) if log_d < 41 else _compact_log(log_d, exact_d)
+        size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {d}", digits)
+        raise DigitCapExceeded(f"gamma({d})", size, cap)
+    return log_g if log_d <= 7 else _gamma_log10(exact_d())
 
 
 def lam(d: int) -> int:
@@ -224,17 +240,6 @@ def _gamma_lam(d: int) -> tuple[int, int]:
     return g, d * (g - 1)
 
 
-def _refused_unformed(log_g: float, log_digits: float, cap: int) -> bool:
-    """Is a rung over gamma(d) refused from logarithms, gamma(d) unformed?
-
-    log_g is log10 gamma(d), and log_digits log10 of the rung's digit
-    count.  A gamma(d) below 10**40 is formed, for the refusal prints it
-    in full, and so is one whose rung lies within 1e-9 (relative, as in
-    _beyond_cap) of the cap or below it: _checked_product decides those.
-    """
-    return log_g >= 40 and log_digits - math.log10(cap) > 1e-9 * (log_digits + 1)
-
-
 def psi(d: int, cap: int | None = None) -> int:
     """The H^1 order bound psi(d) = gamma(d)^(d * (gamma(d) - 1)).
 
@@ -253,7 +258,8 @@ def psi(d: int, cap: int | None = None) -> int:
     name = f"psi({_compact_int(d)})"
     cap = default_digit_cap() if cap is None else cap
     log_g = _sized_gamma(d)
-    if _refused_unformed(log_g, math.log10(d) + log_g + math.log10(log_g), cap):
+    # Below 10**40 gamma(d) is formed, for the refusal prints it in full.
+    if log_g >= 40 and _over_cap(math.log10(d) + log_g + math.log10(log_g), cap, None):
         raise DigitCapExceeded(name, psi_size(d), cap)
     return _checked_product(name, (_gamma_lam(d),), cap=cap)
 
@@ -274,6 +280,22 @@ def psi_size(d: int) -> ProductSize:
     return ProductSize(f"{base}^{exponent}", _scientific_digits(log_lam + math.log10(log_g)))
 
 
+def _psi_lam(d: int) -> int:
+    """psi(lam(d)), refused as lam(d), gamma(lam(d)) or itself, in that order.
+
+    Once log10 lam(d) = log10 d + log10 gamma(d) reaches 40 (d >= 10),
+    the first two refusals are decided from it, and lam(d) is formed
+    only where _over_cap compares exactly, or once gamma(lam(d)) fits.
+    """
+    log_lam = math.log10(d) + _sized_gamma(d)
+    if log_lam >= 40:
+        lam_d = lambda: d * (_gamma_product(d) - 1)
+        if _over_cap(math.log10(log_lam), default_digit_cap(), lam_d):
+            lam(d)  # raises lam(d)'s own refusal
+        _gamma_sized(log_lam, lam_d)
+    return psi(lam(d))
+
+
 def c_tilde(d: int, n: int) -> int:
     """Index bound for d-dimensional tori: n^d * psi(lam(d)).
 
@@ -283,7 +305,7 @@ def c_tilde(d: int, n: int) -> int:
     if d < 1 or n < 1:
         raise ValueError("c_tilde requires d, n >= 1")
     name = f"c_tilde({_compact_int(d)}, {_compact_int(n)})"
-    return _checked_product(name, ((n, d), (psi(lam(d)), 1)), "n^d * psi(lam(d))")
+    return _checked_product(name, ((n, d), (_psi_lam(d), 1)), "n^d * psi(lam(d))")
 
 
 def c_tilde_improved(d: int, n: int) -> int:
@@ -297,7 +319,7 @@ def c_tilde_improved(d: int, n: int) -> int:
     power = math.log10(d) + log_g + log_g + math.log10(log_g)
     log_digits = _log_digits([(n, d)] if n > 1 else [], (power,))
     cap = default_digit_cap()
-    if _refused_unformed(log_g, log_digits, cap):
+    if log_g >= 40 and _over_cap(log_digits, cap, None):
         raise DigitCapExceeded(name, ProductSize(formula, _scientific_digits(log_digits)), cap)
     g, lam_d = _gamma_lam(d)
     # The exponent goes in as its two factors: at d = 1447 their product,
@@ -357,7 +379,7 @@ def t1_density_bound(d: int, density: Fraction) -> int | Fraction:
         raise ValueError("d must be >= 1")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
-    factors = ((density.denominator, d), (psi(lam(d)), 1))
+    factors = ((density.denominator, d), (_psi_lam(d), 1))
     a, b = (_compact_int(x) for x in density.as_integer_ratio())
     name = f"t1_density_bound({_compact_int(d)}, {a}/{b})"
     numerator = _checked_product(name, factors, "denominator(density)^d * psi(lam(d))")

@@ -752,6 +752,7 @@ def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
 
 DIGIT_CAP_ENV = "ASA_DIGIT_CAP"
 DEFAULT_DIGIT_CAP = 10**6
+MAX_DIGIT_CAP = 10**300  # below it every digit count the ladder admits is a finite float
 
 
 def default_digit_cap() -> int:
@@ -761,10 +762,12 @@ def default_digit_cap() -> int:
         return DEFAULT_DIGIT_CAP
     try:
         cap = int(raw)
-    except ValueError:
-        cap = 0  # refused just below, with the same message
+    except ValueError:  # not an integer, or too long for the interpreter's str(int) guard
+        cap = MAX_DIGIT_CAP + 1 if raw.strip().isdecimal() else 0
     if cap < 1:
         raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
+    if cap > MAX_DIGIT_CAP:
+        raise ValueError(f"{DIGIT_CAP_ENV} must be at most 10^300, got {raw}")
     return cap
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from arithlab.bounds import (
     DigitCapExceeded,
+    ProductSize,
     c_reductive,
     c_tilde,
     c_tilde_improved,
@@ -199,6 +201,13 @@ class TestPsi:
             psi(2, cap=100)
         assert psi(2, cap=200) == 48**94
 
+    @pytest.mark.parametrize("d", [1, 5, 10])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_refuses_every_value(self, d, cap):
+        with pytest.raises(DigitCapExceeded) as err:
+            psi(d, cap=cap)
+        assert (err.value.name, err.value.cap) == (f"psi({d})", cap)
+
     def test_cap_is_the_exact_digit_count(self):
         # 48^94 has exactly 159 digits; 94 log10(48) + 1 = 159.04.
         assert psi(2, cap=159) == 48**94
@@ -223,6 +232,28 @@ class TestPsi:
         monkeypatch.setenv("ASA_DIGIT_CAP", "0")
         with pytest.raises(ValueError):
             default_digit_cap()
+
+    def test_cap_keeps_digit_counts_finite(self, monkeypatch):
+        # Up to 10^300 digits every digit count the ladder admits is a
+        # finite float, so a rung far beyond the largest cap is still
+        # refused from its logarithms; a larger cap is refused itself.
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(10**300))
+        assert default_digit_cap() == 10**300 and gamma(2) == 48
+        for rung in (gamma, lam, psi, lambda d: c_tilde(d, 1), lambda d: c_tilde_improved(d, 1)):
+            with pytest.raises(DigitCapExceeded):
+                rung(10**160)
+        # The second cap is too long for int() under the interpreter's default guard.
+        caps = [str(10**300 + 1), str(10**5000)]
+        message = r"^ASA_DIGIT_CAP must be at most 10\^300, got 1"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for cap in caps:
+                monkeypatch.setenv("ASA_DIGIT_CAP", cap)
+                with pytest.raises(ValueError, match=message):
+                    default_digit_cap()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_super_increasing_where_materializable(self):
         assert psi(2) % psi(1) == 0
@@ -249,6 +280,17 @@ class TestCTilde:
         # Size report digits come from logs and are flagged approximate.
         assert err.value.size.approximate
         assert err.value.size.digits10.endswith("e+4221")
+
+    @pytest.mark.parametrize(
+        "cap, name", [(47, "gamma(10)"), (48, "lam(10)"), (49, "gamma(<49-digit integer>)")]
+    )
+    def test_refused_in_ladder_order(self, cap, name, monkeypatch):
+        # gamma(10) has 48 digits and lam(10) 49: c_tilde(10, 1) is refused
+        # as the first rung beneath it over the cap.
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
+        with pytest.raises(DigitCapExceeded) as err:
+            c_tilde(10, 1)
+        assert err.value.name == name
 
 
 class TestCTildeImproved:
@@ -408,6 +450,20 @@ class TestPsiSize:
         with pytest.raises(ValueError, match="^gamma requires d >= 1, got 0$"):
             psi_size(0)
 
+    def test_gamma_formed_only_in_the_exact_band(self, monkeypatch):
+        # From d = 10 on the report is rendered from log10 gamma(d); gamma(d)
+        # is formed only where a digit count lies within the exact
+        # comparison's tolerance of a power of ten.  The stand-in keeps the
+        # sweep fast; only the d it is called at matter.
+        import arithlab.bounds as bounds
+
+        formed = set()
+        stand_in = lambda d: formed.add(d) or 10 ** int(bounds._gamma_log10(d))
+        monkeypatch.setattr(bounds, "_gamma_product", stand_in)
+        for d in range(10, 1448):
+            psi_size(d)
+        assert formed == {339, 1313, 1373}
+
 
 class TestCompactInt:
     # math.log10 rounds 10^k - 1 up to k for k = 15..44 and 10^k down below
@@ -417,3 +473,43 @@ class TestCompactInt:
         for n in (10**k - 1, 10**k):
             expected = str(n) if n < 10**40 else f"<{len(str(n))}-digit integer>"
             assert _compact_int(n) == expected
+
+
+LADDER_PIN_CAPS = (48, 100, 159, 1000, 7428, 100000, None)
+LADDER_PIN_DIMENSIONS = (*range(13), 94, 1448, 10**8, 10**50, 10**200)
+
+
+def ladder_pin_calls(d):
+    """Every rung at d: gamma, lam, psi and psi_size, then the index bounds
+    at k = 1 and 7."""
+    yield from (lambda: gamma(d), lambda: lam(d), lambda: psi(d), lambda: psi_size(d))
+    for k in (1, 7):
+        yield lambda: c_tilde(d, k)
+        yield lambda: c_tilde_improved(d, k)
+        yield lambda: c_reductive(d, k, 3)
+        yield lambda: t1_density_bound(d, Fraction(k, 10))
+
+
+def test_ladder_answers_are_pinned(monkeypatch):
+    # Every answer (by the sha256 of its text) and every refusal (by its
+    # type and message, which carry the name and size report) over a grid
+    # of digit caps and dimensions, so a change to how the ladder sizes
+    # and refuses its rungs must change no output.
+    digest = hashlib.sha256()
+    for cap in LADDER_PIN_CAPS:
+        if cap is None:
+            monkeypatch.delenv("ASA_DIGIT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
+        for d in LADDER_PIN_DIMENSIONS:
+            for call in ladder_pin_calls(d):
+                try:
+                    value = call()
+                    text = value.describe() if isinstance(value, ProductSize) else str(value)
+                    line = hashlib.sha256(text.encode()).hexdigest()
+                except (ValueError, ArithmeticError) as exc:
+                    line = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == (
+        "523235e85d61df1c8b979d245530dd8e43c099b36df478b47167f740600a72a8"
+    )

@@ -131,7 +131,17 @@ BUDGETS = [
             ]
         }
         # gamma(1447) fits, but the rungs over it do not: each is refused
-        # from log10 gamma(1447), before gamma(1447) is formed.
+        # from log10 gamma(1447), before gamma(1447) is formed.  lam(1447)
+        # fits too, and ctilde and creductive refuse gamma(lam(1447)) from
+        # its logarithm, before lam(1447) is formed.
+        | {
+            f"constants {command}": (
+                "error: digit cap exceeded: gamma(<999004-digit integer>) = prod_{i=0}^{d-1} "
+                "(3^d - 3^i) at d = <999004-digit integer> with about 1.1235e+1998007 decimal "
+                "digits, beyond the 1000000-digit cap\n"
+            )
+            for command in ("ctilde 1447 1", "creductive 1447 1 0")
+        }
         | {
             "constants psi 1447": (
                 "error: digit cap exceeded: psi(1447) = <999001-digit integer>^<999004-digit "

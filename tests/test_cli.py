@@ -338,6 +338,14 @@ class TestExitCodes:
             f"error: invalid input: ASA_DIGIT_CAP must be a positive integer, got {cap}\n"
         )
 
+    @pytest.mark.parametrize("cap", [10**300 + 1, 10**309], ids=["10^300+1", "10^309"])
+    def test_cap_past_float_range_refused(self, cap, capsys, monkeypatch):
+        # Up to 10^300 digits every digit count the ladder admits is a finite float.
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
+        code, out, err = run_in_process(["constants", "gamma", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid input: ASA_DIGIT_CAP must be at most 10^300, got {cap}\n"
+
     PRIME_BELOW_TWO = {
         "symbol legendre -- 3 -7": "invalid input: legendre requires an odd prime, got -7",
         "local-index -- -5 3": "invalid input: -5 is not prime",
