@@ -9,10 +9,13 @@ with a size report whose digit counts come from logarithms and are
 flagged as approximate -- never a silently truncated value.  One
 comparator, _over_cap, makes every such decision from log10 of the
 digit count, and forms a value only when that lies too near log10 of
-the cap for the logarithms to decide.  The rungs over gamma(d) size it
-from its logarithm too, and those over lam(d) size lam(d) so, and each
-forms what it sizes only when the rung may fit.  psi alone keeps a cap
-keyword, for the benchmark, and it holds only psi's own power.
+the cap for the logarithms to decide.  gamma(d) is refused by
+_gamma_sized; every rung over it is sized, and refused, by one product
+path, _checked_product, whose bases and exponents may be held (_Held):
+from 10**40 on, gamma(d), gamma(d) - 1 and lam(d) are known by their
+floating-point log10, and formed only when a product may fit or a
+report prints them.  psi alone keeps a cap keyword, for the benchmark,
+and it holds only psi's own power.
 
 The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
 that the CLI reads it without importing this module; the names are
@@ -21,6 +24,7 @@ re-exported here unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -45,10 +49,10 @@ __all__ = [
     "divides_power",
 ]
 
-def _compact_int(n: int) -> str:
-    """Decimal rendering that never explodes: huge values become a
-    digit-count description."""
-    return str(n) if n < 10**40 else _compact_log(math.log10(n), lambda: n)
+def _compact_int(n) -> str:
+    """Decimal rendering that never explodes: a value of 10**40 or more,
+    formed or held, becomes a digit-count description."""
+    return str(n) if n < 10**40 else _compact_log(_log10(n), lambda: _value(n))
 
 
 def _compact_log(log_value: float, exact) -> str:
@@ -59,6 +63,34 @@ def _compact_log(log_value: float, exact) -> str:
     k = round(log_value)
     digits = k + 1 if _over_cap(math.log10(log_value), k, exact) else k
     return f"<{digits}-digit integer>"
+
+
+class _Held:
+    """A value of at least 10**40 held by its floating-point log10, log,
+    and formed by value(), at most once, only when a product may fit the
+    cap, a comparison must be exact or a report prints it in full.  It
+    compares above every int, which is all the ladder asks: it compares
+    its values with 0, 1 and 10**40 only."""
+
+    def __init__(self, log: float, form):
+        self.log, self.value = log, functools.cache(form)
+
+    __lt__ = lambda self, other: False
+    __gt__ = lambda self, other: True
+
+
+def _hold(log: float, form) -> int | _Held:
+    """The value form() makes, formed below 10**40 (log under 40), where
+    a report prints it in full, and held by log from 10**40 on."""
+    return form() if log < 40 else _Held(log, form)
+
+
+def _log10(n) -> float:
+    return n.log if isinstance(n, _Held) else math.log10(n)
+
+
+def _value(n) -> int:
+    return n.value() if isinstance(n, _Held) else n
 
 
 class ProductSize(Record):
@@ -80,26 +112,23 @@ def _over_cap(log_digits: float, cap: int, exact) -> bool:
     The logarithms decide unless log_digits lies within 1e-9 / ln 10 of
     log10(cap), a relative 1e-9 on the value's log10 and far above its
     rounding error.  There exact() forms the value and compares it with
-    10**cap; with exact None the answer is False, not clearly over, and
-    the caller decides.  Below a cap of 1 every value is over.
+    10**cap.  Below a cap of 1 every value is over.
     """
     bound = math.log10(cap) if cap > 0 else -math.inf
     if abs(log_digits - bound) > 1e-9 / math.log(10):
         return log_digits > bound
-    return exact is not None and exact() >= 10**cap
+    return exact() >= 10**cap
 
 
-def _log_digits(factors: tuple[tuple[int, ...], ...], logged: tuple[float, ...] = ()) -> float:
+def _log_digits(factors: tuple[tuple[int, ...], ...]) -> float:
     """log10 of log10 of prod base**exponent, for bases >= 2 and exponents >= 1.
 
     A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...); it
     contributes log10(e_1) + log10(e_2) + ... + log10(log10(base)), and
     the terms are added as logarithms, so no exponent is too large and
-    none is multiplied out.  logged holds further factors by that term
-    alone, for a base such as gamma(d) known by its logarithm.
+    none is multiplied out.  Any part may be held, and is read by its log10.
     """
-    logs = [sum(map(math.log10, es)) + math.log10(math.log10(b)) for b, *es in factors]
-    logs += logged
+    logs = [sum(map(_log10, es)) + math.log10(_log10(b)) for b, *es in factors]
     top = max(logs)
     return top + math.log10(sum(10 ** (x - top) for x in logs))
 
@@ -109,8 +138,14 @@ def _digits10(factors: tuple[tuple[int, ...], ...]) -> str:
     in scientific notation when enormous; factors as for _log_digits."""
     log_digits = _log_digits(factors)
     if log_digits < 15:
-        return str(int(sum(math.prod(es) * math.log10(b) for b, *es in factors)) + 1)
+        return str(int(_log10_product(factors)) + 1)
     return _scientific_digits(log_digits)
+
+
+def _log10_product(factors: tuple[tuple[int, ...], ...]) -> float:
+    """log10 of prod base**exponent in floating point, for a product of
+    at most 10**300 decimal digits, whose exponents a float holds."""
+    return sum(math.prod(map(_value, es)) * _log10(b) for b, *es in factors)
 
 
 def _scientific_digits(log_digits: float) -> str:
@@ -119,32 +154,38 @@ def _scientific_digits(log_digits: float) -> str:
     return f"{10 ** frac:.4f}e+{int(whole)}"
 
 
-def _power_formula(base: int, exponent: int) -> str:
-    return f"{_compact_int(base)}^{_compact_int(exponent)}"
+def _power(base: int, exponent: int) -> int:
+    """base**exponent as (base >> v)**exponent << v * exponent, with 2^v
+    the power of two in base: the same int, from a power of a smaller
+    odd base (psi(3)'s base 11232 is 2^5 * 351)."""
+    v = (base & -base).bit_length() - 1
+    return (base >> v) ** exponent << v * exponent
 
 
 def _checked_product(
     name: str, factors: tuple[tuple[int, ...], ...], formula: str = "", *, cap: int | None = None
-) -> int:
+) -> int | _Held:
     """prod base**exponent over factors, refused before it is formed when
     it would have more than cap decimal digits (default_digit_cap() unless
-    psi passes its own).
+    psi passes its own), and else formed below 10**40 and held from there
+    on (_hold), by its log10 from _log10_product.
 
-    A factor is (base, e_1, e_2, ...), the power base**(e_1 e_2 ...), so
-    an exponent may be passed as its factors and is multiplied out only
-    when the value is formed or compared exactly.  _over_cap decides from
-    the product's _log_digits, which adds logarithms of logarithms, so
-    exponents may be astronomically large.  A refusal reports a
-    ProductSize of formula, which for a lone power defaults to
-    base^exponent.
+    This is the one refusal of every rung over gamma.  A factor is (base,
+    e_1, e_2, ...), the power base**(e_1 e_2 ...), so an exponent may be
+    passed as its factors, and any part may be held; parts are formed
+    and multiplied out only when the value is formed or compared exactly.
+    _over_cap decides from the product's _log_digits, which adds
+    logarithms of logarithms, so exponents may be astronomically large.
+    A refusal reports a ProductSize of formula, which for a lone power
+    defaults to base^exponent.
     """
     cap = default_digit_cap() if cap is None else cap
     big = [f for f in factors if f[0] > 1 and min(f[1:]) > 0]
-    value = lambda: math.prod(b ** math.prod(es) for b, *es in big)
+    value = lambda: math.prod(_power(_value(b), math.prod(map(_value, es))) for b, *es in big)
     if big and _over_cap(_log_digits(big), cap, value):
-        size = ProductSize(formula or _power_formula(*big[0]), _digits10(big))
+        size = ProductSize(formula or "^".join(map(_compact_int, big[0])), _digits10(big))
         raise DigitCapExceeded(name, size, cap)
-    return value()
+    return _hold(_log10_product(big), value)
 
 
 def _gamma_log10(d: int) -> float:
@@ -180,11 +221,12 @@ def gamma(d: int) -> int:
     return _gamma_product(d)
 
 
-def _sized_gamma(d: int) -> float:
-    """gamma's refusal, then log10 gamma(d) in floating point."""
+def _sized_gamma(d) -> float:
+    """gamma's refusal for an int or held d, then log10 gamma(d) in
+    floating point."""
     if d < 1:
         raise ValueError(f"gamma requires d >= 1, got {d}")
-    return _gamma_sized(math.log10(d), lambda: d)
+    return _gamma_sized(_log10(d), lambda: _value(d))
 
 
 def _gamma_sized(log_d: float, exact_d) -> float:
@@ -197,7 +239,7 @@ def _gamma_sized(log_d: float, exact_d) -> float:
     full, where _over_cap compares gamma(d) exactly, or once gamma(d)
     fits; gamma(d) itself only in that exact comparison.  So a rung over
     gamma(d) is sized, and refused, from this, and c_tilde refuses
-    gamma(lam(d)) with lam(d) unformed.
+    gamma(lam(d)) with a held lam(d) unformed.
     """
     if log_d <= 7:
         log_g = _gamma_log10(exact_d())
@@ -217,27 +259,44 @@ def _gamma_sized(log_d: float, exact_d) -> float:
     return log_g if log_d <= 7 else _gamma_log10(exact_d())
 
 
+def _gamma_terms(d) -> tuple:
+    """gamma(d), gamma(d) - 1 and lam(d) = d * (gamma(d) - 1), for an int
+    or held d, after gamma's refusal.
+
+    From 10**40 on (d >= 10) each is held, the first two by log10
+    gamma(d) and lam(d) by log10 d + log10 gamma(d), and gamma(d) is
+    formed at most once, for whichever of them is formed first.
+    """
+    log_g = _sized_gamma(d)
+    g = _hold(log_g, lambda: _gamma_product(_value(d)))
+    g1 = _hold(log_g, lambda: _value(g) - 1)
+    return g, g1, _hold(_log10(d) + log_g, lambda: _value(d) * _value(g1))
+
+
 def lam(d: int) -> int:
     """Dimension bound for the kernel torus: lam(d) = d * (gamma(d) - 1).
 
-    Held to the digit cap like every rung: gamma(d) may fit and lam(d)
-    not.
+    Subject to the digit cap like every rung: gamma(d) may fit and lam(d)
+    not, and then lam(d) is refused from log10 d + log10 gamma(d) before
+    gamma(d) is formed.
+    """
+    return _value(_lam(d))
+
+
+def _lam(d: int) -> int | _Held:
+    """lam(d), held from 10**40 on (d >= 10), after gamma(d)'s refusal and
+    its own.
+
+    So psi(_lam(d)), the psi(lam(d)) of c_tilde and t1_density_bound, is
+    refused as lam(d), gamma(lam(d)) or itself, in that order, the first
+    two decided from log10 lam(d) = log10 d + log10 gamma(d); lam(d) is
+    formed only where _over_cap compares exactly, or once gamma(lam(d))
+    fits.
     """
     if d < 1:
         raise ValueError(f"lam requires d >= 1, got {d}")
-    factors = ((d, 1), (gamma(d) - 1, 1))
-    return _checked_product(f"lam({_compact_int(d)})", factors, "d * (gamma(d) - 1)")
-
-
-def _gamma_lam(d: int) -> tuple[int, int]:
-    """gamma(d) and the exponent d * (gamma(d) - 1), from one gamma(d),
-    once _sized_gamma(d) has passed.
-
-    The exponent is not held to the cap: psi and c_tilde_improved refuse
-    their whole value under their own names.
-    """
-    g = _gamma_product(d)
-    return g, d * (g - 1)
+    g1 = _gamma_terms(d)[1]
+    return _checked_product(f"lam({_compact_int(d)})", ((d, 1), (g1, 1)), "d * (gamma(d) - 1)")
 
 
 def psi(d: int, cap: int | None = None) -> int:
@@ -245,8 +304,10 @@ def psi(d: int, cap: int | None = None) -> int:
 
     Exact big integer; raises DigitCapExceeded when the value would
     exceed the digit cap (d = 4 already needs about 7 * 10^8 digits),
-    with psi_size(d) as its size report.  gamma(d) is refused first, and
-    formed only when psi(d) may fit or psi_size prints it.
+    with psi_size(d) as its size report.  gamma(d) is refused first;
+    from 10**40 on (d >= 10) gamma(d) and lam(d) are held by their
+    logarithms, and formed only when psi(d) may fit or the report
+    prints them.
 
     The cap keyword holds only this power; gamma(d) stays held to
     ASA_DIGIT_CAP, so psi(1448, cap=10**9) is refused as gamma(1448).
@@ -255,45 +316,28 @@ def psi(d: int, cap: int | None = None) -> int:
     """
     if d < 1:
         raise ValueError(f"psi requires d >= 1, got {d}")
-    name = f"psi({_compact_int(d)})"
-    cap = default_digit_cap() if cap is None else cap
-    log_g = _sized_gamma(d)
-    # Below 10**40 gamma(d) is formed, for the refusal prints it in full.
-    if log_g >= 40 and _over_cap(math.log10(d) + log_g + math.log10(log_g), cap, None):
-        raise DigitCapExceeded(name, psi_size(d), cap)
-    return _checked_product(name, (_gamma_lam(d),), cap=cap)
+    return _value(_checked_product(*_psi_power(d), cap=cap))
 
 
 def psi_size(d: int) -> ProductSize:
-    """Size report for psi(d) without materializing it.
+    """Size report for psi(d) without materializing it: the report of
+    psi's refusal under a cap of 0, which refuses every value.
 
     gamma(d) is formed only below 10**40, where the report prints it in
     full, or where a digit count lies near a power of ten.
     """
-    log_g = _sized_gamma(d)
-    if log_g < 40:
-        g, lam_d = _gamma_lam(d)
-        return ProductSize(_power_formula(g, lam_d), _digits10(((g, lam_d),)))
-    log_lam = math.log10(d) + log_g
-    base = _compact_log(log_g, lambda: _gamma_product(d))
-    exponent = _compact_log(log_lam, lambda: d * (_gamma_product(d) - 1))
-    return ProductSize(f"{base}^{exponent}", _scientific_digits(log_lam + math.log10(log_g)))
+    power = _psi_power(d)  # gamma(d)'s own refusal is not caught
+    try:
+        _checked_product(*power, cap=0)
+    except DigitCapExceeded as refusal:
+        return refusal.size
 
 
-def _psi_lam(d: int) -> int:
-    """psi(lam(d)), refused as lam(d), gamma(lam(d)) or itself, in that order.
-
-    Once log10 lam(d) = log10 d + log10 gamma(d) reaches 40 (d >= 10),
-    the first two refusals are decided from it, and lam(d) is formed
-    only where _over_cap compares exactly, or once gamma(lam(d)) fits.
-    """
-    log_lam = math.log10(d) + _sized_gamma(d)
-    if log_lam >= 40:
-        lam_d = lambda: d * (_gamma_product(d) - 1)
-        if _over_cap(math.log10(log_lam), default_digit_cap(), lam_d):
-            lam(d)  # raises lam(d)'s own refusal
-        _gamma_sized(log_lam, lam_d)
-    return psi(lam(d))
+def _psi_power(d) -> tuple:
+    """psi(d)'s name and its one factor, gamma(d)^lam(d), for an int or
+    held d, after gamma's refusal."""
+    g, _, lam_d = _gamma_terms(d)
+    return f"psi({_compact_int(d)})", ((g, lam_d),)
 
 
 def c_tilde(d: int, n: int) -> int:
@@ -305,7 +349,7 @@ def c_tilde(d: int, n: int) -> int:
     if d < 1 or n < 1:
         raise ValueError("c_tilde requires d, n >= 1")
     name = f"c_tilde({_compact_int(d)}, {_compact_int(n)})"
-    return _checked_product(name, ((n, d), (_psi_lam(d), 1)), "n^d * psi(lam(d))")
+    return _value(_checked_product(name, ((n, d), (psi(_lam(d)), 1)), "n^d * psi(lam(d))"))
 
 
 def c_tilde_improved(d: int, n: int) -> int:
@@ -313,19 +357,12 @@ def c_tilde_improved(d: int, n: int) -> int:
     if d < 1 or n < 1:
         raise ValueError("c_tilde_improved requires d, n >= 1")
     name = f"c_tilde_improved({_compact_int(d)}, {_compact_int(n)})"
-    formula = "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"
-    log_g = _sized_gamma(d)
-    # log10 of log10 of gamma(d)^(lam(d) * (gamma(d) - 1)); _log_digits adds n^d.
-    power = math.log10(d) + log_g + log_g + math.log10(log_g)
-    log_digits = _log_digits([(n, d)] if n > 1 else [], (power,))
-    cap = default_digit_cap()
-    if log_g >= 40 and _over_cap(log_digits, cap, None):
-        raise DigitCapExceeded(name, ProductSize(formula, _scientific_digits(log_digits)), cap)
-    g, lam_d = _gamma_lam(d)
+    g, g1, lam_d = _gamma_terms(d)
     # The exponent goes in as its two factors: at d = 1447 their product,
     # of two million-digit numbers, takes over a second, and only a
     # value within the cap needs it.
-    return _checked_product(name, ((n, d), (g, lam_d, g - 1)), formula)
+    factors = ((n, d), (g, lam_d, g1))
+    return _value(_checked_product(name, factors, "n^d * gamma(d)^(lam(d) * (gamma(d) - 1))"))
 
 
 def c_reductive(ell: int, n: int, r: int) -> int:
@@ -336,7 +373,7 @@ def c_reductive(ell: int, n: int, r: int) -> int:
         raise ValueError("real-place count must be nonnegative")
     name = f"c_reductive({_compact_int(ell)}, {_compact_int(n)}, {_compact_int(r)})"
     factors = ((2, ell * r), (c_tilde(ell, n), 1))
-    return _checked_product(name, factors, "2^(ell * r) * c_tilde(ell, n)")
+    return _value(_checked_product(name, factors, "2^(ell * r) * c_tilde(ell, n)"))
 
 
 def dirichlet_index_bound(f_degree: int, density: Fraction) -> Fraction:
@@ -379,10 +416,10 @@ def t1_density_bound(d: int, density: Fraction) -> int | Fraction:
         raise ValueError("d must be >= 1")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
-    factors = ((density.denominator, d), (_psi_lam(d), 1))
+    factors = ((density.denominator, d), (psi(_lam(d)), 1))
     a, b = (_compact_int(x) for x in density.as_integer_ratio())
     name = f"t1_density_bound({_compact_int(d)}, {a}/{b})"
-    numerator = _checked_product(name, factors, "denominator(density)^d * psi(lam(d))")
+    numerator = _value(_checked_product(name, factors, "denominator(density)^d * psi(lam(d))"))
     value = Fraction(numerator, density.numerator**d)
     return int(value) if value.denominator == 1 else value
 

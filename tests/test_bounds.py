@@ -133,6 +133,24 @@ class TestLambda:
         monkeypatch.setenv("ASA_DIGIT_CAP", "49")
         assert len(str(lam(10))) == 49
 
+    @pytest.mark.parametrize("call", [lambda: lam(1447), lambda: c_tilde(1447, 1)])
+    def test_refused_before_gamma_is_formed(self, call, monkeypatch):
+        # gamma(1447) has 999,001 digits and lam(1447) 999,004: under a cap
+        # between them lam(1447) is refused from log10 d + log10 gamma(d).
+        import arithlab.bounds as bounds
+
+        def formed(d):
+            raise AssertionError(f"gamma({d}) formed")
+
+        monkeypatch.setattr(bounds, "_gamma_product", formed)
+        monkeypatch.setenv("ASA_DIGIT_CAP", "999002")
+        with pytest.raises(DigitCapExceeded) as err:
+            call()
+        assert str(err.value) == (
+            "lam(1447) = d * (gamma(d) - 1) with about 999004 decimal digits, "
+            "beyond the 999002-digit cap"
+        )
+
 
 class TestGammaFormedOnce:
     @pytest.mark.parametrize(
@@ -490,11 +508,21 @@ def ladder_pin_calls(d):
         yield lambda: t1_density_bound(d, Fraction(k, 10))
 
 
+def pin_line(call):
+    """An answer by the sha256 of its text, a refusal by its type and
+    message, which carry the name and size report."""
+    try:
+        value = call()
+        text = value.describe() if isinstance(value, ProductSize) else str(value)
+        return hashlib.sha256(text.encode()).hexdigest()
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_ladder_answers_are_pinned(monkeypatch):
-    # Every answer (by the sha256 of its text) and every refusal (by its
-    # type and message, which carry the name and size report) over a grid
-    # of digit caps and dimensions, so a change to how the ladder sizes
-    # and refuses its rungs must change no output.
+    # Every answer and every refusal over a grid of digit caps and
+    # dimensions, so a change to how the ladder sizes and refuses its
+    # rungs must change no output.
     digest = hashlib.sha256()
     for cap in LADDER_PIN_CAPS:
         if cap is None:
@@ -503,13 +531,34 @@ def test_ladder_answers_are_pinned(monkeypatch):
             monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
         for d in LADDER_PIN_DIMENSIONS:
             for call in ladder_pin_calls(d):
-                try:
-                    value = call()
-                    text = value.describe() if isinstance(value, ProductSize) else str(value)
-                    line = hashlib.sha256(text.encode()).hexdigest()
-                except (ValueError, ArithmeticError) as exc:
-                    line = f"{type(exc).__name__}: {exc}"
-                digest.update(f"{line}\n".encode())
+                digest.update(f"{pin_line(call)}\n".encode())
     assert digest.hexdigest() == (
         "523235e85d61df1c8b979d245530dd8e43c099b36df478b47167f740600a72a8"
+    )
+
+
+EDGE_PIN_DIMENSIONS = (10, 94, 339)
+
+
+def edge_pin_calls(d):
+    """Every rung at d, the index bounds at n = 1."""
+    yield from (lambda: gamma(d), lambda: lam(d), lambda: psi(d), lambda: psi_size(d))
+    yield from (lambda: c_tilde(d, 1), lambda: c_tilde_improved(d, 1))
+
+
+def test_ladder_answers_at_the_gamma_and_lam_edges_are_pinned(monkeypatch):
+    # The caps above miss the band where gamma(d) fits and lam(d) does
+    # not.  Here every rung runs with the cap at gamma(d)'s and lam(d)'s
+    # own digit counts and at one below each: at d = 10 the caps are 47,
+    # 48, 48 and 49.
+    digest = hashlib.sha256()
+    for d in EDGE_PIN_DIMENSIONS:
+        monkeypatch.delenv("ASA_DIGIT_CAP", raising=False)
+        edges = (len(str(gamma(d))), len(str(lam(d))))
+        for cap in (edge - below for edge in edges for below in (1, 0)):
+            monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
+            for call in edge_pin_calls(d):
+                digest.update(f"{pin_line(call)}\n".encode())
+    assert digest.hexdigest() == (
+        "fb772be921f0d01f8fb7d750b02d755d98ba2c003b1dc459cf51653bb7b20619"
     )

@@ -255,6 +255,24 @@ class TestExitCodes:
         code, out, _ = run_in_process(["constants", "lambda", "10"], capsys)
         assert code == 0 and len(json.loads(out)["outputs"]["value"]) == 49
 
+    @pytest.mark.parametrize("command", [["lambda", "1447"], ["ctilde", "1447", "1"]])
+    def test_lambda_refused_before_gamma_is_formed(self, command, capsys, monkeypatch):
+        # gamma(1447) has 999,001 digits and lambda(1447) 999,004: under a
+        # cap between them both commands refuse lambda(1447) unformed.
+        from arithlab import bounds
+
+        def formed(d):
+            raise AssertionError(f"gamma({d}) formed")
+
+        monkeypatch.setattr(bounds, "_gamma_product", formed)
+        monkeypatch.setenv("ASA_DIGIT_CAP", "999002")
+        assert run_in_process(["constants", *command], capsys) == (
+            2,
+            "",
+            "error: digit cap exceeded: lam(1447) = d * (gamma(d) - 1) with about 999004 "
+            "decimal digits, beyond the 999002-digit cap\n",
+        )
+
     def test_size_report_counts_digits_exactly(self, capsys):
         d = 10**50 - 1  # math.log10 rounds it up to 50
         code, out, err = run_in_process(["constants", "gamma", str(d)], capsys)
