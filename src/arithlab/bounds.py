@@ -3,33 +3,32 @@
 Every rung answers in one of two shapes: its exact value (an integer,
 or an exact rational), or DigitCapExceeded carrying a ProductSize.  A
 decimal-digit cap guards materialization.  Its one setting is the
-environment variable ASA_DIGIT_CAP (default one million digits), and it
-holds every rung.  Above the cap a rung is refused before it is formed,
-with a size report whose digit counts come from logarithms and are
-flagged as approximate -- never a silently truncated value.  One
-comparator, _over_cap, makes every such decision from log10 of the
-digit count, and forms a value only when that lies too near log10 of
-the cap for the logarithms to decide.  gamma(d) is refused by
-_gamma_sized; every rung over it is sized, and refused, by one product
-path, _checked_product, whose bases and exponents may be held (_Held):
-from 10**40 on, gamma(d), gamma(d) - 1 and lam(d) are known by their
-floating-point log10, and formed only when a product may fit or a
-report prints them.  psi alone keeps a cap keyword, for the benchmark,
-and it holds only psi's own power.
-
-The cap itself (default_digit_cap, DigitCapExceeded) lives in core, so
-that the CLI reads it without importing this module; the names are
-re-exported here unchanged.
+environment variable ASA_DIGIT_CAP (default DEFAULT_DIGIT_CAP, one
+million digits), read here and nowhere else, and it holds every rung.
+A cap above MAX_DIGIT_CAP = 10**7 is refused, so the cap bounds the
+work as well as the size: the largest value it admits, gamma(4578) with
+9,999,548 digits, is formed and printed within a minute.  Above the cap
+a rung is refused before it is formed, with a size report whose digit
+counts come from logarithms and are flagged as approximate -- never a
+silently truncated value.  One comparator, _over_cap, makes every such
+decision from log10 of the digit count, and forms a value only when
+that lies too near log10 of the cap for the logarithms to decide.
+gamma(d) is refused by _gamma_sized; every rung over it is sized, and
+refused, by one product path, _checked_product, whose bases and
+exponents may be held (_Held): from 10**40 on, gamma(d), gamma(d) - 1
+and lam(d) are known by their floating-point log10, and formed only
+when a product may fit or a report prints them.  psi alone keeps a cap
+keyword, for the benchmark, and it holds only psi's own power.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from fractions import Fraction
 
-from .core import DEFAULT_DIGIT_CAP, DIGIT_CAP_ENV, DigitCapExceeded, default_digit_cap
-from .core import Record, factor, valuation
+from .core import DigitCapExceeded, Record, factor, valuation
 
 __all__ = [
     "DigitCapExceeded",
@@ -48,6 +47,27 @@ __all__ = [
     "t1_density_bound",
     "divides_power",
 ]
+
+DIGIT_CAP_ENV = "ASA_DIGIT_CAP"
+DEFAULT_DIGIT_CAP = 10**6
+MAX_DIGIT_CAP = 10**7
+
+
+def default_digit_cap() -> int:
+    """Digit cap from the environment, falling back to DEFAULT_DIGIT_CAP."""
+    raw = os.environ.get(DIGIT_CAP_ENV)
+    if raw is None:
+        return DEFAULT_DIGIT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:  # not an integer, or too long for the interpreter's str(int) guard
+        cap = MAX_DIGIT_CAP + 1 if raw.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
+    if cap > MAX_DIGIT_CAP:
+        raise ValueError(f"{DIGIT_CAP_ENV} must be at most 10^7, got {raw}")
+    return cap
+
 
 def _compact_int(n) -> str:
     """Decimal rendering that never explodes: a value of 10**40 or more,
@@ -143,8 +163,9 @@ def _digits10(factors: tuple[tuple[int, ...], ...]) -> str:
 
 
 def _log10_product(factors: tuple[tuple[int, ...], ...]) -> float:
-    """log10 of prod base**exponent in floating point, for a product of
-    at most 10**300 decimal digits, whose exponents a float holds."""
+    """log10 of prod base**exponent in floating point.  The exponents are
+    formed and multiplied out, so it is called only for a product within
+    the cap or of fewer than 10**15 digits."""
     return sum(math.prod(map(_value, es)) * _log10(b) for b, *es in factors)
 
 
@@ -309,8 +330,9 @@ def psi(d: int, cap: int | None = None) -> int:
     logarithms, and formed only when psi(d) may fit or the report
     prints them.
 
-    The cap keyword holds only this power; gamma(d) stays held to
-    ASA_DIGIT_CAP, so psi(1448, cap=10**9) is refused as gamma(1448).
+    The cap keyword holds only this power, and is not held to
+    MAX_DIGIT_CAP; gamma(d) stays held to ASA_DIGIT_CAP, so
+    psi(1448, cap=10**9) is refused as gamma(1448).
     It stays for the benchmark task psi-2-cap159, which calls
     psi(2, cap=159); no other rung takes a cap.
     """

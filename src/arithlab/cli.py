@@ -27,11 +27,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .core import (
-    FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, default_digit_cap, factor,
-)
+from .core import FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, factor
 
 __all__ = ["main", "run"]
+
+# The interpreter's int-string guard while a command runs.  Linux caps one
+# argv string at 128 KiB, so every integer argument fits under it, and a
+# lattice-file token over it is refused before it is converted.
+MAX_INT_DIGITS = 2**17
 
 
 def _decimal(n: int) -> str:
@@ -173,9 +176,12 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
             try:
                 tokens.append(int(tok))
             except ValueError as exc:
-                raise UsageError(
-                    f"malformed lattice file {path!r}: non-integer token {tok!r}"
-                ) from exc
+                fault = (
+                    f"a token of {len(tok)} characters exceeds MAX_INT_DIGITS = {MAX_INT_DIGITS}"
+                    if len(tok) > MAX_INT_DIGITS
+                    else f"non-integer token {tok!r}"
+                )
+                raise UsageError(f"malformed lattice file {path!r}: {fault}") from exc
     pos = 0
 
     def take(k: int, what: str) -> list[int]:
@@ -643,17 +649,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Execute one subcommand; returns the process exit code.
 
-    The interpreter's decimal-rendering guard is lifted for the call and
-    handed back to the caller on every exit path.
+    The interpreter's int-string guard is set to MAX_INT_DIGITS for the
+    call and handed back to the caller on every exit path.  Exact outputs
+    are rendered by _decimal, which the guard does not limit.
     """
     guard = sys.get_int_max_str_digits()
     try:
-        # Exact values may run to hundreds of thousands of digits; lift the
-        # interpreter's decimal-rendering guard up to the digit cap before
-        # argparse converts any integer argument.  The guard is a C int, and
-        # _decimal renders exact outputs without str(int), so a larger cap
-        # loses nothing by the clamp.
-        sys.set_int_max_str_digits(min(max(default_digit_cap() + 10, 20000), 2**31 - 1))
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
         report = _report(args, argv)

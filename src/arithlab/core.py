@@ -1,6 +1,6 @@
 """Exact integer arithmetic: primality, factorization, CRT, prime search,
-and Smith normal form over the integers; and the decimal-digit cap that
-guards materializing huge exact values.
+and Smith normal form over the integers; and DigitCapExceeded, the refusal
+of the constant ladder.
 
 Everything here is exact -- Python ints throughout, no floating point.
 
@@ -15,7 +15,6 @@ row lists it builds itself with nothing appended.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from functools import cache
 
@@ -36,7 +35,6 @@ __all__ = [
     "integer_kernel",
     "determinant",
     "DigitCapExceeded",
-    "default_digit_cap",
 ]
 
 FACTOR_LIMIT = 2**64  # factor's range is 1 <= n <= FACTOR_LIMIT
@@ -746,33 +744,13 @@ def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Digit cap.  It lives here, with the arithmetic every module imports, so
-# that the CLI can read it without importing bounds.
+# The digit-cap refusal.
 # ---------------------------------------------------------------------------
-
-DIGIT_CAP_ENV = "ASA_DIGIT_CAP"
-DEFAULT_DIGIT_CAP = 10**6
-MAX_DIGIT_CAP = 10**300  # below it every digit count the ladder admits is a finite float
-
-
-def default_digit_cap() -> int:
-    """Digit cap from the environment, falling back to one million."""
-    raw = os.environ.get(DIGIT_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIGIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:  # not an integer, or too long for the interpreter's str(int) guard
-        cap = MAX_DIGIT_CAP + 1 if raw.strip().isdecimal() else 0
-    if cap < 1:
-        raise ValueError(f"{DIGIT_CAP_ENV} must be a positive integer, got {raw}")
-    if cap > MAX_DIGIT_CAP:
-        raise ValueError(f"{DIGIT_CAP_ENV} must be at most 10^300, got {raw}")
-    return cap
 
 
 class DigitCapExceeded(ArithmeticError):
-    """An exact value would exceed the digit cap; carries the size report."""
+    """A value of the constant ladder (bounds) would exceed the digit cap;
+    carries the size report.  cli.run catches it without importing bounds."""
 
     def __init__(self, name: str, size: ProductSize, cap: int):
         self.name = name

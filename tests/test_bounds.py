@@ -252,17 +252,16 @@ class TestPsi:
             default_digit_cap()
 
     def test_cap_keeps_digit_counts_finite(self, monkeypatch):
-        # Up to 10^300 digits every digit count the ladder admits is a
-        # finite float, so a rung far beyond the largest cap is still
-        # refused from its logarithms; a larger cap is refused itself.
-        monkeypatch.setenv("ASA_DIGIT_CAP", str(10**300))
-        assert default_digit_cap() == 10**300 and gamma(2) == 48
+        # Under the largest cap, 10^7, a rung far beyond it is still refused
+        # from its logarithms; a larger cap is refused itself.
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(10**7))
+        assert default_digit_cap() == 10**7 and gamma(2) == 48
         for rung in (gamma, lam, psi, lambda d: c_tilde(d, 1), lambda d: c_tilde_improved(d, 1)):
             with pytest.raises(DigitCapExceeded):
                 rung(10**160)
-        # The second cap is too long for int() under the interpreter's default guard.
-        caps = [str(10**300 + 1), str(10**5000)]
-        message = r"^ASA_DIGIT_CAP must be at most 10\^300, got 1"
+        # The last cap is too long for int() under the interpreter's default guard.
+        caps = [str(10**7 + 1), str(10**300), str(10**5000)]
+        message = r"^ASA_DIGIT_CAP must be at most 10\^7, got 1"
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:

@@ -16,6 +16,9 @@ runs.  Each row of BUDGETS names a budget and gives:
   points at a callee that the commands no longer use.
 - check: what the inside commands must print, beyond status "ok".
 
+A command may begin with ASA_DIGIT_CAP=value, which sets the cap for it
+as in a shell; every other command runs with the cap unset.
+
 The README's "Work budgets" table gives each budget's value, module and
 what it refuses; a test below compares it with the live constants.
 """
@@ -51,9 +54,17 @@ def _trivial_lattice(d):
     return f"1\n0\n{d}\n" + " ".join("1" if i % (d + 1) == 0 else "0" for i in range(d * d))
 
 
+def _shear_lattice(digits):
+    """C2 acting on Z^2 by [[1, N], [0, -1]], with N = 99...9 of the given
+    number of digits, as a lattice file."""
+    return f"2\n0 1\n1 0\n2\n1 0 0 1\n1 {'9' * digits} 0 -1\n"
+
+
 ORDERS = [-1, 0, 49, 10**9, 2**63, 10**30]
+LONG = cli.MAX_INT_DIGITS + 1  # the digits of a token just over the int-string guard
 FILES = {
     **{f"order{s}.txt": f"{s}\n0 1\n1 0\n" for s in ORDERS},
+    **{f"shear{k}.txt": _shear_lattice(k) for k in (LONG - 1, LONG)},
     "j-c48.txt": LATTICE_FILES["j-c48.txt"],
     "rank64.txt": _trivial_lattice(64),
     "rank65.txt": _trivial_lattice(65),
@@ -116,7 +127,7 @@ BUDGETS = [
         ),
     ),
     Budget(
-        "core",
+        "bounds",
         "DEFAULT_DIGIT_CAP",
         heavy={"bounds._gamma_product": ALWAYS},
         outside={
@@ -155,6 +166,34 @@ BUDGETS = [
         },
         inside=("constants gamma 1447",),
         check=_gamma_1447_digits,
+    ),
+    Budget(
+        "bounds",
+        "MAX_DIGIT_CAP",
+        heavy={"bounds._gamma_product": ALWAYS},
+        outside={
+            f"ASA_DIGIT_CAP={10**7 + 1} constants gamma 2": (
+                "error: invalid input: ASA_DIGIT_CAP must be at most 10^7, got 10000001\n"
+            ),
+        },
+        # gamma(4578) has 9,999,548 digits and takes about 30 s cold.
+        inside=(f"ASA_DIGIT_CAP={10**7} constants gamma 4578",),
+        inside_runs=False,
+    ),
+    Budget(
+        "cli",
+        "MAX_INT_DIGITS",
+        # int() refuses a token over the guard by its length, before it
+        # converts any digit; the file is refused before the group is built.
+        heavy={"cohomology.FiniteGroup": ALWAYS},
+        outside={
+            f"h1 shear{LONG}.txt": (
+                f"error: malformed lattice file 'shear{LONG}.txt': a token of {LONG} characters "
+                f"exceeds MAX_INT_DIGITS = {LONG - 1}\n"
+            ),
+        },
+        inside=(f"h1 shear{LONG - 1}.txt",),
+        check=lambda outputs: outputs["group_order"] == outputs["rank"] == "2",
     ),
     Budget(
         "cohomology",
@@ -295,7 +334,10 @@ def _run(command, tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(FILES[name])
     monkeypatch.chdir(tmp_path)  # the stderr lines quote the lattice files by name
     monkeypatch.delenv("ASA_DIGIT_CAP", raising=False)
-    code = cli.run(command.split())
+    argv = command.split()
+    if argv[0].startswith("ASA_DIGIT_CAP="):
+        monkeypatch.setenv("ASA_DIGIT_CAP", argv.pop(0).partition("=")[2])
+    code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

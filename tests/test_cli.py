@@ -312,15 +312,6 @@ class TestExitCodes:
         assert err.startswith("error: digit cap exceeded: c_reductive(1, 1, ")
         assert ("<1001-digit integer>" in err) == (r > 10**40)
 
-    @pytest.mark.parametrize("cap", [str(2**31 - 10), str(10**20)])
-    def test_cap_beyond_a_c_int_works(self, cap, capsys, monkeypatch):
-        # The interpreter's rendering guard takes a C int; cap + 10 would overflow it.
-        code, default_out, _ = run_in_process(["constants", "gamma", "2"], capsys)
-        assert code == 0
-        monkeypatch.setenv("ASA_DIGIT_CAP", cap)
-        code, out, _ = run_in_process(["constants", "gamma", "2"], capsys)
-        assert (code, out) == (0, default_out)
-
     @pytest.mark.parametrize(
         "args, expected",
         [
@@ -356,13 +347,75 @@ class TestExitCodes:
             f"error: invalid input: ASA_DIGIT_CAP must be a positive integer, got {cap}\n"
         )
 
-    @pytest.mark.parametrize("cap", [10**300 + 1, 10**309], ids=["10^300+1", "10^309"])
+    @pytest.mark.parametrize("cap", [10**7 + 1, 10**309], ids=["10^7+1", "10^309"])
     def test_cap_past_float_range_refused(self, cap, capsys, monkeypatch):
-        # Up to 10^300 digits every digit count the ladder admits is a finite float.
+        # A cap above 10^7 is refused: under it the largest rung admitted,
+        # gamma(4578), is formed and printed within a minute.
         monkeypatch.setenv("ASA_DIGIT_CAP", str(cap))
         code, out, err = run_in_process(["constants", "gamma", "2"], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: invalid input: ASA_DIGIT_CAP must be at most 10^300, got {cap}\n"
+        assert err == f"error: invalid input: ASA_DIGIT_CAP must be at most 10^7, got {cap}\n"
+
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            (
+                ["psi", "5"],
+                "psi(5) = 475566474240^2377832371195 with about 27766450869868 decimal digits",
+            ),
+            (
+                ["ctilde", "10", "1"],
+                "gamma(<49-digit integer>) = prod_{i=0}^{d-1} (3^d - 3^i) at d = <49-digit "
+                "integer> with about 3.9761e+96 decimal digits",
+            ),
+        ],
+    )
+    def test_largest_cap_refuses_before_forming(self, command, report, capsys, monkeypatch):
+        # Neither forms a value: psi(5) has 2.8 * 10^13 digits, and ctilde
+        # refuses gamma(lam(10)), with about 4 * 10^96, from its logarithm.
+        monkeypatch.setenv("ASA_DIGIT_CAP", str(10**7))
+        start = time.monotonic()
+        result = run_in_process(["constants", *command], capsys)
+        assert time.monotonic() - start < 1.0
+        assert result == (
+            2, "", f"error: digit cap exceeded: {report}, beyond the 10000000-digit cap\n"
+        )
+
+    DECOUPLED = [
+        "symbol legendre 2 7",
+        "density exact 1(4)",
+        "tractable 1(4) 4:1",
+        "h1 sign.txt",
+        "example 2.5 --height 10",
+        "section7 3 2 13 37",
+        "local-index 13 3",
+    ]
+
+    @pytest.mark.parametrize("cap", ["abc", "0", str(10**7 + 1)])
+    def test_only_constants_reads_the_digit_cap(self, cap, tmp_path, capsys, monkeypatch):
+        # A cap that constants refuses changes no other command.
+        (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
+        monkeypatch.chdir(tmp_path)
+        for command in self.DECOUPLED:
+            monkeypatch.delenv("ASA_DIGIT_CAP", raising=False)
+            code, out, _ = run_in_process(command.split(), capsys)
+            assert code == 0, command
+            monkeypatch.setenv("ASA_DIGIT_CAP", cap)
+            assert run_in_process(command.split(), capsys)[:2] == (code, out), command
+
+    def test_long_argument_under_a_small_cap(self, capsys, monkeypatch):
+        # The int-string guard is MAX_INT_DIGITS whatever the cap.
+        monkeypatch.setenv("ASA_DIGIT_CAP", "48")
+        a = "3" * 25_000
+        code, out, _ = run_in_process(["symbol", "legendre", a, "7"], capsys)
+        assert code == 0 and json.loads(out)["inputs"]["a"] == a
+
+    def test_longest_argv_string_runs_cold(self):
+        # Linux caps one argv string at 128 KiB, its terminating NUL included.
+        a = "3" * (cli.MAX_INT_DIGITS - 1)
+        result = run_cli(["symbol", "legendre", a, "7"])
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["inputs"]["a"] == a
 
     PRIME_BELOW_TWO = {
         "symbol legendre -- 3 -7": "invalid input: legendre requires an odd prime, got -7",
@@ -692,7 +745,7 @@ class TestFuzzedLatticeFiles:
     VALUE = st.one_of(
         st.integers(-2, 3),
         st.integers(-3, 60),
-        st.sampled_from([49, 10**9, 2**63, 10**30, -(10**20)]),
+        st.sampled_from([49, 10**9, 2**63, 10**30, -(10**20), "9" * (cli.MAX_INT_DIGITS + 1)]),
         st.sampled_from(["x", "1.5", "--", "0x10", "1e3", "\u0661", "7_7"]),
     )
     SEPARATOR = st.sampled_from([" ", "\n", "\t", "  # comment 1 2\n", "\r\n"])
@@ -737,6 +790,23 @@ class TestFuzzedLatticeFiles:
             path.write_text(" ".join(map(str, tokens)))
             code, out, _ = run_in_process(["h1", str(path)], capsys)
             assert code == 0 and json.loads(out)["status"] == "ok", tokens
+
+    @pytest.mark.parametrize("digits", [cli.MAX_INT_DIGITS + 1, 10**6])
+    def test_long_token_refused_by_its_length(self, digits, tmp_path, capsys):
+        # C2 acting by [[1, N], [0, -1]] is a lattice for every N; an N over
+        # the int-string guard is refused before it is converted, and the
+        # message names its length, not its digits.
+        path = tmp_path / "long.txt"
+        path.write_text(f"2\n0 1\n1 0\n2\n1 0 0 1\n1 {'9' * digits} 0 -1\n")
+        start = time.monotonic()
+        result = run_in_process(["h1", str(path)], capsys)
+        assert time.monotonic() - start < 1.0
+        assert result == (
+            2,
+            "",
+            f"error: malformed lattice file {str(path)!r}: a token of {digits} characters "
+            f"exceeds MAX_INT_DIGITS = {cli.MAX_INT_DIGITS}\n",
+        )
 
     @settings(max_examples=200)
     @given(content=edited_files())

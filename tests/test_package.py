@@ -73,10 +73,15 @@ def test_unknown_name_raises_attribute_error():
         exec("from arithlab import no_such_name", {})
 
 
+CAP_SETTING = ("DIGIT_CAP_ENV", "DEFAULT_DIGIT_CAP", "MAX_DIGIT_CAP", "default_digit_cap")
+
+
 def test_digit_cap_guard_is_shared_by_core_and_bounds():
-    for name in ("DIGIT_CAP_ENV", "DEFAULT_DIGIT_CAP", "default_digit_cap", "DigitCapExceeded"):
-        assert getattr(bounds, name) is getattr(core, name), name
-    assert arithlab.DigitCapExceeded is core.DigitCapExceeded
+    # bounds owns the cap's setting; core holds only the refusal, which
+    # cli.run catches without importing bounds.
+    for name in CAP_SETTING:
+        assert hasattr(bounds, name) and not hasattr(core, name), name
+    assert bounds.DigitCapExceeded is arithlab.DigitCapExceeded is core.DigitCapExceeded
 
 
 def test_cli_digit_cap_refusal_is_unchanged():
@@ -106,3 +111,21 @@ def test_no_module_imports_dataclasses_or_typing():
             else:
                 continue
             assert not {m.partition(".")[0] for m in modules} & forbidden, path.name
+
+
+def test_only_bounds_names_the_digit_cap_setting():
+    # The cap guards the constant ladder alone: no other module reads it,
+    # so no other command's behaviour can depend on it.
+    package = Path(arithlab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & set(CAP_SETTING), path.name
