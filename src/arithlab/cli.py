@@ -12,12 +12,14 @@ failure, 2 usage error (unknown subcommand, malformed input file, an
 input over a work budget, or a digit-cap overflow).
 
 Only core is imported up front; each handler imports the modules it
-uses when it runs, so a command loads nothing it does not call.
+uses when it runs, so a command loads nothing it does not call.  One
+table, _GRAMMAR, describes every family, leaf and argument.  A small
+parser reads a well-formed argv off it; argparse loads only for argv the
+small parser does not accept, and writes every usage error and help text.
 """
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import itertools
 import json
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 import time
+import types
 from fractions import Fraction
 
 from .core import FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, factor
@@ -566,84 +569,135 @@ def _certify_local_index(args, parsed, outputs):
     return [_cert("power-count-agrees", count * outputs["index"] == args.p - 1)]
 
 
+# The grammar: the one table of the CLI's families, leaves and arguments,
+# which _build_parser and _parse_fast both read.  A family has its help, the
+# values of its set_defaults, named by _SET_DEFAULTS, the dest of its leaf's
+# name and its leaves, each with its arguments; a family whose dest is None
+# takes its arguments itself.  Arguments map a name, --name for an option,
+# to its add_argument keywords.
+_SET_DEFAULTS = ("compute", "certify", "module")
+_INT, _REQUIRED_INT = {"type": int}, {"type": int, "required": True}
+_GRAMMAR = {
+    "constants": (
+        "evaluate the constant ladder", (_compute_constants, _certify_constants, "bounds"),
+        "constant",
+        {leaf: dict.fromkeys(names, _INT) for leaf, (_, names, _) in _CONSTANTS.items()},
+    ),
+    "symbol": (
+        "quadratic and Hilbert symbols", (_compute_symbol, _certify_symbol, "symbols"),
+        "symbol", {
+            "legendre": {"a": _INT, "p": _INT},
+            "jacobi": {"a": _INT, "n": _INT},
+            "hilbert": {"a": {}, "b": {}, "place": {}},
+        },
+    ),
+    "density": (
+        "progression densities", (_compute_density, _certify_density, "progressions"),
+        "kind", {
+            "exact": {"spec": {}},
+            "estimate": {"spec": {}, "--bound": {"type": int, "default": 10**6}},
+            "intersection": {"spec": {}, "ext": {}},
+        },
+    ),
+    "tractable": (
+        "class-restriction condition", (_compute_tractable, _certify_tractable, "progressions"),
+        None, {"spec": {}, "target": {}},
+    ),
+    "h1": (
+        "lattice cohomology from a file", (_compute_h1, _certify_h1, "cohomology"),
+        None, {"lattice_file": {}},
+    ),
+    "example": (
+        "worked experiments", (_compute_example, _certify_example, "experiments"),
+        "which", {
+            "2.1": {"--ell": _REQUIRED_INT},
+            "2.3": {"--target": {"required": True}},
+            "2.4": {"--q": _REQUIRED_INT, "--bound": {"type": int, "default": 1000}},
+            "2.5": {"--height": _REQUIRED_INT},
+        },
+    ),
+    "section7": (
+        "power-index growth report", (_compute_section7, _certify_section7, "experiments"),
+        None, {"n": _INT, "ell": _INT, "primes": {"type": int, "nargs": "*"}},
+    ),
+    "local-index": (
+        "index of n-th powers mod p", (_compute_local_index, _certify_local_index, "experiments"),
+        None, {"p": _INT, "n": _INT},
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _GRAMMAR, which writes every usage error and help text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arithlab",
         description="Exact desk-scale number theory: symbols, progressions, "
         "lattice cohomology, index bounds, and worked experiments.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    constants = sub.add_parser("constants", help="evaluate the constant ladder")
-    csub = constants.add_subparsers(dest="constant", required=True)
-    for name, (_, arg_names, _) in _CONSTANTS.items():
-        p = csub.add_parser(name)
-        for arg in arg_names:
-            p.add_argument(arg, type=int)
-    constants.set_defaults(compute=_compute_constants, certify=_certify_constants, module="bounds")
-
-    symbol = sub.add_parser("symbol", help="quadratic and Hilbert symbols")
-    ssub = symbol.add_subparsers(dest="symbol", required=True)
-    p = ssub.add_parser("legendre")
-    p.add_argument("a", type=int)
-    p.add_argument("p", type=int)
-    p = ssub.add_parser("jacobi")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p = ssub.add_parser("hilbert")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("place")
-    symbol.set_defaults(compute=_compute_symbol, certify=_certify_symbol, module="symbols")
-
-    density = sub.add_parser("density", help="progression densities")
-    dsub = density.add_subparsers(dest="kind", required=True)
-    p = dsub.add_parser("exact")
-    p.add_argument("spec")
-    p = dsub.add_parser("estimate")
-    p.add_argument("spec")
-    p.add_argument("--bound", type=int, default=10**6)
-    p = dsub.add_parser("intersection")
-    p.add_argument("spec")
-    p.add_argument("ext")
-    density.set_defaults(compute=_compute_density, certify=_certify_density, module="progressions")
-
-    tr = sub.add_parser("tractable", help="class-restriction condition")
-    tr.add_argument("spec")
-    tr.add_argument("target")
-    tr.set_defaults(compute=_compute_tractable, certify=_certify_tractable, module="progressions")
-
-    h1cmd = sub.add_parser("h1", help="lattice cohomology from a file")
-    h1cmd.add_argument("lattice_file")
-    h1cmd.set_defaults(compute=_compute_h1, certify=_certify_h1, module="cohomology")
-
-    example = sub.add_parser("example", help="worked experiments")
-    esub = example.add_subparsers(dest="which", required=True)
-    p = esub.add_parser("2.1")
-    p.add_argument("--ell", type=int, required=True)
-    p = esub.add_parser("2.3")
-    p.add_argument("--target", required=True)
-    p = esub.add_parser("2.4")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--bound", type=int, default=1000)
-    p = esub.add_parser("2.5")
-    p.add_argument("--height", type=int, required=True)
-    example.set_defaults(compute=_compute_example, certify=_certify_example, module="experiments")
-
-    s7 = sub.add_parser("section7", help="power-index growth report")
-    s7.add_argument("n", type=int)
-    s7.add_argument("ell", type=int)
-    s7.add_argument("primes", type=int, nargs="*")
-    s7.set_defaults(compute=_compute_section7, certify=_certify_section7, module="experiments")
-
-    li = sub.add_parser("local-index", help="index of n-th powers mod p")
-    li.add_argument("p", type=int)
-    li.add_argument("n", type=int)
-    li.set_defaults(
-        compute=_compute_local_index, certify=_certify_local_index, module="experiments"
-    )
-
+    for family, (help_text, defaults, dest, leaves) in _GRAMMAR.items():
+        fp = sub.add_parser(family, help=help_text)
+        fp.set_defaults(**dict(zip(_SET_DEFAULTS, defaults)))
+        if dest is None:
+            parsers = [(fp, leaves)]
+        else:
+            leaf_parsers = fp.add_subparsers(dest=dest, required=True)
+            parsers = [(leaf_parsers.add_parser(leaf), leaves[leaf]) for leaf in leaves]
+        for p, arguments in parsers:
+            for name, keywords in arguments.items():
+                p.add_argument(name, **keywords)
     return parser
+
+
+def _parse_fast(argv: list[str]) -> types.SimpleNamespace | None:
+    """argparse's namespace for a plainly well-formed argv, read off _GRAMMAR; else None.
+
+    Accepted: the family and leaf names as given, positionals that do not
+    start with -, and each option once as an exact --name value pair whose
+    value does not start with -; values are converted by their type.  On
+    anything else, a help request, --, --name=value, an abbreviation, a
+    negative number, a missing or extra token or a failed conversion
+    among them, it returns None, and argparse parses argv and writes the
+    usage error or help.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, defaults, dest, arguments = _GRAMMAR[argv[0]]
+    values, tokens = {"cmd": argv[0], **dict(zip(_SET_DEFAULTS, defaults))}, iter(argv[1:])
+    if dest is not None:
+        values[dest] = leaf = next(tokens, None)
+        if leaf not in arguments:
+            return None
+        arguments = arguments[leaf]
+    positionals, options = [], {}
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in arguments or token in options or value.startswith("-"):
+            return None
+        options[token] = value
+    try:
+        for name, keywords in arguments.items():
+            convert = keywords.get("type", str)
+            if name in options:
+                values[name[2:]] = convert(options[name])
+            elif name.startswith("-"):
+                if keywords.get("required"):
+                    return None
+                values[name[2:]] = keywords.get("default")
+            elif keywords.get("nargs") == "*":
+                values[name], positionals = [convert(t) for t in positionals], []
+            elif positionals:
+                values[name] = convert(positionals.pop(0))
+            else:
+                return None
+    except ValueError:
+        return None
+    return None if positionals else types.SimpleNamespace(**values)
 
 
 def run(argv: list[str]) -> int:
@@ -656,7 +710,7 @@ def run(argv: list[str]) -> int:
     guard = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
-        args = _build_parser().parse_args(argv)
+        args = _parse_fast(argv) or _build_parser().parse_args(argv)
         start = time.monotonic()
         report = _report(args, argv)
     except SystemExit as exc:

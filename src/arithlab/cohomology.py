@@ -86,9 +86,23 @@ MAX_SYMMETRIC_DEGREE = 4
 
 
 def _check_order(s: int) -> None:
-    """Refuse a group order outside 1..MAX_GROUP_ORDER, before any table is built."""
-    if not 1 <= s <= MAX_GROUP_ORDER:
+    """Refuse a group order outside 1..MAX_GROUP_ORDER, before any table is built.
+
+    An order of 10^40 or more in size is named by its digit count, in the
+    <k-digit integer> form of bounds, so the refusal stays short and
+    str() of the whole value is never taken.
+    """
+    if 1 <= s <= MAX_GROUP_ORDER:
+        return
+    size = abs(s)
+    if size < 10**40:
         raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {s}")
+    # floor(bit_length * log10 2) is the digit count or one less, so k starts below it.
+    k = int(size.bit_length() * math.log10(2)) - 1
+    while 10**k <= size:
+        k += 1
+    sign = "-" if s < 0 else ""
+    raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {sign}<{k}-digit integer>")
 
 
 class FiniteGroup(Record):

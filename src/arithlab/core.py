@@ -41,14 +41,14 @@ FACTOR_LIMIT = 2**64  # factor's range is 1 <= n <= FACTOR_LIMIT
 
 # Deterministic Miller-Rabin witness sets: (bound, bases) is exact for
 # every odd n < bound.  The smallest strong pseudoprimes to bases 2, 3 and
-# to 2, 3, 5, 7 are 1,373,653 and 3,215,031,751.  The last tier is
-# Sinclair's seven-base set (2011), checked against Feitsma's list of the
-# base-2 strong pseudoprimes below 2^64; its bases are all below the
-# tier's least n, so none is 0 mod n.
+# to 2, 3, 5, 7 are 1,373,653 and 3,215,031,751.  From there is_prime runs
+# Baillie-PSW, which has no pseudoprime below 2^64 (Gilchrist, 2009, by
+# Feitsma's list of the base-2 strong pseudoprimes below 2^64): below
+# 3,215,031,751 these tiers are faster, two or four powers against a
+# power and a Lucas ladder.
 _MR_TIERS = (
     (1_373_653, (2, 3)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -233,7 +233,7 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
     """Strong probable-prime test of odd n > 2 to each base a, 1 < a < n.
 
     No base is reduced mod n: every tier of _MR_TIERS holds bases below
-    its least n, and Baillie-PSW uses base 2 on n > 2^64.
+    its least n, and Baillie-PSW uses base 2 on n >= 3,215,031,751.
     """
     r, d = valuation(n - 1, 2)
     for a in bases:
@@ -315,7 +315,7 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# Above 2^64, one gcd with the product of the odd primes below this bound
+# From 2^64 on, one gcd with the product of the odd primes below this bound
 # refuses every n with such a factor before any modular power is taken.
 _PRIMORIAL_BOUND = 4096
 
@@ -329,14 +329,16 @@ def _odd_primorial() -> int:
 def is_prime(n: int) -> bool:
     """Deterministic primality test; every n < 2 is not prime.
 
-    Trial division by the primes up to 47 settles every n < 53^2.  Up
-    to 2^64 a Miller-Rabin witness set proven exact below the size of n
-    decides: two, four or seven bases, the seven of Sinclair (2011).
-    Above 2^64, n is refused when it shares a factor with the product of
-    the odd primes below 4096 (one gcd), and otherwise a Baillie-PSW test
+    Trial division by the primes up to 47 settles every n < 53^2.  Below
+    3,215,031,751 a Miller-Rabin witness set proven exact below the size
+    of n decides, with two or four bases.  From there a Baillie-PSW test
     decides: Miller-Rabin base 2, then the strong Lucas test of Baillie
-    and Wagstaff (Math. Comp. 35, 1980).  The gcd changes no verdict,
-    since each such factor is a prime below n.
+    and Wagstaff (Math. Comp. 35, 1980).  It has no pseudoprime below
+    2^64 (Gilchrist, 2009, by Feitsma's list), and none is known above.
+    From 2^64 on, n is first refused when it shares a factor with the
+    product of the odd primes below 4096 (one gcd).  The gcd changes no
+    verdict, since each such factor is a prime below n.  Below 2^64 it
+    is not taken: building the product costs more than it saves there.
 
     The bound 4096 was measured (medians of 9, CPython 3.11, x86-64) on
     build_biased_prime_sets(6) and on 400 consecutive odd n at 128, 256,
@@ -358,7 +360,7 @@ def is_prime(n: int) -> bool:
     for bound, bases in _MR_TIERS:
         if n < bound:
             return _miller_rabin(n, bases)
-    if math.gcd(n, _odd_primorial()) != 1:
+    if n >= 2**64 and math.gcd(n, _odd_primorial()) != 1:
         return False
     return _miller_rabin(n, (2,)) and _lucas_strong_probable_prime(n)
 

@@ -1,7 +1,8 @@
 """The three stdout pins: the CLI sweep, the pinned commands and the demos.
 
-Run as a script, it checks all three pin files on whatever Python runs it
-and prints every mismatch:
+Run as a script, it checks all three pin files on whatever Python runs it,
+and that the CLI's two parsers agree on the sweep's commands, and prints
+every mismatch:
 
     python tests/stdout_pins.py
 
@@ -256,6 +257,30 @@ def stdout_mismatches(directory: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# The two parsers: cli.run tries cli._parse_fast, which reads a plainly
+# well-formed argv off the grammar table or returns None, before argparse.
+# Each argv it accepts must parse to argparse's namespace; argparse differs
+# between CPython versions, so this is checked on each of them.
+
+
+def parser_disagreements(commands) -> list[str]:
+    """One line for each argv that _parse_fast accepts and argparse parses otherwise."""
+    problems = []
+    for argv in commands:
+        fast = cli._parse_fast(argv)
+        if fast is None:
+            continue
+        try:
+            with redirect_stderr(io.StringIO()):
+                slow = vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            slow = f"exit {exc.code}"
+        if vars(fast) != slow:
+            problems.append(f"{argv}: _parse_fast gives {vars(fast)}, argparse {slow}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # The demos: every script in demos/ runs in a fresh interpreter, and the
 # sha256 of its stdout is its pin.
 
@@ -288,12 +313,13 @@ def main() -> int:
         os.chdir(tmp)  # the sweep names its lattice files relative to it
         problems = sweep_mismatches(Path(tmp)) + stdout_mismatches(Path(tmp))
         os.chdir(cwd)
+    problems += parser_disagreements(sweep_commands())
     problems += unpinned_demos()
     problems += demo_mismatches(sorted(json.loads(DEMO_PIN.read_text())))
     for line in problems:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {len(problems)} mismatches in the three pin files")
+    print(f"Python {version}: {len(problems)} mismatches in the three pin files and the parsers")
     return 1 if problems else 0
 
 

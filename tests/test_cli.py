@@ -18,7 +18,12 @@ from arithlab import cli, cohomology, progressions
 from arithlab.cohomology import AbelianGroupInvariants
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
-from stdout_pins import VALID_LATTICE_FILES
+from stdout_pins import (
+    VALID_LATTICE_FILES,
+    determinism_commands,
+    parser_disagreements,
+    sweep_commands,
+)
 from test_cohomology import S4_C2, augmentation_dual_matrices
 from tree_python import run_python, tree_env
 
@@ -40,6 +45,31 @@ def run_in_process(args, capsys):
     code = cli.run(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One well-formed command for each leaf, and for each family without leaves.
+WELL_FORMED = [
+    ["constants", "gamma", "2"],
+    ["constants", "lambda", "2"],
+    ["constants", "psi", "2"],
+    ["constants", "ctilde", "1", "2"],
+    ["constants", "ctilde-improved", "1", "3"],
+    ["constants", "creductive", "1", "2", "1"],
+    ["symbol", "legendre", "11", "5"],
+    ["symbol", "jacobi", "2", "15"],
+    ["symbol", "hilbert", "2", "3", "inf"],
+    ["density", "exact", "1(4)"],
+    ["density", "estimate", "1(4)", "--bound", "100000"],
+    ["density", "intersection", "1(4)", "5"],
+    ["tractable", "1(4)", "4:1"],
+    ["h1", "sign.txt"],
+    ["example", "2.1", "--ell", "2"],
+    ["example", "2.3", "--target", "2^2=3"],
+    ["example", "2.4", "--q", "5", "--bound", "1000"],
+    ["example", "2.5", "--height", "10"],
+    ["section7", "3", "2", "13", "37"],
+    ["local-index", "13", "3"],
+]
 
 
 class TestReports:
@@ -808,6 +838,19 @@ class TestFuzzedLatticeFiles:
             f"exceeds MAX_INT_DIGITS = {cli.MAX_INT_DIGITS}\n",
         )
 
+    def test_long_order_named_by_its_digit_count(self, tmp_path, capsys):
+        # The longest token the int-string guard admits, as the group order:
+        # the refusal names its digit count, not its digits.
+        path = tmp_path / "long-order.txt"
+        path.write_text("9" * cli.MAX_INT_DIGITS + "\n")
+        code, out, err = run_in_process(["h1", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed lattice file {str(path)!r}: group order must be in 1..48, "
+            f"got <{cli.MAX_INT_DIGITS}-digit integer>\n"
+        )
+        assert len(err) < 200
+
     @settings(max_examples=200)
     @given(content=edited_files())
     def test_edited_files(self, tmp_path_factory, content):
@@ -880,6 +923,130 @@ class TestImportFootprint:
         # The value classes are core.Record subclasses: dataclasses, and
         # the inspect it imports, cost a cold command about 11-14 ms.
         assert heavy == ""
+
+    # argparse, and the gettext and locale it imports, cost a cold command
+    # about 6-8 ms; a well-formed command is parsed without them.
+    PARSER_PROBE = PROBE + "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_well_formed_command_loads_no_argparse(self, family, tmp_path):
+        argv = next(argv for argv in WELL_FORMED if argv[0] == family)
+        (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
+        result = run_python(["-c", self.PARSER_PROBE, *argv], text=True, cwd=tmp_path)
+        loaded, _, parsers = result.stdout.splitlines()
+        assert loaded.split()[0] == "0", result.stderr
+        assert parsers == ""
+
+    def test_usage_error_still_goes_to_argparse(self):
+        result = run_python(["-c", self.PARSER_PROBE, "constants", "gamma", "x"], text=True)
+        loaded, _, parsers = result.stdout.splitlines()
+        assert loaded.split()[0] == "2" and "argparse" in parsers.split()
+        result = run_cli(["constants", "gamma", "x"])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "usage: arithlab constants gamma [-h] d\n"
+            "arithlab constants gamma: error: argument d: invalid int value: 'x'\n"
+        )
+
+
+class TestParsers:
+    """cli.run parses a plainly well-formed argv with _parse_fast, and hands
+    anything else to argparse, which writes the usage error or help."""
+
+    def test_every_leaf_parses_fast(self):
+        # So the saving on a well-formed command cannot silently vanish.
+        leaves = {
+            (family, leaf)
+            for family, (_, _, dest, body) in cli._GRAMMAR.items()
+            for leaf in (body if dest else [None])
+        }
+        covered = {(a[0], a[1] if cli._GRAMMAR[a[0]][2] else None) for a in WELL_FORMED}
+        assert covered == leaves
+        assert [argv for argv in WELL_FORMED if cli._parse_fast(argv) is None] == []
+
+    def test_agreement_on_the_pinned_corpora(self):
+        sweep = sweep_commands()
+        unmarked = [[t for t in argv if t != "--"] for argv in sweep if "--" in argv]
+        commands = sweep + determinism_commands() + unmarked + WELL_FORMED
+        assert sum(cli._parse_fast(argv) is not None for argv in commands) > 200
+        assert parser_disagreements(commands) == []
+
+    @staticmethod
+    def perturbed(rng, argv):
+        """argv with one random edit at token i, half the time an option's name.
+
+        The edits: a reorder, a duplicate, --opt=value, an abbreviation, an
+        extra or a missing token, a missing option, x, a negative number,
+        '', -h, a huge int and --.  Most leave argv to argparse; a reorder,
+        a duplicated positional or a missing optional option may still be
+        well formed.
+        """
+        tokens = list(argv)
+        options = [k for k, t in enumerate(tokens) if t.startswith("--")]
+        if options and rng.random() < 0.5:
+            i = rng.choice(options)
+        else:  # the family name only when it stands alone
+            i = rng.randrange(1, len(tokens)) if len(tokens) > 1 else 0
+        token, span = tokens[i], 2 if tokens[i].startswith("--") else 1
+        j = rng.randrange(1, len(tokens) + 1)
+        edit = rng.randrange(13)
+        if edit == 0:
+            moved = tokens[i : i + span]
+            del tokens[i : i + span]
+            j = rng.randrange(len(tokens) + 1)
+            tokens[j:j] = moved
+        elif edit == 1:  # an option comes back with another value
+            tokens[j:j] = [token, "7"][:span]
+        elif edit == 2:
+            tokens[i : i + 2] = ["=".join(tokens[i : i + 2])]
+        elif edit == 3:
+            tokens[i] = token[: rng.randrange(1, len(token))] if len(token) > 1 else ""
+        elif edit == 4:
+            tokens.insert(j, rng.choice(["7", "x", "1(4)", "13"]))
+        elif edit == 5:
+            del tokens[i]
+        elif edit == 12:  # an option with its value, or a positional
+            del tokens[i : i + span]
+        elif edit in (6, 7, 8, 10):
+            tokens[i] = {6: "x", 7: "-" + token, 8: ""}.get(edit, "9" * rng.choice([400, 20000]))
+        else:
+            tokens.insert(j, "-h" if edit == 9 else "--")
+        return tokens
+
+    def test_agreement_on_perturbed_commands(self):
+        rng = random.Random(20261020)
+        bases = WELL_FORMED + determinism_commands()
+        commands = [self.perturbed(rng, rng.choice(bases)) for _ in range(400)]
+        twice = [self.perturbed(rng, rng.choice(bases)) for _ in range(200)]
+        commands += [self.perturbed(rng, argv) for argv in twice]
+        accepted = sum(cli._parse_fast(argv) is not None for argv in commands)
+        assert 50 < accepted < len(commands) - 200
+        assert parser_disagreements(commands) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["constants"],
+            ["constants", "gamma"],
+            ["constants", "gamma", "2", "3"],
+            ["constants", "gamma", "x"],
+            ["constants", "gamma", "-h"],
+            ["constants", "gamma", "--", "2"],
+            ["constants", "gamma", "-2"],
+            ["constants", "gam", "2"],
+            ["density", "estimate", "1(4)", "--bound=3000"],
+            ["density", "estimate", "1(4)", "--bou", "3000"],
+            ["density", "estimate", "1(4)", "--bound", "3000", "--bound", "3000"],
+            ["density", "estimate", "1(4)", "--bound"],
+            ["density", "--bound", "3000", "estimate", "1(4)"],
+            ["example", "2.1"],
+            ["example", "2.4", "--q", "-7"],
+            ["symbol", "hilbert", "-1", "-1", "inf"],
+        ],
+    )
+    def test_left_to_argparse(self, argv):
+        assert cli._parse_fast(argv) is None
 
 
 class TestClosedPipe:

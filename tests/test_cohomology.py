@@ -197,11 +197,12 @@ class TestFiniteGroup:
             (lambda: FiniteGroup.symmetric(10**5), "100000!"),
             (lambda: FiniteGroup.cyclic(49), 49),
             (lambda: FiniteGroup.cyclic(10**12), 10**12),
+            (lambda: FiniteGroup.cyclic(10**50), "<51-digit integer>"),
             (lambda: FiniteGroup.cyclic(0), 0),
             (lambda: FiniteGroup.cyclic(-3), 0),
             (lambda: FiniteGroup.direct_product(S4, C3), 72),
         ],
-        ids=["S5", "S12", "S2000", "S10^5", "C49", "C10^12", "C0", "C-3", "S4xC3"],
+        ids=["S5", "S12", "S2000", "S10^5", "C49", "C10^12", "C10^50", "C0", "C-3", "S4xC3"],
     )
     def test_constructors_refuse_before_building(self, build, order, monkeypatch):
         # symmetric would list 12! permutations before the table, and it

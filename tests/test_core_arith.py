@@ -118,11 +118,32 @@ class TestIsPrime:
             (25_326_001, (2, 3, 5)),
             (3_215_031_751, (2, 3, 5, 7)),
             # Strong pseudoprime to every prime base up to 29 (and 31): the
-            # twelve-base set stopped it only at 37; the top tier must too.
+            # twelve-base set stopped it only at 37; Baillie-PSW must too.
             (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
         ):
             assert _miller_rabin(n, bases)
             assert is_prime(n) is False
+
+    @pytest.mark.parametrize("n", [3_215_031_751, 2**32 + 1, 3_825_123_056_546_413_051])
+    def test_base_two_pseudoprimes_above_the_tiers_need_the_lucas_test(self, n):
+        # From 3,215,031,751 on, Baillie-PSW decides, and each of these passes
+        # its Miller-Rabin half; so a Lucas test that passed them would be caught.
+        assert _miller_rabin(n, (2,))
+        assert is_prime(n) is False
+
+    @pytest.mark.parametrize("n", [3_217_621_999, 3_220_741_439, 3_225_426_319])
+    def test_strong_lucas_pseudoprimes_above_the_tiers_need_base_two(self, n):
+        # The first three from 3,215,031,751 on with no prime factor up to
+        # 47, so trial division passes them: Miller-Rabin to base 2 must refuse them.
+        assert _lucas_strong_probable_prime(n)
+        assert is_prime(n) is False
+
+    def test_baillie_psw_below_2_64_agrees_with_sympy(self):
+        from sympy import isprime
+
+        rng = random.Random(20261020)
+        numbers = [rng.randrange(3_215_031_751, 2**64) | 1 for _ in range(10_000)]
+        assert [n for n in numbers if is_prime(n) != isprime(n)] == []
 
     def test_agrees_with_sympy_near_tier_edges(self):
         from sympy import isprime
