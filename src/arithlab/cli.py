@@ -164,6 +164,8 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
     Whitespace-separated integers; everything after # is a comment.  An
     order outside 1..MAX_GROUP_ORDER is refused before the table is read,
     and a rank above MAX_LATTICE_RANK before any action matrix is read.
+    Every fault of the contents is a ValueError inside one try, whose
+    handler writes the file's prefix.
     """
     from . import cohomology
 
@@ -172,47 +174,41 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read lattice file {path!r}: {exc}") from exc
-    tokens: list[int] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for tok in line.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError as exc:
-                fault = (
-                    f"a token of {len(tok)} characters exceeds MAX_INT_DIGITS = {MAX_INT_DIGITS}"
-                    if len(tok) > MAX_INT_DIGITS
-                    else f"non-integer token {tok!r}"
-                )
-                raise UsageError(f"malformed lattice file {path!r}: {fault}") from exc
-    pos = 0
-
-    def take(k: int, what: str) -> list[int]:
-        nonlocal pos
-        if k > len(tokens) - pos:
-            raise UsageError(f"malformed lattice file {path!r}: truncated {what}")
-        pos += k
-        return tokens[pos - k : pos]
-
     try:
+        tokens: list[int] = []
+        for line in text.splitlines():
+            for tok in line.split("#", 1)[0].split():
+                try:
+                    tokens.append(int(tok))
+                except ValueError:
+                    raise ValueError(
+                        f"a token of {len(tok)} characters exceeds "
+                        f"MAX_INT_DIGITS = {MAX_INT_DIGITS}"
+                        if len(tok) > MAX_INT_DIGITS
+                        else f"non-integer token {tok!r}"
+                    ) from None
+        pos = 0
+
+        def take(k: int, what: str) -> list[int]:
+            nonlocal pos
+            if k > len(tokens) - pos:
+                raise ValueError(f"truncated {what}")
+            pos += k
+            return tokens[pos - k : pos]
+
         s = take(1, "group order")[0]
         cohomology._check_order(s)
         table = [take(s, "multiplication table") for _ in range(s)]
         group = cohomology.FiniteGroup(table)
         d = take(1, "rank")[0]
         if d > cohomology.MAX_LATTICE_RANK:
-            raise UsageError(
-                f"malformed lattice file {path!r}: lattice rank must be at most "
-                f"{cohomology.MAX_LATTICE_RANK}, got {d}"
-            )
+            raise ValueError(f"lattice rank must be at most {cohomology.MAX_LATTICE_RANK}, got {d}")
         # A negative rank reads no matrix: GLattice refuses it below.
         mats = []
         if d >= 0:
             mats = [IntegerMatrix(d, d, tuple(take(d * d, "action matrix"))) for _ in range(s)]
         if pos < len(tokens):
-            raise UsageError(
-                f"malformed lattice file {path!r}: {len(tokens) - pos} trailing tokens"
-            )
+            raise ValueError(f"{len(tokens) - pos} trailing tokens")
         return cohomology.GLattice(group, d, tuple(mats))
     except ValueError as exc:
         raise UsageError(f"malformed lattice file {path!r}: {exc}") from exc
@@ -267,14 +263,19 @@ def _count_nth_powers(p: int, n: int) -> int:
 
 
 def _report(args, argv):
-    """Compute the answer, certify it from the parsed input and the outputs, render it."""
-    inputs, outputs, operation, formula, parsed = args.compute(args)
-    certifications = args.certify(args, parsed, outputs)
+    """Compute the answer, certify it from the parsed input and the outputs, render it.
+
+    The family's compute and certify functions and its module come from
+    its row of _GRAMMAR; args holds only the values read from argv.
+    """
+    _, (compute, certify, module), _, _ = _GRAMMAR[args.cmd]
+    inputs, outputs, operation, formula, parsed = compute(args)
+    certifications = certify(args, parsed, outputs)
     return {
         "command": argv,
         "inputs": _fmt(inputs),
         "outputs": _fmt(outputs),
-        "provenance": dict(module=f"arithlab.{args.module}", operation=operation, formula=formula),
+        "provenance": dict(module=f"arithlab.{module}", operation=operation, formula=formula),
         "certifications": certifications,
         "status": "ok" if all(c["passed"] for c in certifications) else "certification-failure",
     }
@@ -570,12 +571,12 @@ def _certify_local_index(args, parsed, outputs):
 
 
 # The grammar: the one table of the CLI's families, leaves and arguments,
-# which _build_parser and _parse_fast both read.  A family has its help, the
-# values of its set_defaults, named by _SET_DEFAULTS, the dest of its leaf's
-# name and its leaves, each with its arguments; a family whose dest is None
-# takes its arguments itself.  Arguments map a name, --name for an option,
-# to its add_argument keywords.
-_SET_DEFAULTS = ("compute", "certify", "module")
+# which _build_parser and _parse_fast both read, and of the handlers that
+# _report dispatches to.  A family has its help, its compute function,
+# certify function and module, the dest of its leaf's name and its leaves,
+# each with its arguments; a family whose dest is None takes its arguments
+# itself.  Arguments map a name, --name for an option, to its add_argument
+# keywords.
 _INT, _REQUIRED_INT = {"type": int}, {"type": int, "required": True}
 _GRAMMAR = {
     "constants": (
@@ -637,9 +638,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "lattice cohomology, index bounds, and worked experiments.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for family, (help_text, defaults, dest, leaves) in _GRAMMAR.items():
+    for family, (help_text, _, dest, leaves) in _GRAMMAR.items():
         fp = sub.add_parser(family, help=help_text)
-        fp.set_defaults(**dict(zip(_SET_DEFAULTS, defaults)))
         if dest is None:
             parsers = [(fp, leaves)]
         else:
@@ -664,8 +664,8 @@ def _parse_fast(argv: list[str]) -> types.SimpleNamespace | None:
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    _, defaults, dest, arguments = _GRAMMAR[argv[0]]
-    values, tokens = {"cmd": argv[0], **dict(zip(_SET_DEFAULTS, defaults))}, iter(argv[1:])
+    _, _, dest, arguments = _GRAMMAR[argv[0]]
+    values, tokens = {"cmd": argv[0]}, iter(argv[1:])
     if dest is not None:
         values[dest] = leaf = next(tokens, None)
         if leaf not in arguments:

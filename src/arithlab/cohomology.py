@@ -108,8 +108,8 @@ def _check_order(s: int) -> None:
 class FiniteGroup(Record):
     """A finite group as an explicit multiplication table on 0..s-1.
 
-    The constructor checks for a two-sided identity and two-sided
-    inverses, then fixes a generating set S by core.generating_set, the
+    The constructor checks for a two-sided identity e and that every
+    row holds e, then fixes a generating set S by core.generating_set, the
     one home of the greedy rule, in index order: x joins S unless the
     elements already in S generate it, so |S| <= log2 s.  Associativity
     is checked along S only, (x h) c = x (h c) for x in S and all h, c:
@@ -120,19 +120,24 @@ class FiniteGroup(Record):
     = x (y (h c)) = (x y) (h c), so K is closed under products.
     generating_set terminates on any table with an identity, associative
     or not, and every element it places in the span is a product of
-    elements of S, so K is the whole table.  So a FiniteGroup value is
-    always a genuine group.
+    elements of S, so K is the whole table.  A row holding e gives a
+    right inverse, and in an associative table it is two-sided: if
+    g h = e and h k = e (row h holds e too), then k = (g h) k = g (h k)
+    = g, so h g = e.  So a FiniteGroup value is always a genuine group,
+    and a table whose rows all hold e but that is not a group is refused
+    by Light's test.
 
     Every check compares whole rows, so the loops along a row run in C.
     The range check takes each row's min and max.  e is the identity
-    when row e and column e both equal (0, ..., s-1).  The inverse
-    candidates of g are picked out of row g by compress, and g passes
-    when one of them, h, has h g = e.  Light's test compares row x h
+    when row e and column e both equal (0, ..., s-1).  The inverse test
+    is one scan of each row for e.  Light's test compares row x h
     with row h read through row x, the row (x (h c))_c, for each x in S
     and each h: |S| s comparisons of rows of length s in place of
-    |S| s^2 lookups.  The S4 x C2 table (s = 48, |S| = 4) is checked in
-    0.45-0.5 ms, against 0.95-1.07 ms entry by entry (in process, best
-    of 15, 2-core x86-64, CPython 3.11).
+    |S| s^2 lookups.  On the S4 x C2 table (s = 48, |S| = 4) the
+    constructor takes 0.37 ms, of which the row scans take 10 us; a
+    search of each row's candidates for a two-sided inverse took 83 us,
+    and the constructor 0.44 ms with it (in process, best of 7, 2-core
+    x86-64, CPython 3.11).  Entry by entry, the checks took 0.95-1.07 ms.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -152,14 +157,7 @@ class FiniteGroup(Record):
         )
         if identity is None:
             raise ValueError("table has no identity element")
-        lonely = next(
-            (
-                g
-                for g, row in enumerate(t)
-                if not any(t[h][g] == identity for h in compress(ident, map(identity.__eq__, row)))
-            ),
-            None,
-        )
+        lonely = next((g for g, row in enumerate(t) if identity not in row), None)
         if lonely is not None:
             raise ValueError(f"element {lonely} has no inverse")
         object.__setattr__(self, "table", t)

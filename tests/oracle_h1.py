@@ -17,6 +17,9 @@ determinant, where the library checks a generating set only.
 is_associative is the reference for FiniteGroup's associativity check:
 it reads every one of the s^3 triples, where the library reads only the
 triples whose first element lies in its generating set.
+failed_group_axioms is the reference for the whole constructor: it
+searches each element for a two-sided inverse, where the library only
+looks for the identity in each row.
 permutation_action and norm_one_action are the references for
 induced_lattice and norm_one_lattice: they build each action matrix as
 nested lists, one entry at a time, from the definitions, where the
@@ -203,6 +206,22 @@ def is_associative(table):
         for b in range(s)
         for c in range(s)
     )
+
+
+def failed_group_axioms(table):
+    """The group axioms that a table with a two-sided identity fails.
+
+    A set of ("inverse", g) for each g with no h such that g h = h g = e,
+    and "associativity" when some triple of the s^3 has (a b) c != a (b c).
+    """
+    s = len(table)
+    e = next(e for e in range(s) if all(table[e][x] == table[x][e] == x for x in range(s)))
+    failed = {
+        ("inverse", g)
+        for g in range(s)
+        if not any(table[g][h] == table[h][g] == e for h in range(s))
+    }
+    return failed if is_associative(table) else failed | {"associativity"}
 
 
 def permutation_action(table, subgroup):

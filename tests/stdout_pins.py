@@ -313,13 +313,19 @@ def main() -> int:
         os.chdir(tmp)  # the sweep names its lattice files relative to it
         problems = sweep_mismatches(Path(tmp)) + stdout_mismatches(Path(tmp))
         os.chdir(cwd)
-    problems += parser_disagreements(sweep_commands())
+    sweep, demos = sweep_commands(), sorted(json.loads(DEMO_PIN.read_text()))
+    problems += parser_disagreements(sweep)
     problems += unpinned_demos()
-    problems += demo_mismatches(sorted(json.loads(DEMO_PIN.read_text())))
+    problems += demo_mismatches(demos)
     for line in problems:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {len(problems)} mismatches in the three pin files and the parsers")
+    parsed = sum(cli._parse_fast(argv) is not None for argv in sweep)
+    print(
+        f"Python {version}: {len(problems)} mismatches in the three pin files and the parsers: "
+        f"{len(sweep)} sweep commands, {len(determinism_commands())} pinned commands, "
+        f"{len(demos)} demos, {parsed} parser checks"
+    )
     return 1 if problems else 0
 
 

@@ -32,8 +32,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
+import sympy
 
-from arithlab import cli, progressions
+from arithlab import cli, core, progressions
 from lattice_files import LATTICE_FILES
 
 ALWAYS = None  # the callee must not run at all while an outside command runs
@@ -71,6 +72,12 @@ FILES = {
 }
 
 N = 2**128 + 1  # = 59649589127497217 * 5704689200685129054721, beyond factor
+# The least n > 2^4096 with no prime factor below 4096 and n = 1 (mod 12), so
+# that no trial division, gcd or congruence test refuses it before is_prime's
+# range does, and the largest prime below 2^4096 (both found by search).
+OVER_PRIME_LIMIT = 2**4096 + 81
+LARGEST_PRIME = 2**4096 - 2549
+PRIME_RANGE = "a 4097-bit integer exceeds PRIME_LIMIT = 2**4096, the range of is_prime\n"
 HILBERT_LIMIT = (
     "error: cannot certify (a, b)_v: a numerator or denominator of a or b exceeds 2**64, "
     "the limit of factor\n"
@@ -125,6 +132,22 @@ BUDGETS = [
             f"symbol jacobi {2**64} {N}",
             f"symbol hilbert -- -{2**64} 3 2",
         ),
+    ),
+    Budget(
+        "core",
+        "PRIME_LIMIT",
+        # Building the primorial of is_prime's gcd tests primes below 4096.
+        heavy={"core._miller_rabin": lambda n, bases: n >= core.PRIME_LIMIT},
+        outside={
+            f"symbol legendre 2 {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
+            f"symbol hilbert 3 5 {OVER_PRIME_LIMIT}": (
+                f"error: cannot parse place '{OVER_PRIME_LIMIT}': {PRIME_RANGE}"
+            ),
+            f"example 2.4 --q {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
+            f"section7 3 1 {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
+        },
+        inside=(f"symbol legendre 2 {LARGEST_PRIME}",),
+        check=lambda outputs: outputs["value"] == "-1",  # LARGEST_PRIME = 3 (mod 8)
     ),
     Budget(
         "bounds",
@@ -402,6 +425,13 @@ def _readme_budgets():
             factors = (f.partition("^") for f in value.replace(",", "").split("·"))
             rows[name] = (math.prod(int(b) ** int(e or 1) for b, _, e in factors), module)
     return rows
+
+
+def test_prime_limit_edges():
+    """The two numbers of the PRIME_LIMIT row, checked apart from arithlab."""
+    assert sympy.isprime(LARGEST_PRIME) and LARGEST_PRIME < core.PRIME_LIMIT
+    assert OVER_PRIME_LIMIT % 12 == 1 and OVER_PRIME_LIMIT > core.PRIME_LIMIT
+    assert math.gcd(OVER_PRIME_LIMIT, math.prod(sympy.primerange(3, 4096))) == 1
 
 
 def test_readme_budget_table_matches_the_constants():

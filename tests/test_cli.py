@@ -19,6 +19,7 @@ from arithlab.cohomology import AbelianGroupInvariants
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
 from stdout_pins import (
+    BAD_LATTICE_FILES,
     VALID_LATTICE_FILES,
     determinism_commands,
     parser_disagreements,
@@ -260,6 +261,31 @@ class TestLatticeFile:
     def test_missing_file(self, capsys):
         code, _, err = run_in_process(["h1", "/nonexistent/lattice.txt"], capsys)
         assert code == 2 and "cannot read" in err
+
+    # One file for each fault the reader names itself, with the detail its
+    # message ends in; the sweep's bad files are read beside them.
+    READER_FAULTS = {
+        "empty.txt": ("# a comment only\n", "truncated group order"),
+        "long-token.txt": (
+            "1\n" + "9" * (cli.MAX_INT_DIGITS + 1) + "\n",
+            f"a token of {cli.MAX_INT_DIGITS + 1} characters exceeds "
+            f"MAX_INT_DIGITS = {cli.MAX_INT_DIGITS}",
+        ),
+        "rank65.txt": ("1\n0\n65\n", "lattice rank must be at most 64, got 65"),
+        "trailing.txt": ("1\n0\n0\n7 8\n", "2 trailing tokens"),
+        "x-entry.txt": ("1\n0\n1\nx\n", "non-integer token 'x'"),
+    }
+
+    @pytest.mark.parametrize("name", sorted({**BAD_LATTICE_FILES, **READER_FAULTS}))
+    def test_fault_prefix_written_once(self, name, tmp_path, capsys, monkeypatch):
+        text, detail = self.READER_FAULTS.get(name) or (BAD_LATTICE_FILES[name], None)
+        (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_in_process(["h1", name], capsys)
+        prefix = f"error: malformed lattice file {name!r}: "
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("malformed lattice file") == 1, err
+        assert detail is None or err == f"{prefix}{detail}\n"
 
 
 class TestExitCodes:
@@ -559,9 +585,10 @@ class TestCertificationsCanFail:
         (tmp_path / "sign.txt").write_text(SIGN_LATTICE)
         monkeypatch.chdir(tmp_path)
         args = cli._build_parser().parse_args(argv)
-        _, outputs, _, _, parsed = args.compute(args)
-        assert all(c["passed"] for c in args.certify(args, parsed, outputs))
-        certs = args.certify(args, parsed, {**outputs, **wrong})
+        compute, certify, _ = cli._GRAMMAR[args.cmd][1]
+        _, outputs, _, _, parsed = compute(args)
+        assert all(c["passed"] for c in certify(args, parsed, outputs))
+        certs = certify(args, parsed, {**outputs, **wrong})
         assert {c["name"]: c["passed"] for c in certs}[name] is False
 
     @pytest.mark.parametrize(
@@ -573,9 +600,10 @@ class TestCertificationsCanFail:
             progressions.AbelianExtensionDescriptor, "cosets", lambda ext: walk(cosets(ext))
         )
         args = cli._build_parser().parse_args(["density", "exact", "1(12)"])
-        _, outputs, _, _, spec = args.compute(args)
+        compute, certify, _ = cli._GRAMMAR["density"][1]
+        _, outputs, _, _, spec = compute(args)
         assert outputs == {"density": Fraction(1, 4)}
-        certs = args.certify(args, spec, outputs)
+        certs = certify(args, spec, outputs)
         assert certs == [{"name": "coset-densities-sum-to-one", "passed": False}]
 
     @pytest.mark.parametrize(
@@ -746,6 +774,7 @@ class TestFuzzedArguments:
             assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
         else:
             json.loads(out.getvalue())
+        return err.getvalue()
 
     @settings(max_examples=150)
     @given(spec=PROGRESSION, ext=EXTENSION, kind=st.sampled_from(["exact", "intersection", "tractable"]))
@@ -812,7 +841,10 @@ class TestFuzzedLatticeFiles:
     @staticmethod
     def exits_cleanly(path, content):
         path.write_bytes(content)
-        TestFuzzedArguments.exits_cleanly(["h1", str(path)])
+        message = TestFuzzedArguments.exits_cleanly(["h1", str(path)])
+        if "malformed lattice file" in message:  # the file's prefix, once, first
+            prefix = f"error: malformed lattice file {str(path)!r}: "
+            assert message.startswith(prefix) and message.count("malformed lattice file") == 1
 
     def test_unedited_files_succeed(self, tmp_path, capsys):
         for k, tokens in enumerate(VALID_LATTICE_FILES):
@@ -963,6 +995,15 @@ class TestParsers:
         covered = {(a[0], a[1] if cli._GRAMMAR[a[0]][2] else None) for a in WELL_FORMED}
         assert covered == leaves
         assert [argv for argv in WELL_FORMED if cli._parse_fast(argv) is None] == []
+
+    def test_namespace_holds_only_argv_values(self):
+        # The handlers are read off _GRAMMAR, not carried in the namespace.
+        for argv in WELL_FORMED:
+            _, _, dest, body = cli._GRAMMAR[argv[0]]
+            arguments = body[argv[1]] if dest else body
+            names = {"cmd", dest, *(name.lstrip("-") for name in arguments)} - {None}
+            assert set(vars(cli._parse_fast(argv))) == names, argv
+            assert set(vars(cli._build_parser().parse_args(argv))) == names, argv
 
     def test_agreement_on_the_pinned_corpora(self):
         sweep = sweep_commands()

@@ -34,6 +34,7 @@ from oracle_h1 import (
     coboundary_matrix,
     cocycle_matrix,
     cocycle_relation_matrix,
+    failed_group_axioms,
     is_associative,
     is_valid_action,
     membership_direct_sum,
@@ -138,8 +139,8 @@ class TestFiniteGroup:
         "table, message",
         [
             ([[1, 1], [1, 1]], "table has no identity element"),
-            # 1 * 2 = 0 but 2 * 1 = 2: a right inverse only.
-            ([[0, 1, 2], [1, 1, 0], [2, 2, 2]], "element 1 has no inverse"),
+            # Row 2 lacks the identity 0 (1 has only a right inverse, 1 * 2 = 0).
+            ([[0, 1, 2], [1, 1, 0], [2, 2, 2]], "element 2 has no inverse"),
             # (1 * 1) * 2 = 0 but 1 * (1 * 2) = 1.
             ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], "table is not associative"),
         ],
@@ -150,9 +151,9 @@ class TestFiniteGroup:
 
     def test_accepts_exactly_the_associative_latin_squares(self):
         # FiniteGroup reads (x h) c = x (h c) only for x in its generating
-        # set; the oracle reads all s^3 triples.  Most non-associative
-        # squares already lack a two-sided inverse, so the count of those
-        # refused for associativity is asserted too.
+        # set; the oracle reads all s^3 triples.  Every row of a Latin
+        # square holds the identity, so Light's test refuses each
+        # non-associative square, and the count of those is asserted too.
         rng = random.Random(1961)
         verdicts = Counter()
         for n in range(3, 9):
@@ -165,7 +166,76 @@ class TestFiniteGroup:
                     verdict = str(exc)
                 assert (verdict == "group") == is_associative(table), table
                 verdicts[verdict if verdict.startswith(("group", "table")) else "inverse"] += 1
-        assert verdicts == {"group": 887, "inverse": 1352, "table is not associative": 161}
+        assert verdicts == {"group": 887, "table is not associative": 1513}
+
+    @staticmethod
+    def random_table_with_identity(n, rng):
+        """An n x n table on 0..n-1 with a two-sided identity, drawn one of four ways.
+
+        A Latin square; a table whose other cells are random; one whose
+        rows are random permutations, so every row holds the identity;
+        or a group table, relabelled at random, with one cell outside the
+        identity's row and column set at random.
+        """
+        kind = rng.randrange(4)
+        if kind == 0:
+            return random_latin_square_with_identity(n, rng), kind
+        e = rng.randrange(n)
+        if kind == 3:
+            base = {4: V4, 6: S3}.get(n) if rng.random() < 0.5 else None
+            base = base or FiniteGroup.cyclic(n)
+            label = rng.sample(range(n), n)
+            label[label.index(e)], label[base.identity] = label[base.identity], e
+            table = [[None] * n for _ in range(n)]
+            for a, row in enumerate(base.table):
+                for b, c in enumerate(row):
+                    table[label[a]][label[b]] = label[c]
+            others = [x for x in range(n) if x != e]
+            if others:
+                table[rng.choice(others)][rng.choice(others)] = rng.randrange(n)
+            return table, kind
+        table = []
+        for x in range(n):
+            if x == e:
+                row = list(range(n))
+            elif kind == 1:
+                row = [rng.randrange(n) for _ in range(n)]
+            else:
+                row = rng.sample([y for y in range(n) if y != x], n - 1)
+                row.insert(e, x)
+            row[e] = x
+            table.append(row)
+        return table, kind
+
+    def test_accepts_exactly_the_groups_of_a_brute_force_oracle(self):
+        # The oracle searches each element for a two-sided inverse and reads
+        # all s^3 triples; FiniteGroup looks for the identity in each row and
+        # reads the triples along its generating set.  Each refusal must name
+        # an axiom that the oracle finds failing.
+        rng = random.Random(48)
+        verdicts = Counter()
+        for _ in range(2100):
+            n = rng.randint(1, 7)
+            table, kind = self.random_table_with_identity(n, rng)
+            failed = failed_group_axioms(table)
+            try:
+                FiniteGroup(table)
+                verdict = "group"
+            except ValueError as exc:
+                verdict = str(exc)
+            if verdict == "group":
+                assert not failed, table
+            elif verdict == "table is not associative":
+                assert "associativity" in failed, table
+            else:
+                g = int(re.fullmatch(r"element (\d+) has no inverse", verdict)[1])
+                assert ("inverse", g) in failed, table
+            verdicts[kind, verdict.split()[-1]] += 1
+        # Every way of drawing meets groups and both refusals, but rows that
+        # are permutations always hold the identity.
+        for kind in range(4):
+            assert verdicts[kind, "group"] and verdicts[kind, "associative"], verdicts
+            assert bool(verdicts[kind, "inverse"]) == (kind in (1, 3)), verdicts
 
     @pytest.mark.parametrize(
         "table, message",
@@ -176,9 +246,8 @@ class TestFiniteGroup:
             # Rows 0 and 1 are both 0, 1, 2, but columns 0 and 1 are
             # 0, 0, 2 and 1, 1, 0.
             ([[0, 1, 2], [0, 1, 2], [2, 0, 1]], "table has no identity element"),
-            # Row 2 holds the identity twice: 2 * 1 = 0 with 1 * 2 = 1, and
-            # 2 * 2 = 0 both ways, so 2 has an inverse in its second
-            # candidate; (1 * 1) * 2 = 2 but 1 * (1 * 2) = 0.
+            # Row 2 holds the identity twice, at 2 * 1 and 2 * 2, so every
+            # row holds it; (1 * 1) * 2 = 2 but 1 * (1 * 2) = 0.
             ([[0, 1, 2], [1, 0, 1], [2, 0, 0]], "table is not associative"),
         ],
         ids=["entry-minus-one", "entry-equal-to-s", "short-row", "identity-row-only",

@@ -176,6 +176,23 @@ class TestIsPrime:
             assert is_prime(p * big_prime) is False
             assert is_prime(p * p * (2**89 - 1)) is False
 
+    def test_refused_from_prime_limit_before_any_power(self, monkeypatch):
+        # Trial division and the primorial gcd still settle n >= PRIME_LIMIT;
+        # any other such n is refused by its bit length before a power.
+        def no_power(*args):
+            raise AssertionError("a modular power was taken")
+
+        primorial = core._odd_primorial()  # built before the patch, from primes below 4096
+        monkeypatch.setattr(core, "_miller_rabin", no_power)
+        monkeypatch.setattr(core, "_lucas_strong_probable_prime", no_power)
+        limit = core.PRIME_LIMIT
+        assert [is_prime(n) for n in (limit, 3 * (limit + 1), 4093 * (limit + 1))] == [False] * 3
+        for bits in (4097, 10**5, 435_407):  # every 435,407-bit n has 131,071 digits
+            n = next(n for n in itertools.count(2**(bits - 1) + 1, 2) if math.gcd(n, primorial) == 1)
+            message = f"a {bits}-bit integer exceeds PRIME_LIMIT = 2**4096, the range of is_prime"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                is_prime(n)
+
     def test_big_prime_spot_witnesses(self):
         for n in (10**25 + 13, 2**64 + 13):
             for a in (2, 3, 5, 7, 11, 13):
