@@ -21,6 +21,7 @@ small parser does not accept, and writes every usage error and help text.
 from __future__ import annotations
 
 import decimal
+import gc
 import itertools
 import json
 import math
@@ -98,14 +99,20 @@ def _parse_rational(token: str) -> Fraction:
 
 
 def _parse_place(token: str) -> symbols.Place:
+    """inf, oo or infinity, else an integer prime.
+
+    Only a token that is not an integer is unparseable; a refused integer
+    raises Place's ValueError, reported as invalid input.
+    """
     from . import symbols
 
     if token in ("inf", "oo", "infinity"):
         return symbols.Place.infinite()
     try:
-        return symbols.Place.finite(int(token))
+        p = int(token)
     except ValueError as exc:
         raise UsageError(f"cannot parse place {token!r}: {exc}") from exc
+    return symbols.Place.finite(p)
 
 
 def _parse_progression(token: str) -> progressions.ProgressionSpec:
@@ -656,22 +663,30 @@ def _parse_fast(argv: list[str]) -> types.SimpleNamespace | None:
 
     Accepted: the family and leaf names as given, positionals that do not
     start with -, and each option once as an exact --name value pair whose
-    value does not start with -; values are converted by their type.  On
-    anything else, a help request, --, --name=value, an abbreviation, a
-    negative number, a missing or extra token or a failed conversion
-    among them, it returns None, and argparse parses argv and writes the
-    usage error or help.
+    value does not start with -; values are converted by their type.  A
+    leaf (or a family without leaves) that has no --name option may also
+    take -- as its first token, and then every later token is a
+    positional, - or not, save a second --.  On anything else, a help
+    request, -- anywhere else, --name=value, an abbreviation, a negative
+    number without the leading --, a missing or extra token or a failed
+    conversion among them, it returns None, and argparse parses argv and
+    writes the usage error or help.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
     _, _, dest, arguments = _GRAMMAR[argv[0]]
-    values, tokens = {"cmd": argv[0]}, iter(argv[1:])
+    values, rest = {"cmd": argv[0]}, argv[1:]
     if dest is not None:
-        values[dest] = leaf = next(tokens, None)
+        values[dest] = leaf = rest[0] if rest else None
         if leaf not in arguments:
             return None
-        arguments = arguments[leaf]
+        arguments, rest = arguments[leaf], rest[1:]
     positionals, options = [], {}
+    if rest[:1] == ["--"] and not any(name.startswith("-") for name in arguments):
+        if "--" in rest[1:]:
+            return None
+        positionals, rest = rest[1:], []
+    tokens = iter(rest)
     for token in tokens:
         if not token.startswith("-"):
             positionals.append(token)
@@ -734,6 +749,11 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """The console entry point: run sys.argv[1:] and end the process with its code.
+
+    It flushes stdout and freezes the garbage collector before it exits,
+    so an in-process caller uses run, which does neither.
+    """
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -743,4 +763,8 @@ def main() -> None:
         # interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    # Every object left is moved to the permanent generation, so the full
+    # collections of interpreter exit have nothing to traverse; atexit
+    # handlers, the last flush and module teardown still run.
+    gc.freeze()
     sys.exit(code)

@@ -1,8 +1,9 @@
 """The three stdout pins: the CLI sweep, the pinned commands and the demos.
 
 Run as a script, it checks all three pin files on whatever Python runs it,
-and that the CLI's two parsers agree on the sweep's commands, and prints
-every mismatch:
+that each pinned command exits and prints as an in-process cli.run, and
+that the CLI's two parsers agree on the sweep's commands, and prints every
+mismatch:
 
     python tests/stdout_pins.py
 
@@ -202,7 +203,9 @@ def sweep_mismatches(directory: Path) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # The pinned commands: each runs twice in a fresh interpreter, exits 0, prints
-# the same bytes both times, and the sha256 of those bytes is its pin.
+# the same bytes both times, and the sha256 of those bytes is its pin.  Each
+# also exits and prints as an in-process cli.run of the same argv, so
+# cli.main's flush, GC freeze and exit keep run's code and stdout.
 
 DETERMINISM_COMMANDS = [
     ["constants", "gamma", "2"],
@@ -234,8 +237,20 @@ def determinism_commands() -> list[list[str]]:
     return DETERMINISM_COMMANDS + [["h1", name] for name in LATTICE_FILES]
 
 
+def _run_in_process(argv, directory: Path) -> tuple[int, bytes]:
+    """cli.run(argv) with directory as the working directory: its exit code and stdout."""
+    out, cwd = io.StringIO(), os.getcwd()
+    try:
+        os.chdir(directory)
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue().encode()
+
+
 def stdout_mismatches(directory: Path) -> list[str]:
-    """Run each pinned command twice in directory; one line per mismatch."""
+    """Run each pinned command twice in directory and once in process; one line per mismatch."""
     for name, text in LATTICE_FILES.items():
         (directory / name).write_text(text)
     pinned = json.loads(STDOUT_PIN.read_text())
@@ -253,6 +268,8 @@ def stdout_mismatches(directory: Path) -> list[str]:
             problems.append(f"{key}: two runs print different bytes")
         elif (digest := hashlib.sha256(runs[0].stdout).hexdigest()) != pinned.get(key):
             problems.append(f"{key}: got {digest}, pinned {pinned.get(key)}")
+        if (runs[0].returncode, runs[0].stdout) != _run_in_process(command, directory):
+            problems.append(f"{key}: python -m arithlab and cli.run differ in exit code or stdout")
     return problems
 
 
@@ -322,7 +339,8 @@ def main() -> int:
     version = ".".join(map(str, sys.version_info[:3]))
     parsed = sum(cli._parse_fast(argv) is not None for argv in sweep)
     print(
-        f"Python {version}: {len(problems)} mismatches in the three pin files and the parsers: "
+        f"Python {version}: {len(problems)} mismatches in the three pin files, "
+        "main against run and the parsers: "
         f"{len(sweep)} sweep commands, {len(determinism_commands())} pinned commands, "
         f"{len(demos)} demos, {parsed} parser checks"
     )

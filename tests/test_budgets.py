@@ -140,9 +140,7 @@ BUDGETS = [
         heavy={"core._miller_rabin": lambda n, bases: n >= core.PRIME_LIMIT},
         outside={
             f"symbol legendre 2 {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
-            f"symbol hilbert 3 5 {OVER_PRIME_LIMIT}": (
-                f"error: cannot parse place '{OVER_PRIME_LIMIT}': {PRIME_RANGE}"
-            ),
+            f"symbol hilbert 3 5 {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
             f"example 2.4 --q {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
             f"section7 3 1 {OVER_PRIME_LIMIT}": f"error: invalid input: {PRIME_RANGE}",
         },

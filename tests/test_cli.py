@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -476,7 +477,7 @@ class TestExitCodes:
     PRIME_BELOW_TWO = {
         "symbol legendre -- 3 -7": "invalid input: legendre requires an odd prime, got -7",
         "local-index -- -5 3": "invalid input: -5 is not prime",
-        "symbol hilbert -- 1 1 -5": "cannot parse place '-5': -5 is not prime",
+        "symbol hilbert -- 1 1 -5": "invalid input: -5 is not prime",
         "section7 3 1 0": "invalid input: list element 0 is not prime",
         "example 2.3 --target 2^1=1,0^1=1": "invalid input: 0 is not prime",
         "example 2.4 --q=-3": "invalid input: q must be a prime congruent to 1 mod 4, got -3",
@@ -487,6 +488,18 @@ class TestExitCodes:
         # is_prime answers False below 2, so each caller refuses with its own message.
         code, out, err = run_in_process(command.split(), capsys)
         assert (code, out, err) == (2, "", f"error: {self.PRIME_BELOW_TWO[command]}\n")
+
+    @pytest.mark.parametrize("place", ["4", str(2**4096 + 81)], ids=["4", "2^4096+81"])
+    def test_refused_place_is_invalid_input(self, place, capsys):
+        # An integer place that Place refuses is not unparseable, and the
+        # refusal never echoes its digits.
+        code, out, err = run_in_process(["symbol", "hilbert", "3", "5", place], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: invalid input: ")
+        assert len(err.encode()) < 200
+
+    def test_non_integer_place_is_unparseable(self, capsys):
+        code, out, err = run_in_process(["symbol", "hilbert", "3", "5", "zz"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: cannot parse place 'zz': ")
 
     def test_invalid_input_value(self, capsys):
         code, _, err = run_in_process(["symbol", "legendre", "3", "4"], capsys)
@@ -969,6 +982,19 @@ class TestImportFootprint:
         assert loaded.split()[0] == "0", result.stderr
         assert parsers == ""
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["symbol", "hilbert", "--", "-1", "-1", "inf"], "0"),
+            (["symbol", "legendre", "--", "3", "-7"], "2"),
+        ],
+    )
+    def test_leading_double_dash_loads_no_argparse(self, argv, code):
+        result = run_python(["-c", self.PARSER_PROBE, *argv], text=True)
+        loaded, _, parsers = result.stdout.splitlines()
+        assert loaded.split()[0] == code, result.stderr
+        assert parsers == ""
+
     def test_usage_error_still_goes_to_argparse(self):
         result = run_python(["-c", self.PARSER_PROBE, "constants", "gamma", "x"], text=True)
         loaded, _, parsers = result.stdout.splitlines()
@@ -1062,7 +1088,16 @@ class TestParsers:
         commands += [self.perturbed(rng, argv) for argv in twice]
         accepted = sum(cli._parse_fast(argv) is not None for argv in commands)
         assert 50 < accepted < len(commands) - 200
-        assert parser_disagreements(commands) == []
+        # -- at each position, doubled there, and with a trailing -- as well.
+        marked = []
+        for argv in bases:
+            tokens = [t for t in argv if t != "--"]
+            for i in range(len(tokens) + 1):
+                head, tail = tokens[:i], tokens[i:]
+                marked += [head + ["--"] + tail, head + ["--", "--"] + tail]
+                marked.append(head + ["--"] + tail + ["--"])
+        assert sum(cli._parse_fast(argv) is not None for argv in marked) > 20
+        assert parser_disagreements(commands + marked) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -1073,7 +1108,7 @@ class TestParsers:
             ["constants", "gamma", "2", "3"],
             ["constants", "gamma", "x"],
             ["constants", "gamma", "-h"],
-            ["constants", "gamma", "--", "2"],
+            ["constants", "--", "gamma", "2"],
             ["constants", "gamma", "-2"],
             ["constants", "gam", "2"],
             ["density", "estimate", "1(4)", "--bound=3000"],
@@ -1084,10 +1119,46 @@ class TestParsers:
             ["example", "2.1"],
             ["example", "2.4", "--q", "-7"],
             ["symbol", "hilbert", "-1", "-1", "inf"],
+            ["symbol", "--", "hilbert", "1", "2", "inf"],
+            ["density", "estimate", "--", "1(4)"],
+            ["section7", "3", "2", "--", "13", "37"],
+            ["symbol", "hilbert", "--", "1", "2", "--"],
         ],
     )
     def test_left_to_argparse(self, argv):
         assert cli._parse_fast(argv) is None
+
+
+class TestExitPath:
+    """cli.main freezes the GC before sys.exit; cli.run leaves it alone."""
+
+    # The atexit handler runs after main's sys.exit, at interpreter exit.
+    CHILD = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from arithlab import cli\n"
+        "cli.main()\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["constants", "gamma", "2"], 0),
+            (["symbol", "legendre", "3", "4"], 2),
+            (["constants", "gamma", "x"], 2),
+        ],
+        ids=["answer", "refusal", "usage-error"],
+    )
+    def test_main_exits_frozen_with_runs_code_and_stdout(self, argv, code, capsys):
+        result = run_python(["-c", self.CHILD, *argv], text=True)
+        assert run_in_process(argv, capsys)[:2] == (code, result.stdout)
+        assert result.returncode == code
+        assert result.stderr.splitlines()[-1] == "frozen True"
+
+    def test_run_leaves_the_gc_unfrozen(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_in_process(["constants", "gamma", "2"], capsys)[0] == 0
+        assert gc.get_freeze_count() == frozen
 
 
 class TestClosedPipe:
