@@ -13,12 +13,15 @@ counts come from logarithms and are flagged as approximate -- never a
 silently truncated value.  One comparator, _over_cap, makes every such
 decision from log10 of the digit count, and forms a value only when
 that lies too near log10 of the cap for the logarithms to decide.
-gamma(d) is refused by _gamma_sized; every rung over it is sized, and
+gamma(d) is refused by _sized_gamma; every rung over it is sized, and
 refused, by one product path, _checked_product, whose bases and
 exponents may be held (_Held): from 10**40 on, gamma(d), gamma(d) - 1
 and lam(d) are known by their floating-point log10, and formed only
-when a product may fit or a report prints them.  psi alone keeps a cap
-keyword, for the benchmark, and it holds only psi's own power.
+when a product may fit or a report prints them.  A name or refusal
+quotes an integer as core.shown does, from 10**40 on by its digit count
+(<k-digit integer>), and _compact_log gives a held value that count from
+its log10, unformed.  psi alone keeps a cap keyword, for the benchmark,
+and it holds only psi's own power.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import os
 from fractions import Fraction
 
-from .core import DigitCapExceeded, Record, factor, valuation
+from .core import DigitCapExceeded, Record, factor, shown, valuation
 
 __all__ = [
     "DigitCapExceeded",
@@ -70,14 +73,16 @@ def default_digit_cap() -> int:
 
 
 def _compact_int(n) -> str:
-    """Decimal rendering that never explodes: a value of 10**40 or more,
-    formed or held, becomes a digit-count description."""
-    return str(n) if n < 10**40 else _compact_log(_log10(n), lambda: _value(n))
+    """Decimal rendering that never explodes: core.shown for an int, so a
+    digit-count description from 10**40 on, and _compact_log for a held
+    value, which forms it only near a power of ten."""
+    return _compact_log(n.log, n.value) if isinstance(n, _Held) else shown(n)
 
 
 def _compact_log(log_value: float, exact) -> str:
-    """_compact_int of a value of at least 10**40 known by its
-    floating-point log10; exact() forms it only near a power of ten."""
+    """The <k-digit integer> of a value of at least 10**40, as core.shown
+    writes it, from its floating-point log10 for a held value; exact()
+    forms it only near a power of ten."""
     # With k the integer nearest log10(n), n has k + 1 digits exactly when
     # n >= 10^k; near a power of ten _over_cap compares exactly.
     k = round(log_value)
@@ -244,24 +249,20 @@ def gamma(d: int) -> int:
 
 def _sized_gamma(d) -> float:
     """gamma's refusal for an int or held d, then log10 gamma(d) in
-    floating point."""
-    if d < 1:
-        raise ValueError(f"gamma requires d >= 1, got {d}")
-    return _gamma_sized(_log10(d), lambda: _value(d))
-
-
-def _gamma_sized(log_d: float, exact_d) -> float:
-    """gamma's refusal for a d >= 1 known by log_d = log10 d, then
-    log10 gamma(d) in floating point.
+    floating point.
 
     Up to d = 10**7 gamma(d) is sized by _gamma_log10, beyond by its
-    bound 3^(d^2) from log_d alone.  exact_d() forms d only for
-    _gamma_log10, for a refusal that prints d or the digit count in
-    full, where _over_cap compares gamma(d) exactly, or once gamma(d)
-    fits; gamma(d) itself only in that exact comparison.  So a rung over
-    gamma(d) is sized, and refused, from this, and c_tilde refuses
-    gamma(lam(d)) with a held lam(d) unformed.
+    bound 3^(d^2) from log10 d alone.  A held d is formed only for
+    _gamma_log10, for a refusal that prints the digit count in full or
+    names d near a power of ten (_compact_int), where _over_cap compares
+    gamma(d) exactly, or once gamma(d) fits; gamma(d) itself only in
+    that exact comparison.  So a rung over gamma(d) is sized, and
+    refused, from this, and c_tilde refuses gamma(lam(d)) with a held
+    lam(d) unformed.
     """
+    if d < 1:
+        raise ValueError(f"gamma requires d >= 1, got {shown(d)}")
+    log_d, exact_d = _log10(d), lambda: _value(d)
     if log_d <= 7:
         log_g = _gamma_log10(exact_d())
         log_digits, digits = math.log10(log_g), str(int(log_g) + 1)
@@ -272,11 +273,9 @@ def _gamma_sized(log_d: float, exact_d) -> float:
         )
     cap = default_digit_cap()
     if _over_cap(log_digits, cap, lambda: _gamma_product(exact_d())):
-        # log_d rounds up to 40 just below 10**40; a d below 10**41 is short
-        # enough to form, and _compact_int names it exactly.
-        d = _compact_int(exact_d()) if log_d < 41 else _compact_log(log_d, exact_d)
-        size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {d}", digits)
-        raise DigitCapExceeded(f"gamma({d})", size, cap)
+        name = _compact_int(d)
+        size = ProductSize(f"prod_{{i=0}}^{{d-1}} (3^d - 3^i) at d = {name}", digits)
+        raise DigitCapExceeded(f"gamma({name})", size, cap)
     return log_g if log_d <= 7 else _gamma_log10(exact_d())
 
 
@@ -315,7 +314,7 @@ def _lam(d: int) -> int | _Held:
     fits.
     """
     if d < 1:
-        raise ValueError(f"lam requires d >= 1, got {d}")
+        raise ValueError(f"lam requires d >= 1, got {shown(d)}")
     g1 = _gamma_terms(d)[1]
     return _checked_product(f"lam({_compact_int(d)})", ((d, 1), (g1, 1)), "d * (gamma(d) - 1)")
 
@@ -337,7 +336,7 @@ def psi(d: int, cap: int | None = None) -> int:
     psi(2, cap=159); no other rung takes a cap.
     """
     if d < 1:
-        raise ValueError(f"psi requires d >= 1, got {d}")
+        raise ValueError(f"psi requires d >= 1, got {shown(d)}")
     return _value(_checked_product(*_psi_power(d), cap=cap))
 
 

@@ -31,7 +31,7 @@ import time
 import types
 from fractions import Fraction
 
-from .core import FACTOR_LIMIT, DigitCapExceeded, IntegerMatrix, factor
+from .core import FACTOR_LIMIT, SHOWN_CHARS, DigitCapExceeded, IntegerMatrix, factor, shown
 
 __all__ = ["main", "run"]
 
@@ -91,11 +91,19 @@ class UsageError(Exception):
     pass
 
 
+def _unparseable(what: str, token: str, detail: object = "") -> UsageError:
+    """The usage error of a token that does not parse as what, quoted by
+    core.shown.  The detail follows only a token short enough to quote in
+    full: for a longer one it would only repeat the token."""
+    suffix = f": {detail}" if detail and len(token) <= SHOWN_CHARS else ""
+    return UsageError(f"cannot parse {what} {shown(token)}{suffix}")
+
+
 def _parse_rational(token: str) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational {token!r}") from exc
+        raise _unparseable("rational", token) from exc
 
 
 def _parse_place(token: str) -> symbols.Place:
@@ -111,7 +119,7 @@ def _parse_place(token: str) -> symbols.Place:
     try:
         p = int(token)
     except ValueError as exc:
-        raise UsageError(f"cannot parse place {token!r}: {exc}") from exc
+        raise _unparseable("place", token, exc) from exc
     return symbols.Place.finite(p)
 
 
@@ -125,7 +133,7 @@ def _parse_progression(token: str) -> progressions.ProgressionSpec:
         a, rest = token.split("(", 1)
         a, m = int(a), int(rest.rstrip(")"))
     except ValueError as exc:
-        raise UsageError(f"cannot parse progression {token!r}: expected a(m)") from exc
+        raise _unparseable("progression", token, "expected a(m)") from exc
     from . import progressions
 
     return progressions.ProgressionSpec.residue_class(a, m)
@@ -141,7 +149,7 @@ def _parse_extension(token: str) -> progressions.AbelianExtensionDescriptor:
         m = int(m)
         hs = [int(x) for x in subgroup.split(",")] if colon else [1]
     except ValueError as exc:
-        raise UsageError(f"cannot parse extension {token!r}: {exc}") from exc
+        raise _unparseable("extension", token, exc) from exc
     from . import progressions
 
     return progressions.AbelianExtensionDescriptor(m, hs)
@@ -159,7 +167,7 @@ def _parse_target(token: str) -> experiments.CongruenceTarget:
             p, alpha = pa.split("^", 1)
             conditions.append((int(p), int(alpha), int(a)))
     except ValueError as exc:
-        raise UsageError(f"cannot parse congruence target {token!r}: {exc}") from exc
+        raise _unparseable("congruence target", token, exc) from exc
     from . import experiments
 
     return experiments.CongruenceTarget(tuple(conditions))
@@ -192,7 +200,7 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
                         f"a token of {len(tok)} characters exceeds "
                         f"MAX_INT_DIGITS = {MAX_INT_DIGITS}"
                         if len(tok) > MAX_INT_DIGITS
-                        else f"non-integer token {tok!r}"
+                        else f"non-integer token {shown(tok)}"
                     ) from None
         pos = 0
 
@@ -209,7 +217,9 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
         group = cohomology.FiniteGroup(table)
         d = take(1, "rank")[0]
         if d > cohomology.MAX_LATTICE_RANK:
-            raise ValueError(f"lattice rank must be at most {cohomology.MAX_LATTICE_RANK}, got {d}")
+            raise ValueError(
+                f"lattice rank must be at most {cohomology.MAX_LATTICE_RANK}, got {shown(d)}"
+            )
         # A negative rank reads no matrix: GLattice refuses it below.
         mats = []
         if d >= 0:
@@ -564,7 +574,9 @@ def _certify_section7(args, parsed, outputs):
 
 def _compute_local_index(args):
     if args.p - 1 > FACTOR_LIMIT:
-        raise UsageError(f"p - 1 must be <= 2**64 for the power-count certification, got {args.p}")
+        raise UsageError(
+            f"p - 1 must be <= 2**64 for the power-count certification, got {shown(args.p)}"
+        )
     from . import experiments
 
     outputs = {"index": experiments.local_power_index(args.p, args.n)}

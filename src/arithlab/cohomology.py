@@ -58,7 +58,7 @@ from functools import reduce
 from itertools import compress
 from operator import itemgetter, lshift, mul
 
-from .core import IntegerMatrix, Record, _eliminate, cosets, generating_set
+from .core import IntegerMatrix, Record, _eliminate, cosets, generating_set, shown
 
 __all__ = [
     "FiniteGroup",
@@ -88,21 +88,12 @@ MAX_SYMMETRIC_DEGREE = 4
 def _check_order(s: int) -> None:
     """Refuse a group order outside 1..MAX_GROUP_ORDER, before any table is built.
 
-    An order of 10^40 or more in size is named by its digit count, in the
-    <k-digit integer> form of bounds, so the refusal stays short and
-    str() of the whole value is never taken.
+    The in-range test comes first, as every FiniteGroup runs it; the
+    refusal quotes the order through core.shown, so a huge one is named
+    by its digit count.
     """
-    if 1 <= s <= MAX_GROUP_ORDER:
-        return
-    size = abs(s)
-    if size < 10**40:
-        raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {s}")
-    # floor(bit_length * log10 2) is the digit count or one less, so k starts below it.
-    k = int(size.bit_length() * math.log10(2)) - 1
-    while 10**k <= size:
-        k += 1
-    sign = "-" if s < 0 else ""
-    raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {sign}<{k}-digit integer>")
+    if not 1 <= s <= MAX_GROUP_ORDER:
+        raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {shown(s)}")
 
 
 class FiniteGroup(Record):
@@ -223,7 +214,7 @@ class FiniteGroup(Record):
         import itertools
 
         if n > MAX_SYMMETRIC_DEGREE:
-            raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}!")
+            raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {shown(n)}!")
         s = math.factorial(max(n, 0))
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
@@ -544,7 +535,7 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     from .bounds import gamma  # only here: h1 and the lattice layer never load bounds
 
     if m.rows != d or m.cols != d:
-        raise ValueError(f"expected a {d} x {d} matrix")
+        raise ValueError(f"expected a {shown(d)} x {shown(d)} matrix")
     g = gamma(d)
     poly, phis, order = _char_poly(m), {}, 1
     for n in range(1, d * d + 7):
@@ -560,7 +551,7 @@ def minkowski_check(m: IntegerMatrix, d: int) -> MinkowskiReport:
     for bit in bin(order)[3:] if len(poly) == 1 else "":
         power = m.mul(power.mul(power)) if bit == "1" else power.mul(power)
     if len(poly) > 1 or not power.is_identity():
-        raise ValueError(f"matrix has no finite order dividing gamma({d}) = {g}")
+        raise ValueError(f"matrix has no finite order dividing gamma({shown(d)}) = {shown(g)}")
     return MinkowskiReport(
         dimension=d,
         order=order,

@@ -54,6 +54,30 @@ _MR_TIERS = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# shown quotes in full an int below SHOWN_INT in size and a token of up to SHOWN_CHARS.
+SHOWN_INT, SHOWN_CHARS = 10**40, 40
+
+
+def shown(value) -> str:
+    """A value as a refusal quotes it, in a few dozen characters at most.
+
+    An int below SHOWN_INT in size prints as str(n), a larger one as
+    <k-digit integer>, after a - when negative; a str token of up to
+    SHOWN_CHARS characters as its repr, a longer one as <k-character
+    token>; any other value as str().  k comes from the bit length and
+    one exact comparison with a power of ten, never from str(), so a huge
+    int is named in a fraction of the time that printing it takes, and
+    the interpreter's int-string guard never trips.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= SHOWN_CHARS else f"<{len(value)}-character token>"
+    if not isinstance(value, int) or -SHOWN_INT < value < SHOWN_INT:
+        return str(value)
+    # log10 |value| lies within log10(2) below bit_length * log10(2), so
+    # its floor is k or k - 1; the 1e-6 covers the rounding of the product.
+    k = int(abs(value).bit_length() * math.log10(2) + 1e-6)
+    return f"{'-' if value < 0 else ''}<{k + (abs(value) >= 10**k)}-digit integer>"
+
 
 class Record:
     """Base of arithlab's immutable value classes, in place of a frozen dataclass.
@@ -154,7 +178,9 @@ def _generate_methods(cls: type, own_init: bool) -> None:
 def valuation(n: int, p: int) -> tuple[int, int]:
     """(e, n // p**e) with p**e the largest power of p dividing n != 0."""
     if n == 0 or p < 2:
-        raise ValueError(f"valuation requires n != 0 and p >= 2, got n = {n}, p = {p}")
+        raise ValueError(
+            f"valuation requires n != 0 and p >= 2, got n = {shown(n)}, p = {shown(p)}"
+        )
     e = 0
     while n % p == 0:
         n //= p
@@ -301,7 +327,7 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"jacobi requires odd n >= 1, got {n}")
+        raise ValueError(f"jacobi requires odd n >= 1, got {shown(n)}")
     a %= n
     result = 1
     while a:
@@ -388,11 +414,11 @@ class Factorization(Record):
         prev = 1
         for p, e in self.factors:
             if p <= prev or e < 1 or not is_prime(p):
-                raise ValueError(f"malformed factor list for {self.base}")
+                raise ValueError(f"malformed factor list for {shown(self.base)}")
             prev = p
             prod *= p**e
         if prod != self.base:
-            raise ValueError(f"factors do not multiply back to {self.base}")
+            raise ValueError(f"factors do not multiply back to {shown(self.base)}")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -440,7 +466,7 @@ def factor(n: int) -> Factorization:
     m // d both exceed 1.
     """
     if not 1 <= n <= FACTOR_LIMIT:
-        raise ValueError(f"factor requires 1 <= n <= 2**64, got {n}")
+        raise ValueError(f"factor requires 1 <= n <= 2**64, got {shown(n)}")
     remaining = n
     found: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -470,11 +496,12 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
     c, m = 0, 1
     for r, mod in congruences:
         if mod < 1:
-            raise ValueError(f"modulus must be >= 1, got {mod}")
+            raise ValueError(f"modulus must be >= 1, got {shown(mod)}")
         g = math.gcd(m, mod)
         if (r - c) % g != 0:
             raise ValueError(
-                f"inconsistent congruences: x = {c} (mod {m}) and x = {r} (mod {mod})"
+                f"inconsistent congruences: x = {shown(c)} (mod {shown(m)}) "
+                f"and x = {shown(r)} (mod {shown(mod)})"
             )
         lcm = m // g * mod
         t = (r - c) // g * pow(m // g, -1, mod // g) % (mod // g)
@@ -486,11 +513,11 @@ def crt_solve(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def next_prime_in_progression(a: int, m: int, lower: int) -> int:
     """Smallest prime p > lower with p = a (mod m); requires gcd(a, m) = 1."""
     if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+        raise ValueError(f"modulus must be >= 1, got {shown(m)}")
     if math.gcd(a, m) != 1:
-        raise ValueError(f"progression {a} mod {m} is not coprime")
+        raise ValueError(f"progression {shown(a)} mod {shown(m)} is not coprime")
     if lower < 0:
-        raise ValueError(f"lower bound must be >= 0, got {lower}")
+        raise ValueError(f"lower bound must be >= 0, got {shown(lower)}")
     a %= m
     p = lower + 1 + (a - lower - 1) % m
     while True:

@@ -10,7 +10,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import Record, crt_solve, is_prime, next_prime_in_progression
+from .core import Record, crt_solve, is_prime, next_prime_in_progression, shown
 from .progressions import _primes_in_class
 from .symbols import Place, _is_square_at, hilbert_symbol, jacobi
 
@@ -52,12 +52,12 @@ class BiasedPrimePair(Record):
             raise ValueError("prime lists must be disjoint")
         for x in self.p_list + self.q_list:
             if x % 4 != 1 or not is_prime(x):
-                raise ValueError(f"{x} is not a prime congruent to 1 mod 4")
+                raise ValueError(f"{shown(x)} is not a prime congruent to 1 mod 4")
         # Every q is now a checked prime, so jacobi is the Legendre symbol.
         for p in self.p_list:
             for q in self.q_list:
                 if jacobi(p, q) != 1:
-                    raise ValueError(f"symbol ({p}/{q}) is not 1")
+                    raise ValueError(f"symbol ({shown(p)}/{shown(q)}) is not 1")
 
 
 def build_biased_prime_sets(ell: int) -> BiasedPrimePair:
@@ -74,10 +74,10 @@ def build_biased_prime_sets(ell: int) -> BiasedPrimePair:
     is refused before any search starts.
     """
     if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+        raise ValueError(f"ell must be >= 1, got {shown(ell)}")
     if ell > MAX_BIASED_ELL:
         raise ValueError(
-            f"ell must be <= {MAX_BIASED_ELL}, got {ell}: the search would run for minutes"
+            f"ell must be <= {MAX_BIASED_ELL}, got {shown(ell)}: the search would run for minutes"
         )
     p_list = [5]
     q_list: list[int] = []
@@ -122,13 +122,13 @@ class CongruenceTarget(Record):
             )
         for p, alpha, a in self.conditions:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{shown(p)} is not prime")
             if p % 4 == 1:
-                raise ValueError(f"condition prime {p} lies in 1 mod 4")
+                raise ValueError(f"condition prime {shown(p)} lies in 1 mod 4")
             if alpha < 1:
                 raise ValueError("exponents must be >= 1")
             if math.gcd(a, p) != 1:
-                raise ValueError(f"residue {a} is not a unit at {p}")
+                raise ValueError(f"residue {shown(a)} is not a unit at {shown(p)}")
 
     def dyadic(self) -> tuple[int, int]:
         """(alpha, a) of the condition at 2, which __post_init__ requires."""
@@ -192,7 +192,7 @@ def artin_kernel_evidence(q: int, sample_bound: int) -> ArtinKernelReport:
     (x, q)_p collapses to 1, a few of which are sampled directly.
     """
     if q % 4 != 1 or not is_prime(q):
-        raise ValueError(f"q must be a prime congruent to 1 mod 4, got {q}")
+        raise ValueError(f"q must be a prime congruent to 1 mod 4, got {shown(q)}")
     checked = _primes_in_class(1, q, sample_bound)
     failures = [p for p in checked if not _is_square_at(q, p)]
     sampled = []
@@ -262,7 +262,7 @@ def norm_one_constrained_units(height_bound: int) -> list[GaussianInteger]:
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     if height_bound > MAX_UNIT_HEIGHT:
-        raise ValueError(f"height bound must be <= {MAX_UNIT_HEIGHT}, got {height_bound}")
+        raise ValueError(f"height bound must be <= {MAX_UNIT_HEIGHT}, got {shown(height_bound)}")
     survivors: set[GaussianInteger] = set()
     for u in range(-height_bound, height_bound + 1):
         for v in range(-height_bound, height_bound + 1):
@@ -291,11 +291,11 @@ def local_power_index(p: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{shown(p)} is not prime")
     if p % 4 != 1:
-        raise ValueError(f"p must be 1 mod 4, got {p}")
+        raise ValueError(f"p must be 1 mod 4, got {shown(p)}")
     if n % p == 0:
-        raise ValueError(f"wild case p | n rejected (p = {p}, n = {n})")
+        raise ValueError(f"wild case p | n rejected (p = {shown(p)}, n = {shown(n)})")
     return math.gcd(n, p - 1)
 
 
@@ -321,17 +321,17 @@ def section7_index_bound(n: int, ell: int, primes: Sequence[int]) -> PowerIndexR
     here already covers: each prime is proved once.
     """
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+        raise ValueError(f"n must be odd and >= 3, got {shown(n)}")
     primes = tuple(primes)
     if len(primes) != ell:
-        raise ValueError(f"expected {ell} primes, got {len(primes)}")
+        raise ValueError(f"expected {shown(ell)} primes, got {len(primes)}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     for p in primes:
         if not is_prime(p):
-            raise ValueError(f"list element {p} is not prime")
+            raise ValueError(f"list element {shown(p)} is not prime")
         if p % (4 * n) != 1:
-            raise ValueError(f"list element {p} is not 1 mod {4 * n}")
+            raise ValueError(f"list element {shown(p)} is not 1 mod {shown(4 * n)}")
     local = tuple(math.gcd(n, p - 1) for p in primes)
     product = math.prod(local)
     partials = tuple(Fraction(n**j, 4) for j in range(1, ell + 1))

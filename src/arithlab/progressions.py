@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 
-from .core import Record, factor, generating_set
+from .core import Record, factor, generating_set, shown
 
 __all__ = [
     "AbelianExtensionDescriptor",
@@ -65,11 +65,11 @@ class AbelianExtensionDescriptor(Record):
     subgroup: frozenset[int]
 
     def __init__(self, conductor: int, subgroup: Iterable[int]):
-        if conductor > MAX_CONDUCTOR:
-            raise ValueError(f"conductor {conductor} exceeds MAX_CONDUCTOR = {MAX_CONDUCTOR}")
-        if conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {conductor}")
         m = conductor
+        if m > MAX_CONDUCTOR:
+            raise ValueError(f"conductor {shown(m)} exceeds MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+        if m < 1:
+            raise ValueError(f"conductor must be >= 1, got {shown(m)}")
         subset = frozenset(x % m for x in subgroup)
         if not subset or any(math.gcd(x, m) != 1 for x in subset):
             raise ValueError("subgroup elements must be coprime to the conductor")
@@ -119,7 +119,7 @@ class AbelianExtensionDescriptor(Record):
         lies in no coset and is refused with RamifiedPrimeError."""
         m = self.conductor
         if math.gcd(r, m) > 1:
-            raise RamifiedPrimeError(f"{r} is not a unit mod the conductor {m}")
+            raise RamifiedPrimeError(f"{shown(r)} is not a unit mod the conductor {m}")
         return frozenset(r * h % m for h in self.subgroup)
 
     @classmethod
@@ -181,7 +181,7 @@ class ProgressionSpec(Record):
         class.
         """
         if math.gcd(a, m) != 1:
-            raise ValueError(f"residue {a} is not invertible mod {m}")
+            raise ValueError(f"residue {shown(a)} is not invertible mod {shown(m)}")
         ext = AbelianExtensionDescriptor.cyclotomic(m)
         a %= ext.conductor
         return cls(ext, [a], excluded)
@@ -222,7 +222,7 @@ def _prime_mask(bound: int) -> tuple[bytearray, int]:
     it, and _odd_slice's callers add it back to its class by hand.
     """
     if bound > MAX_SIEVE_BOUND:
-        raise ValueError(f"sieve bound {bound} exceeds MAX_SIEVE_BOUND = {MAX_SIEVE_BOUND}")
+        raise ValueError(f"sieve bound {shown(bound)} exceeds MAX_SIEVE_BOUND = {MAX_SIEVE_BOUND}")
     size = (bound + 1) // 2
     mask = bytearray([1]) * size
     mask[0] = 0
@@ -280,7 +280,7 @@ def natural_density_estimate(spec: ProgressionSpec, x_bound: int) -> float:
     chebotarev_density.
     """
     if x_bound < 1000:
-        raise ValueError(f"x_bound must be >= 1000, got {x_bound}")
+        raise ValueError(f"x_bound must be >= 1000, got {shown(x_bound)}")
     mask, pi = _prime_mask(x_bound)
     m, coset = spec.extension.conductor, spec.coset
     count = int(2 % m in coset)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .core import Record, factor, is_prime, jacobi, valuation
+from .core import Record, factor, is_prime, jacobi, shown, valuation
 
 __all__ = [
     "Place",
@@ -36,7 +36,7 @@ class Place(Record):
 
     def __post_init__(self):
         if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+            raise ValueError(f"{shown(self.prime)} is not prime")
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -62,7 +62,7 @@ def legendre(a: int, p: int) -> int:
     as the implementation.
     """
     if p == 2 or not is_prime(p):
-        raise ValueError(f"legendre requires an odd prime, got {p}")
+        raise ValueError(f"legendre requires an odd prime, got {shown(p)}")
     return jacobi(a, p)
 
 

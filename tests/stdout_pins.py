@@ -1,9 +1,10 @@
 """The three stdout pins: the CLI sweep, the pinned commands and the demos.
 
 Run as a script, it checks all three pin files on whatever Python runs it,
-that each pinned command exits and prints as an in-process cli.run, and
-that the CLI's two parsers agree on the sweep's commands, and prints every
-mismatch:
+that each pinned command exits and prints as an in-process cli.run, that
+the CLI's two parsers agree on the sweep's commands, and that every
+refusal of the sweep, and of ten arguments of the longest length an argv
+string holds, writes one short error: line, and prints every mismatch:
 
     python tests/stdout_pins.py
 
@@ -34,7 +35,7 @@ if __name__ == "__main__":  # run as a script: import arithlab from this tree
 
 from arithlab import cli
 from arithlab.cohomology import FiniteGroup, GLattice, induced_lattice, norm_one_lattice
-from arithlab.core import IntegerMatrix
+from arithlab.core import IntegerMatrix, shown
 
 HERE = Path(__file__).resolve().parent
 SWEEP_PIN = HERE / "cli_sweep_sha256.json"
@@ -50,6 +51,23 @@ DEMOS = HERE.parent / "demos"
 # usage errors included.  Each run's command, exit code and stdout go into
 # one sha256, so a change to what any subcommand prints, or to which inputs
 # it refuses, changes the digest.  stderr stays out: it carries the wall time.
+# It is checked apart: a run that exits 2 writes argparse's usage text or
+# one error: line of at most MAX_REFUSAL_BYTES.
+
+MAX_REFUSAL_BYTES = 300
+
+
+def refusal_problem(argv, code: int, out: str, err: str, usage: bool = True) -> list[str]:
+    """One line if a run that exits 2 writes anything but one error: line of at
+    most MAX_REFUSAL_BYTES, or argparse's usage text where usage is allowed;
+    stdout must then be empty."""
+    if code != 2 or (usage and err.startswith("usage:")):
+        return []
+    short = err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if short and len(err.encode()) <= MAX_REFUSAL_BYTES and not out:
+        return []
+    command = " ".join(map(shown, argv))
+    return [f"{command}: exit 2, {len(out)} bytes of stdout and stderr {err[:200]!r}"]
 
 
 def _lattice_tokens(lattice):
@@ -181,7 +199,8 @@ def sweep_commands() -> list[list[str]]:
 
 
 def sweep_mismatches(directory: Path) -> list[str]:
-    """Run the sweep in process; its mismatch with cli_sweep_sha256.json, if any.
+    """Run the sweep in process; its mismatch with cli_sweep_sha256.json and
+    each refusal that is not one short line (refusal_problem), if any.
 
     The lattice files are written to directory, which must be the working
     directory: commands name them relative to it, as stdout echoes them.
@@ -189,16 +208,58 @@ def sweep_mismatches(directory: Path) -> list[str]:
     """
     for name, text in lattice_files().items():
         (directory / name).write_text(text)
-    digest = hashlib.sha256()
+    digest, problems = hashlib.sha256(), []
     commands = sweep_commands()
     for argv in commands:
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             code = cli.run(argv)
         digest.update((json.dumps([argv, code, out.getvalue()]) + "\n").encode())
+        problems += refusal_problem(argv, code, out.getvalue(), err.getvalue())
     found = {"commands": len(commands), "sha256": digest.hexdigest()}
     pinned = json.loads(SWEEP_PIN.read_text())
-    return [] if found == pinned else [f"{SWEEP_PIN.name}: got {found}, pinned {pinned}"]
+    if found != pinned:
+        problems.append(f"{SWEEP_PIN.name}: got {found}, pinned {pinned}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Long refusals: an argument of 131,000 digits, near the longest an argv
+# string holds, refused by ten commands.  Each must exit 2 with empty stdout
+# and one error: line of at most MAX_REFUSAL_BYTES (core.shown names the
+# argument by its digit count); they stay out of the sweep digest.
+
+LONG_ARGUMENT = "1" + "0" * 130_999  # 10^130999, even and over every budget
+
+
+def long_refusal_commands() -> list[list[str]]:
+    n = LONG_ARGUMENT
+    return [
+        ["example", "2.5", "--height", n],
+        ["example", "2.1", "--ell", n],
+        ["example", "2.4", "--q", n],
+        ["symbol", "legendre", "3", n],
+        ["density", "exact", f"1({n})"],
+        ["density", "intersection", "1(4)", n],
+        ["tractable", "1(4)", n],
+        ["density", "estimate", "1(4)", "--bound", n],
+        ["section7", "3", "1", n],
+        ["local-index", n, "3"],
+    ]
+
+
+def long_refusal_mismatches() -> list[str]:
+    """Run each long refusal in process; one line for each that exits
+    otherwise than 2 with one short error: line and empty stdout."""
+    problems = []
+    for argv in long_refusal_commands():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+        if code != 2:
+            problems.append(f"{' '.join(map(shown, argv))}: exit {code}, not 2")
+        problems += refusal_problem(argv, code, out.getvalue(), err.getvalue(), usage=False)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +393,7 @@ def main() -> int:
         os.chdir(cwd)
     sweep, demos = sweep_commands(), sorted(json.loads(DEMO_PIN.read_text()))
     problems += parser_disagreements(sweep)
+    problems += long_refusal_mismatches()
     problems += unpinned_demos()
     problems += demo_mismatches(demos)
     for line in problems:
@@ -340,9 +402,10 @@ def main() -> int:
     parsed = sum(cli._parse_fast(argv) is not None for argv in sweep)
     print(
         f"Python {version}: {len(problems)} mismatches in the three pin files, "
-        "main against run and the parsers: "
+        "main against run, the parsers and the refusal lines: "
         f"{len(sweep)} sweep commands, {len(determinism_commands())} pinned commands, "
-        f"{len(demos)} demos, {parsed} parser checks"
+        f"{len(demos)} demos, {parsed} parser checks, "
+        f"{len(long_refusal_commands())} long refusals"
     )
     return 1 if problems else 0
 

@@ -27,6 +27,7 @@ from arithlab.bounds import (
     _compact_int,
     _gamma_product,
 )
+from arithlab.core import shown
 
 
 def det_mod3(rows):
@@ -484,12 +485,20 @@ class TestPsiSize:
 
 class TestCompactInt:
     # math.log10 rounds 10^k - 1 up to k for k = 15..44 and 10^k down below
-    # k for k = 512, 1024, 2048.
-    @pytest.mark.parametrize("k", [*range(40, 61), 512, 1024, 2048])
+    # k for k = 512, 1024, 2048.  core.shown, which _compact_int calls for
+    # every int and every refusal calls for its quoted values, also names
+    # negatives; 131071 digits is the longest integer an argv string holds.
+    @pytest.mark.parametrize("k", [*range(39, 61), 512, 1024, 2048, 4300, 131071])
     def test_digit_count_is_exact_at_powers_of_ten(self, k):
-        for n in (10**k - 1, 10**k):
+        for n in (10**k - 1, 10**k, 10**k + 1):
             expected = str(n) if n < 10**40 else f"<{len(str(n))}-digit integer>"
-            assert _compact_int(n) == expected
+            assert _compact_int(n) == shown(n) == expected
+            assert shown(-n) == f"-{expected}"
+
+    def test_long_token_named_by_its_length(self):
+        assert shown("9" * 40) == repr("9" * 40) and shown("it's") == repr("it's")
+        assert shown("9" * 41) == "<41-character token>"
+        assert shown(Fraction(-3, 7)) == "-3/7" and shown(None) == "None"
 
 
 LADDER_PIN_CAPS = (48, 100, 159, 1000, 7428, 100000, None)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
-from arithlab import cli, cohomology, progressions
+from arithlab import bounds, cli, cohomology, core, experiments, progressions
 from arithlab.cohomology import AbelianGroupInvariants
 from arithlab.core import IntegerMatrix, determinant
 from arithlab.progressions import primes_up_to
@@ -501,6 +501,29 @@ class TestExitCodes:
         code, out, err = run_in_process(["symbol", "hilbert", "3", "5", "zz"], capsys)
         assert (code, out) == (2, "") and err.startswith("error: cannot parse place 'zz': ")
 
+    # Each parser's refusal of a token of 40 characters and of 41: the first
+    # is quoted with the parser's detail, the second by its length alone.
+    NOT_AN_INT = ": invalid literal for int() with base 10: {!r}"
+    UNPARSEABLE = {
+        "rational": (["symbol", "hilbert", "{}", "1", "inf"], ""),
+        "place": (["symbol", "hilbert", "1", "1", "{}"], NOT_AN_INT),
+        "progression": (["density", "exact", "{}"], ": expected a(m)"),
+        "extension": (["density", "intersection", "1(4)", "{}"], NOT_AN_INT),
+        "congruence target": (
+            ["example", "2.3", "--target", "{}"],
+            ": not enough values to unpack (expected 2, got 1)",
+        ),
+    }
+
+    @pytest.mark.parametrize("what", UNPARSEABLE)
+    def test_long_unparseable_token_named_by_its_length(self, what, capsys):
+        argv, detail = self.UNPARSEABLE[what]
+        short, long = "x" * 40, "x" * 41
+        quoted_as = {short: f"{short!r}{detail.format(short)}", long: "<41-character token>"}
+        for token, quoted in quoted_as.items():
+            code, out, err = run_in_process([t.format(token) for t in argv], capsys)
+            assert (code, out, err) == (2, "", f"error: cannot parse {what} {quoted}\n")
+
     def test_invalid_input_value(self, capsys):
         code, _, err = run_in_process(["symbol", "legendre", "3", "4"], capsys)
         assert code == 2 and "invalid input" in err
@@ -781,13 +804,89 @@ class TestFuzzedArguments:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.run(argv)
-        assert code in (0, 1, 2), argv
-        if code == 2:  # one line from run(): no token reaches argparse's own errors
+        assert code in (0, 1, 2), argv[:3]
+        if code == 2:  # one short line from run(): no token reaches argparse's own errors
             message = err.getvalue()
-            assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
+            assert message.startswith("error: ") and message.count("\n") == 1, (argv[:3], message)
+            assert len(message.encode()) <= 300, (argv[:3], message[:300])
         else:
             json.loads(out.getvalue())
         return err.getvalue()
+
+    # Integer tokens for the grammar fuzzer: small values, one past every
+    # budget and range (each MAX_* and *_LIMIT constant), the edges of 2^64,
+    # PRIME_LIMIT and core.shown's 10^40, and long values up to the longest
+    # integer an argv string holds.
+    LIMITS = {
+        value
+        for module in (cli, cohomology, core, experiments, progressions, bounds)
+        for name, value in vars(module).items()
+        if isinstance(value, int) and (name.startswith("MAX_") or name.endswith("_LIMIT"))
+    }
+    EDGES = sorted(
+        {limit + 1 for limit in LIMITS}
+        | {2**64 + k for k in (-1, 0, 1, 13)}
+        | {2**4096 + 81, 10**40 - 1, 10**40, -(10**40), -(2**64 + 1)}
+    )
+    LONG = ["9" * 4000, "-" + "7" * 4300, "1" + "0" * 19999, "3" * 131000]
+    SMALL_INTEGER, EDGE = st.integers(-30, 60).map(str), st.sampled_from(list(map(str, EDGES)))
+    # Long values are drawn least often: converting one takes the longest.
+    INTEGER = st.one_of(SMALL_INTEGER, SMALL_INTEGER, EDGE, EDGE, st.sampled_from(LONG))
+    # Tokens over core.shown's 40 characters: a token of each kind with
+    # digits or letters before or after it.
+    PAD = st.sampled_from(["9" * 41, "x" * 41, "9" * 5000, "x" * 5000])
+
+    @classmethod
+    def long_variant(cls, tokens):
+        padded = lambda token, pad, front: pad + token if front else token + pad
+        return st.builds(padded, tokens, cls.PAD, st.booleans())
+
+    # The inside commands of test_budgets.BUDGETS, which do the work a
+    # budget allows: none is drawn.
+    INSIDE = {"--ell": {"7"}, "--height": {"300"}}
+
+    def argument_tokens(self, name, keywords, lattice_file):
+        if keywords.get("type") is int:
+            return self.INTEGER.filter(lambda t: t not in self.INSIDE.get(name, ()))
+        if name == "lattice_file":
+            return st.sampled_from([lattice_file, "missing-lattice.txt"])
+        base = {
+            "spec": self.PROGRESSION,
+            "ext": self.EXTENSION,
+            "target": self.EXTENSION,  # tractable's target is an extension
+            "--target": self.TARGET,
+            "a": self.RATIONAL,
+            "b": self.RATIONAL,
+            "place": self.PLACE,
+        }[name]
+        return st.one_of(base, self.long_variant(base))
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_grammar(self, data, tmp_path_factory):
+        # A family, a leaf and every argument drawn from cli._GRAMMAR.  An
+        # option is written --name value, or --name=value when its value
+        # starts with -; positionals follow a -- when any of them does.
+        lattice_file = tmp_path_factory.getbasetemp() / "grammar-sign.txt"
+        lattice_file.write_text(SIGN_LATTICE)
+        family = data.draw(st.sampled_from(sorted(cli._GRAMMAR)))
+        _, _, dest, arguments = cli._GRAMMAR[family]
+        argv = [family]
+        if dest is not None:
+            leaf = data.draw(st.sampled_from(sorted(arguments)))
+            argv, arguments = [family, leaf], arguments[leaf]
+        options, positionals = [], []
+        for name, keywords in arguments.items():
+            tokens = self.argument_tokens(name, keywords, str(lattice_file))
+            if keywords.get("nargs") == "*":
+                positionals += data.draw(st.lists(tokens, max_size=3))
+            elif not name.startswith("-"):
+                positionals.append(data.draw(tokens))
+            elif keywords.get("required") or data.draw(st.booleans()):
+                value = data.draw(tokens)
+                options += [f"{name}={value}"] if value.startswith("-") else [name, value]
+        dash = ["--"] if any(t.startswith("-") for t in positionals) else []
+        self.exits_cleanly(argv + options + dash + positionals)
 
     @settings(max_examples=150)
     @given(spec=PROGRESSION, ext=EXTENSION, kind=st.sampled_from(["exact", "intersection", "tractable"]))

@@ -9,6 +9,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +32,7 @@ from arithlab.core import (
     smith_normal_form,
     valuation,
 )
-from arithlab import core
+from arithlab import bounds, cohomology, core, experiments, progressions, symbols
 from arithlab.core import _lucas_strong_probable_prime, _miller_rabin
 
 
@@ -545,6 +546,63 @@ REFUSALS = {
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# A 5,000-digit argument, over the interpreter's default int-string guard of
+# 4,300 digits, and its name in every refusal: its digit count.
+HUGE, HUGE_NAME = 10**4999, "<5000-digit integer>"
+ORDER_RANGE = f"group order must be in 1..{cohomology.MAX_GROUP_ORDER}, got "
+HUGE_REFUSALS = {
+    "factor": (lambda: factor(HUGE), f"factor requires 1 <= n <= 2**64, got {HUGE_NAME}"),
+    "valuation": (
+        lambda: valuation(HUGE, -HUGE),
+        f"valuation requires n != 0 and p >= 2, got n = {HUGE_NAME}, p = -{HUGE_NAME}",
+    ),
+    "jacobi": (lambda: core.jacobi(1, HUGE), f"jacobi requires odd n >= 1, got {HUGE_NAME}"),
+    "legendre": (
+        lambda: symbols.legendre(3, HUGE), f"legendre requires an odd prime, got {HUGE_NAME}"
+    ),
+    "extension": (
+        lambda: progressions.AbelianExtensionDescriptor(HUGE, [1]),
+        f"conductor {HUGE_NAME} exceeds MAX_CONDUCTOR = {progressions.MAX_CONDUCTOR}",
+    ),
+    "residue-class": (
+        lambda: progressions.ProgressionSpec.residue_class(HUGE, HUGE),
+        f"residue {HUGE_NAME} is not invertible mod {HUGE_NAME}",
+    ),
+    "primes-up-to": (
+        lambda: progressions.primes_up_to(HUGE),
+        f"sieve bound {HUGE_NAME} exceeds MAX_SIEVE_BOUND = {progressions.MAX_SIEVE_BOUND}",
+    ),
+    "gamma": (lambda: bounds.gamma(-HUGE), f"gamma requires d >= 1, got -{HUGE_NAME}"),
+    "symmetric": (lambda: cohomology.FiniteGroup.symmetric(HUGE), f"{ORDER_RANGE}{HUGE_NAME}!"),
+    "cyclic": (lambda: cohomology.FiniteGroup.cyclic(HUGE), f"{ORDER_RANGE}{HUGE_NAME}"),
+    "biased-prime-sets": (
+        lambda: experiments.build_biased_prime_sets(HUGE),
+        f"ell must be <= {experiments.MAX_BIASED_ELL}, got {HUGE_NAME}: "
+        "the search would run for minutes",
+    ),
+    "constrained-units": (
+        lambda: experiments.norm_one_constrained_units(HUGE),
+        f"height bound must be <= {experiments.MAX_UNIT_HEIGHT}, got {HUGE_NAME}",
+    ),
+    "local-power-index": (
+        lambda: experiments.local_power_index(HUGE, 3), f"{HUGE_NAME} is not prime"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", HUGE_REFUSALS.values(), ids=HUGE_REFUSALS.keys())
+def test_huge_argument_named_under_the_default_guard(call, message):
+    # A library caller keeps the interpreter's default guard, under which
+    # str() of the argument would raise in place of the refusal.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
