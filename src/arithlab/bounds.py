@@ -9,10 +9,10 @@ A cap above MAX_DIGIT_CAP = 10**7 is refused, so the cap bounds the
 work as well as the size: the largest value it admits, gamma(4578) with
 9,999,548 digits, is formed and printed within a minute.  Above the cap
 a rung is refused before it is formed, with a size report whose digit
-counts come from logarithms and are flagged as approximate -- never a
-silently truncated value.  One comparator, _over_cap, makes every such
-decision from log10 of the digit count, and forms a value only when
-that lies too near log10 of the cap for the logarithms to decide.
+counts come from logarithms -- never a silently truncated value.  One
+comparator, _over_cap, makes every such decision from log10 of the
+digit count, and forms a value only when that lies too near log10 of
+the cap for the logarithms to decide.
 gamma(d) is refused by _sized_gamma; every rung over it is sized, and
 refused, by one product path, _checked_product, whose bases and
 exponents may be held (_Held): from 10**40 on, gamma(d), gamma(d) - 1
@@ -124,7 +124,6 @@ class ProductSize(Record):
 
     formula: str
     digits10: str
-    approximate: bool = True
 
     def describe(self) -> str:
         return f"{self.formula} with about {self.digits10} decimal digits"
@@ -181,11 +180,11 @@ def _scientific_digits(log_digits: float) -> str:
 
 
 def _power(base: int, exponent: int) -> int:
-    """base**exponent as (base >> v)**exponent << v * exponent, with 2^v
-    the power of two in base: the same int, from a power of a smaller
-    odd base (psi(3)'s base 11232 is 2^5 * 351)."""
-    v = (base & -base).bit_length() - 1
-    return (base >> v) ** exponent << v * exponent
+    """base**exponent as odd**exponent << v * exponent, with base = 2^v odd:
+    the same int, from a power of a smaller odd base (psi(3)'s base 11232
+    is 2^5 * 351)."""
+    v, odd = valuation(base, 2)
+    return odd**exponent << v * exponent
 
 
 def _checked_product(

@@ -188,7 +188,9 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read lattice file {path!r}: {exc}") from exc
+        # str() of an OSError would quote the path again.
+        detail = f"[Errno {exc.errno}] {exc.strerror}" if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read lattice file {shown(path)}: {detail}") from exc
     try:
         tokens: list[int] = []
         for line in text.splitlines():
@@ -228,7 +230,7 @@ def _parse_lattice_file(path: str) -> cohomology.GLattice:
             raise ValueError(f"{len(tokens) - pos} trailing tokens")
         return cohomology.GLattice(group, d, tuple(mats))
     except ValueError as exc:
-        raise UsageError(f"malformed lattice file {path!r}: {exc}") from exc
+        raise UsageError(f"malformed lattice file {shown(path)}: {exc}") from exc
 
 
 def _count_invertible_mod3(d: int) -> int:
@@ -589,6 +591,24 @@ def _certify_local_index(args, parsed, outputs):
     return [_cert("power-count-agrees", count * outputs["index"] == args.p - 1)]
 
 
+def _argparse() -> types.ModuleType:
+    """argparse, imported at the first call: only help and usage errors need it."""
+    import argparse
+
+    return argparse
+
+
+def _int(token: str) -> int:
+    """An int argument's value: int(token), which _parse_fast and argparse
+    both call.  A token that is not an int is refused as argparse's
+    ArgumentTypeError, quoted by core.shown (as its repr up to
+    SHOWN_CHARS characters, as argparse quotes it)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise _argparse().ArgumentTypeError(f"invalid int value: {shown(token)}") from None
+
+
 # The grammar: the one table of the CLI's families, leaves and arguments,
 # which _build_parser and _parse_fast both read, and of the handlers that
 # _report dispatches to.  A family has its help, its compute function,
@@ -596,7 +616,7 @@ def _certify_local_index(args, parsed, outputs):
 # each with its arguments; a family whose dest is None takes its arguments
 # itself.  Arguments map a name, --name for an option, to its add_argument
 # keywords.
-_INT, _REQUIRED_INT = {"type": int}, {"type": int, "required": True}
+_INT, _REQUIRED_INT = {"type": _int}, {"type": _int, "required": True}
 _GRAMMAR = {
     "constants": (
         "evaluate the constant ladder", (_compute_constants, _certify_constants, "bounds"),
@@ -615,7 +635,7 @@ _GRAMMAR = {
         "progression densities", (_compute_density, _certify_density, "progressions"),
         "kind", {
             "exact": {"spec": {}},
-            "estimate": {"spec": {}, "--bound": {"type": int, "default": 10**6}},
+            "estimate": {"spec": {}, "--bound": {"type": _int, "default": 10**6}},
             "intersection": {"spec": {}, "ext": {}},
         },
     ),
@@ -632,13 +652,13 @@ _GRAMMAR = {
         "which", {
             "2.1": {"--ell": _REQUIRED_INT},
             "2.3": {"--target": {"required": True}},
-            "2.4": {"--q": _REQUIRED_INT, "--bound": {"type": int, "default": 1000}},
+            "2.4": {"--q": _REQUIRED_INT, "--bound": {"type": _int, "default": 1000}},
             "2.5": {"--height": _REQUIRED_INT},
         },
     ),
     "section7": (
         "power-index growth report", (_compute_section7, _certify_section7, "experiments"),
-        None, {"n": _INT, "ell": _INT, "primes": {"type": int, "nargs": "*"}},
+        None, {"n": _INT, "ell": _INT, "primes": {"type": _int, "nargs": "*"}},
     ),
     "local-index": (
         "index of n-th powers mod p", (_compute_local_index, _certify_local_index, "experiments"),
@@ -649,9 +669,7 @@ _GRAMMAR = {
 
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse parser of _GRAMMAR, which writes every usage error and help text."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
+    parser = _argparse().ArgumentParser(
         prog="arithlab",
         description="Exact desk-scale number theory: symbols, progressions, "
         "lattice cohomology, index bounds, and worked experiments.",
@@ -722,7 +740,7 @@ def _parse_fast(argv: list[str]) -> types.SimpleNamespace | None:
                 values[name] = convert(positionals.pop(0))
             else:
                 return None
-    except ValueError:
+    except _argparse().ArgumentTypeError:  # evaluated only once a conversion fails
         return None
     return None if positionals else types.SimpleNamespace(**values)
 

@@ -15,6 +15,7 @@ row lists it builds itself with nothing appended.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from functools import cache
 
@@ -82,35 +83,27 @@ def shown(value) -> str:
 class Record:
     """Base of arithlab's immutable value classes, in place of a frozen dataclass.
 
-    A subclass names its fields as class annotations, in order, each with
-    an optional class-level default; under `from __future__ import
-    annotations` they are strings and none is evaluated.  The subclass
-    gets what @dataclass(frozen=True) would give it: __init__ (positional
-    or keyword arguments, then __post_init__ if the class has one; a
-    class that writes its own __init__ keeps it and sets its fields with
+    A subclass names its fields, at least one, as class annotations, in
+    order and with no defaults; under `from __future__ import annotations`
+    they are strings and none is evaluated.  The subclass gets what
+    @dataclass(frozen=True) would give it: __init__ (positional or
+    keyword arguments, then __post_init__ if the class has one; a class
+    that writes its own __init__ keeps it and sets its fields with
     object.__setattr__), __eq__ (same class, equal field tuples),
     __hash__ (of the field tuple) and __match_args__.  __repr__ and the
     refusal to assign or delete are shared.  Instances keep a __dict__,
     so pickle and copy work as for any object.
 
     dataclasses is not used because importing it pulls in inspect, ast,
-    dis and tokenize, about 11-14 ms of every cold CLI command.  The
-    three methods are generated per class, with one exec, as dataclasses
-    itself does, rather than written once as loops over the field names:
-    that generic version made IntegerMatrix construction 50-80 % slower,
-    hash 2x slower and artin_kernel_evidence(5, 10**6) 20-40 % slower,
-    while the generated code runs level with dataclasses.
-
-    The methods are generated on first use, not when the class is
-    created: until then each is a stub that generates all three with
-    one exec, puts them on the class and calls its own.  Compiling them
-    costs 130-200 us per class, and a command uses few of the 20
-    classes (the benchmark's h1 corpus is built with 2 of the 7 that
-    core and cohomology define), so importing pays for none.  After
-    first use the class holds the generated methods themselves, so
-    their signatures, hash values and per-call speed do not depend on
-    when they were generated.  Threads that race to first use each
-    generate the same methods, and whichever is stored last is kept.
+    dis and tokenize, about 11-14 ms of every cold CLI command.  __eq__
+    and __hash__ are written once, here, and read a class's field tuple
+    through one operator.attrgetter made at class creation.  __init__ is
+    generated per class, with one exec, as dataclasses itself does: an
+    __init__ written once as a loop over the field names made
+    IntegerMatrix construction 50-80 % slower.  It is compiled at the
+    class's first construction, not when the class is created, so
+    importing a module compiles nothing; from then on the class holds
+    the generated __init__ itself, and its signature is the field list.
     """
 
     __match_args__ = ()
@@ -118,9 +111,34 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
-        own_init = "__init__" in cls.__dict__
-        for name in ("__eq__", "__hash__") if own_init else ("__eq__", "__hash__", "__init__"):
-            setattr(cls, name, _generated_on_first_use(cls, name, own_init))
+        names = cls.__match_args__
+        get = operator.attrgetter(*names)
+        cls._field_values = get if len(names) > 1 else lambda self: (get(self),)
+        if "__init__" in cls.__dict__:
+            return
+
+        def stub(self, *args, **kwargs):  # compiles __init__, stores it on cls and calls it
+            if cls.__dict__["__init__"] is stub:  # nothing generated yet
+                # object.__setattr__, as dataclasses uses: a store through
+                # self.__dict__ would turn the instance's inline attribute
+                # values into a dict and slow every later field read.
+                stores = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+                post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+                namespace = {"_setattr": object.__setattr__}
+                exec(f"def __init__(self, {', '.join(names)}):\n{stores}{post}", namespace)
+                namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+                cls.__init__ = namespace["__init__"]
+            return cls.__init__(self, *args, **kwargs)
+
+        cls.__init__ = stub
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__class__._field_values(self) == other.__class__._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._field_values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
@@ -133,59 +151,28 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _generated_on_first_use(cls: type, name: str, own_init: bool) -> Callable:
-    """A stand-in for the generated method `name` of the Record subclass cls."""
-
-    def stub(self, *args, **kwargs):
-        if cls.__dict__[name] is stub:  # nothing generated yet
-            _generate_methods(cls, own_init)
-        return cls.__dict__[name](self, *args, **kwargs)
-
-    stub.__qualname__ = f"{cls.__qualname__}.{name}"
-    return stub
-
-
-def _generate_methods(cls: type, own_init: bool) -> None:
-    """Compile cls's __eq__ and __hash__, and its __init__ unless it wrote one."""
-    names = cls.__match_args__
-    mine = "".join(f"self.{n}, " for n in names)
-    theirs = "".join(f"other.{n}, " for n in names)
-    source = (
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({mine}))\n"
-    )
-    defaults = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
-    if not own_init:
-        params = "".join(
-            f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}" for n in names
-        )
-        # object.__setattr__, as dataclasses uses: a store through
-        # self.__dict__ would turn the instance's inline attribute values
-        # into a dict and slow every later field read.
-        stores = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
-        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-        source += f"def __init__(self{params}):\n{stores}{post}"
-    methods = {}
-    exec(source, {"_setattr": object.__setattr__, **defaults}, methods)
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
-
-
 def valuation(n: int, p: int) -> tuple[int, int]:
-    """(e, n // p**e) with p**e the largest power of p dividing n != 0."""
+    """(e, n // p**e) with p**e the largest power of p dividing n != 0.
+
+    For p = 2, e is read off the lowest set bit.  For any other p whose
+    square divides n, e = 2 e' + 2 + [p | m], with (e', m) the valuation
+    of n / p^2 at p^2.  So each of p, p^2, p^4, ... divides at most three
+    times, and n costs O(log e) divisions of O(M(n)) each, not e.
+    """
     if n == 0 or p < 2:
         raise ValueError(
             f"valuation requires n != 0 and p >= 2, got n = {shown(n)}, p = {shown(p)}"
         )
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e, n
+    if n % p:
+        return 0, n
+    if p == 2:
+        e = (n & -n).bit_length() - 1
+        return e, n >> e
+    n //= p
+    if n % p:
+        return 1, n
+    e, n = valuation(n // p, p * p)
+    return (2 * e + 2, n) if n % p else (2 * e + 3, n // p)
 
 
 def generating_set(

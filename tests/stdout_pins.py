@@ -3,8 +3,9 @@
 Run as a script, it checks all three pin files on whatever Python runs it,
 that each pinned command exits and prints as an in-process cli.run, that
 the CLI's two parsers agree on the sweep's commands, and that every
-refusal of the sweep, and of ten arguments of the longest length an argv
-string holds, writes one short error: line, and prints every mismatch:
+refusal of the sweep, and of arguments of the longest length an argv
+string holds, writes one error: line or argparse's usage text, each of
+its lines short, and prints every mismatch:
 
     python tests/stdout_pins.py
 
@@ -52,19 +53,21 @@ DEMOS = HERE.parent / "demos"
 # one sha256, so a change to what any subcommand prints, or to which inputs
 # it refuses, changes the digest.  stderr stays out: it carries the wall time.
 # It is checked apart: a run that exits 2 writes argparse's usage text or
-# one error: line of at most MAX_REFUSAL_BYTES.
+# one error: line, and no stderr line over MAX_REFUSAL_BYTES.
 
 MAX_REFUSAL_BYTES = 300
 
 
 def refusal_problem(argv, code: int, out: str, err: str, usage: bool = True) -> list[str]:
-    """One line if a run that exits 2 writes anything but one error: line of at
-    most MAX_REFUSAL_BYTES, or argparse's usage text where usage is allowed;
-    stdout must then be empty."""
-    if code != 2 or (usage and err.startswith("usage:")):
+    """One line if a run that exits 2 writes anything but one error: line, or
+    argparse's usage text where usage is allowed, or writes a stderr line of
+    over MAX_REFUSAL_BYTES; stdout must then be empty."""
+    if code != 2:
         return []
-    short = err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    if short and len(err.encode()) <= MAX_REFUSAL_BYTES and not out:
+    lines = err.splitlines(keepends=True)
+    shape = (usage and err.startswith("usage:")) or (err.startswith("error: ") and len(lines) == 1)
+    short = all(len(line.encode()) <= MAX_REFUSAL_BYTES for line in lines)
+    if shape and short and err.endswith("\n") and not out:
         return []
     command = " ".join(map(shown, argv))
     return [f"{command}: exit 2, {len(out)} bytes of stdout and stderr {err[:200]!r}"]
@@ -224,17 +227,22 @@ def sweep_mismatches(directory: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Long refusals: an argument of 131,000 digits, near the longest an argv
-# string holds, refused by ten commands.  Each must exit 2 with empty stdout
-# and one error: line of at most MAX_REFUSAL_BYTES (core.shown names the
-# argument by its digit count); they stay out of the sweep digest.
+# Long refusals: arguments near the longest an argv string holds.  An
+# argument of 131,000 digits is refused by ten commands, and a token of
+# 131,001 x's as a lattice-file path and as an int argument.  Each must exit
+# 2 with empty stdout and one error: line of at most MAX_REFUSAL_BYTES
+# (core.shown names the argument by its digit count or length), save the
+# int argument, which argparse refuses: its usage text, then one such line.
+# They stay out of the sweep digest.
 
 LONG_ARGUMENT = "1" + "0" * 130_999  # 10^130999, even and over every budget
+LONG_TOKEN = "x" * 131_001
 
 
-def long_refusal_commands() -> list[list[str]]:
+def long_refusal_commands() -> list[tuple[list[str], bool]]:
+    """Each long refusal's argv, and whether argparse writes it."""
     n = LONG_ARGUMENT
-    return [
+    ours = [
         ["example", "2.5", "--height", n],
         ["example", "2.1", "--ell", n],
         ["example", "2.4", "--q", n],
@@ -245,20 +253,25 @@ def long_refusal_commands() -> list[list[str]]:
         ["density", "estimate", "1(4)", "--bound", n],
         ["section7", "3", "1", n],
         ["local-index", n, "3"],
+        ["h1", LONG_TOKEN],
     ]
+    return [(argv, False) for argv in ours] + [(["symbol", "legendre", LONG_TOKEN, "5"], True)]
 
 
 def long_refusal_mismatches() -> list[str]:
     """Run each long refusal in process; one line for each that exits
-    otherwise than 2 with one short error: line and empty stdout."""
+    otherwise than 2 with empty stdout and one short error: line, after
+    argparse's usage text when argparse writes it."""
     problems = []
-    for argv in long_refusal_commands():
+    for argv, usage in long_refusal_commands():
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.run(argv)
         if code != 2:
             problems.append(f"{' '.join(map(shown, argv))}: exit {code}, not 2")
-        problems += refusal_problem(argv, code, out.getvalue(), err.getvalue(), usage=False)
+        if usage and not err.getvalue().startswith("usage:"):
+            problems.append(f"{' '.join(map(shown, argv))}: no usage text")
+        problems += refusal_problem(argv, code, out.getvalue(), err.getvalue(), usage)
     return problems
 
 

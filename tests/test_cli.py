@@ -257,7 +257,7 @@ class TestLatticeFile:
         path.write_text("2\n0 1\n1 0\n" + tail)
         code, out, err = run_in_process(["h1", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: malformed lattice file {str(path)!r}: {message}\n"
+        assert err == f"error: malformed lattice file {core.shown(str(path))}: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_in_process(["h1", "/nonexistent/lattice.txt"], capsys)
@@ -846,7 +846,7 @@ class TestFuzzedArguments:
     INSIDE = {"--ell": {"7"}, "--height": {"300"}}
 
     def argument_tokens(self, name, keywords, lattice_file):
-        if keywords.get("type") is int:
+        if keywords.get("type") is cli._int:
             return self.INTEGER.filter(lambda t: t not in self.INSIDE.get(name, ()))
         if name == "lattice_file":
             return st.sampled_from([lattice_file, "missing-lattice.txt"])
@@ -955,7 +955,7 @@ class TestFuzzedLatticeFiles:
         path.write_bytes(content)
         message = TestFuzzedArguments.exits_cleanly(["h1", str(path)])
         if "malformed lattice file" in message:  # the file's prefix, once, first
-            prefix = f"error: malformed lattice file {str(path)!r}: "
+            prefix = f"error: malformed lattice file {core.shown(str(path))}: "
             assert message.startswith(prefix) and message.count("malformed lattice file") == 1
 
     def test_unedited_files_succeed(self, tmp_path, capsys):
@@ -978,7 +978,7 @@ class TestFuzzedLatticeFiles:
         assert result == (
             2,
             "",
-            f"error: malformed lattice file {str(path)!r}: a token of {digits} characters "
+            f"error: malformed lattice file {core.shown(str(path))}: a token of {digits} characters "
             f"exceeds MAX_INT_DIGITS = {cli.MAX_INT_DIGITS}\n",
         )
 
@@ -990,7 +990,7 @@ class TestFuzzedLatticeFiles:
         code, out, err = run_in_process(["h1", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: malformed lattice file {str(path)!r}: group order must be in 1..48, "
+            f"error: malformed lattice file {core.shown(str(path))}: group order must be in 1..48, "
             f"got <{cli.MAX_INT_DIGITS}-digit integer>\n"
         )
         assert len(err) < 200

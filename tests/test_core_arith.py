@@ -263,16 +263,27 @@ class TestFactor:
 
 
 class TestValuation:
-    @pytest.mark.parametrize("p", [2, 3, 5, 97, 2**61 - 1])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 2**61 - 1])
     def test_prime_powers_times_a_cofactor(self, p):
+        def divided(n):  # one division per factor of p
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            return e, n
+
         rng = random.Random(p)
-        for k in (0, 1, 2, 7, 64, 200):
+        for k in (0, 1, 2, 3, 7, 64, 200, 1000):
             for _ in range(5):
                 cofactor = rng.randrange(1, 10**30)
                 for n in (p**k * cofactor, -(p**k) * cofactor):
                     e, rest = valuation(n, p)
-                    assert e == multiplicity(p, n) >= k
-                    assert rest * p**e == n and rest % p != 0
+                    assert (e, rest) == divided(n) and e == multiplicity(p, n) >= k
+
+    def test_long_prime_powers(self):
+        # e is read off the low bit for p = 2, and by repeated squaring of
+        # p otherwise: no loop of e divisions.
+        assert valuation(3 * 2**200_000, 2) == (200_000, 3)
+        assert valuation(-7 * 3**40_000, 3) == (40_000, -7)
 
     def test_refuses_zero_and_small_bases(self):
         with pytest.raises(ValueError):
@@ -629,7 +640,7 @@ def record_samples():
         IntegerMatrix(1, 3, (4, -5, 6)),
         smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])),
         bounds.psi_size(2),
-        bounds.ProductSize("gamma(9)", "39", False),
+        bounds.ProductSize("gamma(9)", "39"),
         symbols.Place.finite(7),
         symbols.Place.infinite(),
         symbols.hilbert_product_check(-1, -1),
@@ -723,8 +734,6 @@ class TestRecord:
 
         assert IntegerMatrix(rows=1, cols=2, entries=(3, 4)) == IntegerMatrix(1, 2, (3, 4))
         assert IntegerMatrix(1, entries=(3, 4), cols=2) == IntegerMatrix(1, 2, (3, 4))
-        assert ProductSize("f", "1", approximate=False).approximate is False
-        assert ProductSize("f", "1") == ProductSize("f", "1", True)
         for args, kwargs in [
             ((1, 1, (1,), 5), {}),  # too many
             ((1, 1), {}),  # missing
@@ -764,23 +773,26 @@ class TestRecord:
         monkeypatch.setattr(core, "exec", counting_exec, raising=False)
         return sources
 
-    def test_methods_are_generated_on_first_use(self, compiled):
+    def test_init_is_generated_at_first_construction(self, compiled):
         # Defining a class compiles nothing; its first instance compiles
-        # __init__, __eq__ and __hash__ together, with one exec.
+        # __init__ alone, with one exec, and comparing, hashing and copying
+        # compile nothing more.
         class Point(Record):
             x: int
-            y: int = 0
+            y: int
 
         assert compiled == []
-        p = Point(1)
-        assert len(compiled) == 1
+        p = Point(1, 0)
+        assert len(compiled) == 1 and compiled[0].startswith("def __init__(")
+        assert "__eq__" not in compiled[0] and "__hash__" not in compiled[0]
         assert p == Point(1, 0) != Point(1, 1) and hash(p) == hash((1, 0))
-        assert str(inspect.signature(Point)) == "(x, y=0)"
+        assert copy.copy(p) == p and hash(copy.deepcopy(p)) == hash(p)
+        assert str(inspect.signature(Point)) == "(x, y)"
         assert len(compiled) == 1
 
-    def test_own_init_leaves_eq_and_hash_to_first_use(self, compiled):
-        # A class that writes its own __init__ builds instances with no
-        # generated method, so a copy can be made before any has run.
+    def test_own_init_compiles_nothing(self, compiled):
+        # A class that writes its own __init__ never compiles anything:
+        # equality, hashing and copies read its fields as they stand.
         class Pair(Record):
             a: int
             b: int
@@ -790,10 +802,9 @@ class TestRecord:
                 object.__setattr__(self, "b", 2 * a)
 
         q = Pair(3)
-        assert compiled == []
         assert copy.copy(q) == q and copy.copy(q) != Pair(4)
-        assert len(compiled) == 1 and "def __init__" not in compiled[0]
-        assert hash(q) == hash((3, 6))
+        assert hash(q) == hash((3, 6)) and str(inspect.signature(Pair)) == "(a)"
+        assert compiled == []
 
 
 # ---------------------------------------------------------------------------
