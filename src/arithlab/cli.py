@@ -667,9 +667,22 @@ _GRAMMAR = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _GRAMMAR, which writes every usage error and help text."""
-    parser = _argparse().ArgumentParser(
+def _build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The argparse parser of _GRAMMAR, which writes every usage error and help text.
+
+    Its usage errors, and those of its subparsers, quote each token of
+    argv longer than SHOWN_CHARS characters by core.shown, in place of
+    argparse's repr or plain echo of it.
+    """
+    long_tokens = sorted({t for t in argv if len(t) > SHOWN_CHARS}, key=len, reverse=True)
+
+    class Parser(_argparse().ArgumentParser):
+        def error(self, message: str):
+            for token in long_tokens:  # longest first: a shorter one may lie inside it
+                message = message.replace(repr(token), shown(token)).replace(token, shown(token))
+            super().error(message)
+
+    parser = Parser(
         prog="arithlab",
         description="Exact desk-scale number theory: symbols, progressions, "
         "lattice cohomology, index bounds, and worked experiments.",
@@ -755,7 +768,7 @@ def run(argv: list[str]) -> int:
     guard = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
-        args = _parse_fast(argv) or _build_parser().parse_args(argv)
+        args = _parse_fast(argv) or _build_parser(argv).parse_args(argv)
         start = time.monotonic()
         report = _report(args, argv)
     except SystemExit as exc:

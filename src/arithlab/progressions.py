@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import add
 
 from .core import Record, factor, generating_set, shown
 
@@ -208,9 +209,12 @@ def chebotarev_density(spec: ProgressionSpec) -> Fraction:
     return Fraction(len(spec.extension.subgroup), spec.extension.phi)
 
 
-# primes_up_to(3 * 10**8) peaks at 0.85 GB RSS on CPython 3.11 (x86-64): a 0.15 GB
-# odd-only mask and 16M ints.  10**9 would need about 2.6 GB by the same count.
+# primes_up_to(3 * 10**8) peaks at 0.81 GB RSS on CPython 3.11 (x86-64): a 0.15 GB
+# odd-only mask and 16M ints.  10**9 would need about 2.5 GB by the same count.
 MAX_SIEVE_BOUND = 3 * 10**8
+
+_PERIOD = 3 * 5 * 7 * 11 * 13  # bytes
+_SEGMENT = 1 << 18  # bytes
 
 
 @lru_cache(maxsize=1)
@@ -219,18 +223,42 @@ def _prime_mask(bound: int) -> tuple[bytearray, int]:
 
     mask[i] == 1 iff 2i + 1 <= bound is prime, so the mask has
     (bound + 1) // 2 bytes.  The prime 2 has no byte: pi(bound) counts
-    it, and _odd_slice's callers add it back to its class by hand.
+    it, and the readers add it back by hand.
+
+    The class of 2i + 1 mod p depends only on i mod p, so the mask starts
+    as copies of one period of _PERIOD bytes in which the wheel primes 3
+    to 13 have struck their odd multiples.  The sieving primes, 17 to
+    sqrt(bound), are read off the head: the mask of the odd n <= sqrt(bound),
+    which this function strikes first, uncached, from the primes it holds.
+    They strike the mask one _SEGMENT of bytes at a time: each strikes a
+    segment while it is in cache and keeps its next byte for the next
+    segment.  Every strike takes its zeros from one view of
+    _SEGMENT // 17 + 1 bytes, the most that a prime strikes in a segment,
+    so no temporary grows with the bound.
     """
     if bound > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {shown(bound)} exceeds MAX_SIEVE_BOUND = {MAX_SIEVE_BOUND}")
     size = (bound + 1) // 2
-    mask = bytearray([1]) * size
-    mask[0] = 0
-    for i in range(1, (math.isqrt(bound) + 1) // 2):
-        if mask[i]:
-            p = 2 * i + 1
-            j = p * p // 2  # the byte of p * p; odd multiples of p are p bytes apart
-            mask[j::p] = bytes((size - 1 - j) // p + 1)
+    period = bytearray([1]) * _PERIOD
+    for p in (3, 5, 7, 11, 13):
+        period[p // 2 :: p] = bytes(_PERIOD // p)
+    mask = period * (size // _PERIOD + 1)
+    del mask[size:]
+    mask[:7] = b"\0\1\1\1\0\1\1"[:size]  # 1 is no prime; 3, 5, 7, 11 and 13 are
+    root = math.isqrt(bound)
+    head = _prime_mask.__wrapped__(root)[0] if root >= 17 else b""
+    primes = list(compress(range(17, root + 1, 2), head[8:]))
+    zeros = memoryview(bytes(_SEGMENT // 17 + 1))
+    nexts = [p * p // 2 for p in primes]  # the byte of p * p; odd multiples are p bytes apart
+    for lo in range(0, size, _SEGMENT):
+        hi = min(lo + _SEGMENT, size)
+        for k, p in enumerate(primes):
+            if p * p // 2 >= hi:  # p, and every later prime, starts past this segment
+                break
+            j = nexts[k]
+            count = (hi - 1 - j) // p + 1  # j < hi + p, so count >= 0
+            mask[j:hi:p] = zeros[:count]
+            nexts[k] = j + count * p
     return mask, mask.count(1) + 1
 
 
@@ -247,20 +275,67 @@ def _odd_slice(r: int, m: int) -> tuple[int, int]:
     return r // 2, m if m % 2 else m // 2
 
 
+_BLOCK = 1 << 10  # candidates per block of a mask read
+_WHEEL30 = (1, 7, 11, 13, 17, 19, 23, 29)  # the odd residues mod 30 prime to 15
+
+
+def _read_mask(mask: bytearray, residues: tuple[int, ...], period: int, groups: int) -> Iterator[int]:
+    """The n = g * period + r, g < groups and r in residues, whose byte n // 2 is set, in order.
+
+    residues are increasing odd numbers below the even period, and the
+    caller keeps every byte read inside the mask.  The candidates are
+    read _BLOCK at a time: one strided slice per residue gathers a
+    block's bytes into a small bytearray, which selects from a fixed list
+    of offsets, and the block's base is added to each offset selected,
+    so an int is made only for a set byte.  The list of offsets holds at
+    most as many groups as the read.
+    """
+    width, step = len(residues), period // 2
+    size = max(1, min(_BLOCK // width, groups))  # groups per block
+    offsets = [0] * (size * width)
+    for k, r in enumerate(residues):
+        offsets[k::width] = range(r, r + size * period, period)
+
+    def block(g: int) -> Iterator[int]:
+        n = min(size, groups - g)
+        selectors = bytearray(n * width)
+        for k, r in enumerate(residues):
+            first = g * step + r // 2
+            selectors[k::width] = mask[first : first + n * step : step]
+        return map(add, repeat(g * period), compress(offsets, selectors))
+
+    return chain.from_iterable(map(block, range(0, groups, size)))
+
+
 def _primes_in_class(r: int, m: int, bound: int) -> tuple[int, ...]:
-    """The primes p <= bound with p = r (mod m), 0 <= r < m, read off the cached sieve mask."""
+    """The primes p <= bound with p = r (mod m), 0 <= r < m, read off the cached sieve mask.
+
+    The odd candidates, one byte every m or m/2 (_odd_slice), go through
+    _read_mask as a pattern of one residue; 2 is added by hand.
+    """
     if bound < 2:
         return ()
     two = (2,) if 2 % m == r else ()
     start, step = _odd_slice(r, m)
     mask, _ = _prime_mask(bound)
-    odd_primes = compress(range(2 * start + 1, bound + 1, 2 * step), memoryview(mask)[start::step])
-    return tuple(chain(two, odd_primes))
+    groups = len(range(start, len(mask), step))
+    return tuple(chain(two, _read_mask(mask, (2 * start + 1,), 2 * step, groups)))
 
 
 def primes_up_to(bound: int) -> tuple[int, ...]:
-    """All primes <= bound, read off the cached sieve mask."""
-    return _primes_in_class(0, 1, bound)
+    """All primes <= bound, read off the cached sieve mask.
+
+    Every whole period of 30 numbers, 15 bytes, is read through _read_mask
+    at its eight residues prime to 30; 2, 3 and 5 are added by
+    hand, and the bytes after the last whole period are read one by one.
+    """
+    if bound < 2:
+        return ()
+    mask, _ = _prime_mask(bound)
+    groups = len(mask) // 15
+    tail = max(15 * groups, 3)  # from the byte of 7 on
+    last = compress(range(2 * tail + 1, bound + 1, 2), memoryview(mask)[tail:])
+    return tuple(chain((p for p in (2, 3, 5) if p <= bound), _read_mask(mask, _WHEEL30, 30, groups), last))
 
 
 primes_up_to.cache_clear = _prime_mask.cache_clear

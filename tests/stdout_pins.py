@@ -229,11 +229,11 @@ def sweep_mismatches(directory: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 # Long refusals: arguments near the longest an argv string holds.  An
 # argument of 131,000 digits is refused by ten commands, and a token of
-# 131,001 x's as a lattice-file path and as an int argument.  Each must exit
-# 2 with empty stdout and one error: line of at most MAX_REFUSAL_BYTES
-# (core.shown names the argument by its digit count or length), save the
-# int argument, which argparse refuses: its usage text, then one such line.
-# They stay out of the sweep digest.
+# 131,001 x's as a lattice-file path, as an int argument, as a leaf name and
+# as an extra argument.  Each must exit 2 with empty stdout and one error:
+# line of at most MAX_REFUSAL_BYTES (core.shown names the argument by its
+# digit count or length), save the last three, which argparse refuses: its
+# usage text, then one such line.  They stay out of the sweep digest.
 
 LONG_ARGUMENT = "1" + "0" * 130_999  # 10^130999, even and over every budget
 LONG_TOKEN = "x" * 131_001
@@ -255,7 +255,12 @@ def long_refusal_commands() -> list[tuple[list[str], bool]]:
         ["local-index", n, "3"],
         ["h1", LONG_TOKEN],
     ]
-    return [(argv, False) for argv in ours] + [(["symbol", "legendre", LONG_TOKEN, "5"], True)]
+    theirs = [
+        ["symbol", "legendre", LONG_TOKEN, "5"],  # invalid int value
+        ["symbol", LONG_TOKEN, "3", "5"],  # invalid choice
+        ["symbol", "legendre", "3", "5", LONG_TOKEN],  # unrecognized arguments
+    ]
+    return [(argv, False) for argv in ours] + [(argv, True) for argv in theirs]
 
 
 def long_refusal_mismatches() -> list[str]:
@@ -271,6 +276,9 @@ def long_refusal_mismatches() -> list[str]:
             problems.append(f"{' '.join(map(shown, argv))}: exit {code}, not 2")
         if usage and not err.getvalue().startswith("usage:"):
             problems.append(f"{' '.join(map(shown, argv))}: no usage text")
+        lines = err.getvalue().splitlines()
+        if usage and [line for line in lines if ": error: " in line] != lines[-1:]:
+            problems.append(f"{' '.join(map(shown, argv))}: no one error line after the usage text")
         problems += refusal_problem(argv, code, out.getvalue(), err.getvalue(), usage)
     return problems
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from arithlab.progressions import (
     splits_completely,
     tractable_condition,
 )
-from arithlab.progressions import _prime_mask
+from arithlab.progressions import _SEGMENT, _prime_mask, _primes_in_class
 import oracle_progressions as oracle
 
 GAUSSIAN = AbelianExtensionDescriptor.gaussian()
@@ -324,6 +325,77 @@ class TestOddOnlyMask:
             mask, pi = _prime_mask(b)
             assert len(mask) == (b + 1) // 2, b
             assert pi == sympy.primepi(b), b
+
+
+def sieve_oracle(bound: int) -> bytearray:
+    """flags[n] == 1 iff n <= bound is prime (bound >= 1): a plain sieve of
+    Eratosthenes over every integer, whole mask at once, sharing no code
+    with progressions."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return flags
+
+
+# The strike's seams, each +- 2: whole wheel periods (15,015 bytes), whole
+# segments (_SEGMENT bytes), and the square of the first prime past the head
+# of a three-segment mask, the bound at which that prime starts to strike.
+SEAMS = sorted(
+    centre + d
+    for centre in (
+        2 * 15_015, 2 * 2 * 15_015, 2 * _SEGMENT, 2 * 2 * _SEGMENT, 2 * 3 * _SEGMENT,
+        sympy.nextprime(math.isqrt(2 * 3 * _SEGMENT)) ** 2,
+    )
+    for d in range(-2, 3)
+)
+
+
+class TestSegmentedSieve:
+    """The segmented strike and the block reader against sieve_oracle."""
+
+    def test_mask_and_pi_at_every_small_bound(self):
+        for b in range(2, 3001):
+            flags = sieve_oracle(b)
+            assert _prime_mask(b) == (flags[1::2], flags.count(1)), b
+
+    @pytest.mark.parametrize("bound", SEAMS)
+    def test_mask_and_pi_at_the_seams(self, bound):
+        flags = sieve_oracle(bound)
+        mask, pi = _prime_mask(bound)
+        assert mask == flags[1::2]
+        assert pi == flags.count(1)
+
+    def test_every_unit_class_up_to_60_over_three_segments(self):
+        bound = 4 * _SEGMENT + 999  # a mask of 2 * _SEGMENT + 500 bytes
+        flags = sieve_oracle(bound)
+        assert primes_up_to(bound) == tuple(itertools.compress(range(bound + 1), flags))
+        for m in range(1, 61):
+            for r in range(m):
+                if math.gcd(r, m) == 1:
+                    expected = tuple(itertools.compress(range(r, bound + 1, m), flags[r::m]))
+                    assert _primes_in_class(r, m, bound) == expected, (r, m)
+
+    def test_temporaries_stay_bounded(self):
+        # Neither the strike nor a read holds a temporary that grows with
+        # the bound: nothing beyond the mask, or the returned tuple and its
+        # ints, reaches 256 KB.
+        _prime_mask.cache_clear()
+        tracemalloc.start()
+        try:
+            mask, _ = _prime_mask(2 * 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - len(mask) < 256 * 1024
+        tracemalloc.start()
+        try:
+            primes = _primes_in_class(1, 4, 2 * 10**6)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(primes) == 74_416
+        assert peak - kept < 256 * 1024
 
 
 class TestIntersectionDensity:
